@@ -380,8 +380,7 @@ figReconstructionScalability(const std::string &figure)
                     sut.reconstructChunk(stripe, width, std::move(done));
                 },
                 stripes, static_cast<std::uint32_t>(chunk), /*window=*/16);
-            job.bindTrace(&sut.cluster().tracer(),
-                          sut.cluster().hostId());
+            job.attach(sut.cluster().probe(sut.cluster().hostId()));
             job.registerMetrics(
                 sut.cluster().nodeScope(sut.cluster().hostId())
                     .scope("rebuild"));
@@ -424,9 +423,7 @@ figRebuildInterference(const std::string &figure)
             sut.reconstructChunk(stripe, array.width, std::move(done));
         },
         stripes, static_cast<std::uint32_t>(chunk), /*window=*/16);
-    rebuild.bindTrace(&sut.cluster().tracer(), sut.cluster().hostId());
-    rebuild.bindJournal(&sut.cluster().telemetry().journal(),
-                        sut.cluster().hostId());
+    rebuild.attach(sut.cluster().probe(sut.cluster().hostId()));
     rebuild.registerMetrics(
         sut.cluster().nodeScope(sut.cluster().hostId()).scope("rebuild"));
 

@@ -25,7 +25,8 @@ HostCentricRaid::HostCentricRaid(cluster::Cluster &cluster,
       width_(width == 0 ? cluster.numTargets() : width),
       geom_(level, chunk_size, width_),
       planner_(geom_),
-      initiator_(cluster, ids_)
+      initiator_(cluster, ids_),
+      probe_(cluster.probe(cluster.hostId()))
 {
     assert(width_ <= cluster.numTargets());
     cluster_.fabric().setEndpoint(cluster_.hostId(), this);
@@ -51,36 +52,6 @@ HostCentricRaid::HostCentricRaid(cluster::Cluster &cluster,
         &scope.histogram("read_latency_us", telemetry::latencyBucketsUs());
     writeLatencyUs_ =
         &scope.histogram("write_latency_us", telemetry::latencyBucketsUs());
-}
-
-void
-HostCentricRaid::finishOpSpan(std::uint64_t trace, const char *name,
-                              sim::Ticks start, std::uint64_t bytes,
-                              telemetry::Histogram *lat_us)
-{
-    const sim::Ticks end = cluster_.sim().now();
-    if (lat_us)
-        lat_us->observe(static_cast<double>((end - start).raw()) /
-                        sim::kMicrosecond);
-    telemetry::ContentionTracker &ct = cluster_.telemetry().contention();
-    const std::uint32_t tenant = ct.tenantOf(trace);
-    if (ct.enabled())
-        ct.noteOpComplete(trace, end.raw(), (end - start).raw(), bytes);
-    telemetry::Tracer &tracer = cluster_.tracer();
-    if (trace == 0 || !tracer.active())
-        return;
-    telemetry::TraceSpan span;
-    span.traceId = trace;
-    span.node = cluster_.hostId();
-    span.lane = "op";
-    span.name = name;
-    span.start = start.raw();
-    span.end = end.raw();
-    span.tenant = tenant;
-    span.args.emplace_back("bytes", std::to_string(bytes));
-    // Root op span: routes through the op-completion path (streaming
-    // aggregator sink + tail-exemplar reservoir) before retention.
-    tracer.recordOpCompletion(std::move(span));
 }
 
 std::uint64_t
@@ -156,14 +127,14 @@ HostCentricRaid::write(std::uint64_t offset, ec::Buffer data,
                        blockdev::WriteCallback cb)
 {
     assert(offset + data.size() <= sizeBytes());
-    const std::uint64_t trace = cluster_.tracer().mint();
+    const std::uint64_t trace = probe_.mint();
     cluster_.telemetry().contention().noteOpStart(trace);
     const sim::Ticks op_start = cluster_.sim().now();
     const std::uint64_t op_bytes = data.size();
     auto wrapped = [this, cb, trace, op_start,
                     op_bytes](blockdev::IoStatus st) {
-        finishOpSpan(trace, "raid.write", op_start, op_bytes,
-                     writeLatencyUs_);
+        probe_.opComplete(trace, "raid.write", op_start,
+                          cluster_.sim().now(), op_bytes, writeLatencyUs_);
         cb(st);
     };
     auto plans = planner_.plan(offset, data.size());
@@ -903,7 +874,7 @@ HostCentricRaid::read(std::uint64_t offset, std::uint32_t length,
 {
     assert(offset + length <= sizeBytes());
     ++counters_.normalReads;
-    const std::uint64_t trace = cluster_.tracer().mint();
+    const std::uint64_t trace = probe_.mint();
     cluster_.telemetry().contention().noteOpStart(trace);
     const sim::Ticks op_start = cluster_.sim().now();
     auto extents = geom_.map(offset, length);
@@ -925,8 +896,8 @@ HostCentricRaid::read(std::uint64_t offset, std::uint32_t length,
         if (!ok)
             *all_ok = false;
         if (--*remaining == 0) {
-            finishOpSpan(trace, "raid.read", op_start, length,
-                         readLatencyUs_);
+            probe_.opComplete(trace, "raid.read", op_start,
+                              cluster_.sim().now(), length, readLatencyUs_);
             cb(*all_ok ? blockdev::IoStatus::kOk
                        : blockdev::IoStatus::kError,
                out);
@@ -1161,12 +1132,12 @@ HostCentricRaid::reconstructChunk(std::uint64_t stripe,
                                   std::function<void(bool)> done)
 {
     assert(failed_);
-    const std::uint64_t trace = cluster_.tracer().mint();
+    const std::uint64_t trace = probe_.mint();
     const sim::Ticks op_start = cluster_.sim().now();
     done = [this, trace, op_start, inner = std::move(done),
             chunk_bytes = geom_.chunkSize()](bool ok) {
-        finishOpSpan(trace, "raid.reconstruct", op_start, chunk_bytes,
-                     nullptr);
+        probe_.opComplete(trace, "raid.reconstruct", op_start,
+                          cluster_.sim().now(), chunk_bytes, nullptr);
         inner(ok);
     };
     const raid::ChunkRole role = geom_.roleOf(stripe, *failed_);

@@ -181,14 +181,6 @@ class HostCentricRaid : public blockdev::BlockDevice, public net::Endpoint
     void chargeGf(std::uint64_t bytes, sim::EventFn fn,
                   std::uint64_t trace = 0);
 
-    /**
-     * Observe an op's end-to-end latency and, when traced, record the
-     * host-side "op" lane span covering it.
-     */
-    void finishOpSpan(std::uint64_t trace, const char *name,
-                      sim::Ticks start, std::uint64_t bytes,
-                      telemetry::Histogram *lat_us);
-
     cluster::Cluster &cluster_;
     HostRaidTuning tuning_;
     std::uint32_t width_;
@@ -203,6 +195,7 @@ class HostCentricRaid : public blockdev::BlockDevice, public net::Endpoint
     std::vector<std::unique_ptr<blockdev::NvmfTarget>> targets_;
     telemetry::Histogram *readLatencyUs_ = nullptr;
     telemetry::Histogram *writeLatencyUs_ = nullptr;
+    telemetry::Probe probe_;
 };
 
 } // namespace draid::baselines

@@ -71,7 +71,7 @@ runTrial(const CampaignConfig &cfg, ScenarioClass cls, std::uint32_t trial,
     const std::uint64_t stripeBytes = host.geometry().stripeDataSize();
 
     core::FailureTracker tracker(cfg.width, /*redundancy=*/1);
-    tracker.bindJournal(&cluster.telemetry().journal(), cluster.hostId());
+    tracker.attach(cluster.probe(cluster.hostId()));
 
     // --- preload the deterministic pattern, one full stripe at a time ---
     auto writeNext =
@@ -146,9 +146,7 @@ runTrial(const CampaignConfig &cfg, ScenarioClass cls, std::uint32_t trial,
                 host.reconstructChunk(stripe, spare, std::move(done));
             },
             cfg.stripes, chunkBytes, /*window=*/8);
-        rb.job->bindJournal(&cluster.telemetry().journal(),
-                            cluster.hostId());
-        rb.job->bindTrace(&cluster.tracer(), cluster.hostId());
+        rb.job->attach(cluster.probe(cluster.hostId()));
         rb.job->onStripeFailed([&tracker, &sim](std::uint64_t stripe) {
             tracker.recordStripeLoss(stripe, sim.now());
         });

@@ -8,7 +8,7 @@ Cluster::Cluster(const TestbedConfig &config, std::uint32_t num_targets,
                  std::vector<double> target_goodputs)
     : config_(config), sim_(), fabric_(sim_, config.propagation)
 {
-    fabric_.bindTrace(&telemetry_.tracer());
+    fabric_.attach(probe(hostId()));
     host_ = std::make_unique<Node>(sim_, hostId(), config.nicGoodput100g,
                                    config.nicPerMessage, std::nullopt);
     fabric_.attach(hostId(), host_->nic(), nullptr);
@@ -45,37 +45,30 @@ void
 Cluster::instrumentNode(Node &node)
 {
     const sim::NodeId id = node.id();
-    telemetry::Tracer &tracer = telemetry_.tracer();
-    tracer.setNodeName(id, nodeName(id));
+    telemetry_.tracer().setNodeName(id, nodeName(id));
     // The sim-layer resources are telemetry-blind (layering DAG, DESIGN.md
     // §6): each gets a lane label plus an observe-only LaneTap the node
-    // owns, and the tap carries the tracer/contention bindings.
-    node.nic().tx().setLabel("nic.tx");
-    node.nic().rx().setLabel("nic.rx");
-    node.txTap().bindTrace(&tracer, id);
-    node.rxTap().bindTrace(&tracer, id);
-    node.cpuTap().bindTrace(&tracer, id);
-
-    // Contention attribution: every FIFO resource registers with the
-    // tracker up front; the hooks stay one predictable branch until the
-    // harness enables the tracker (--tenants= / --interference=).
+    // owns, built from the node's probe. Every FIFO resource registers
+    // with the contention tracker up front; the hooks stay one
+    // predictable branch until the harness enables the tracker
+    // (--tenants= / --interference=).
+    const telemetry::Probe p = probe(id);
     telemetry::ContentionTracker &ct = telemetry_.contention();
     using RK = telemetry::ContentionTracker::ResourceKind;
-    node.txTap().bindContention(&ct, ct.registerResource(id, RK::NicTx));
-    node.rxTap().bindContention(&ct, ct.registerResource(id, RK::NicRx));
-    node.cpuTap().bindContention(&ct, ct.registerResource(id, RK::Cpu));
+    using Style = telemetry::LaneTap::Style;
+    node.nic().tx().setLabel("nic.tx");
+    node.nic().rx().setLabel("nic.rx");
+    node.txTap() = telemetry::LaneTap(Style::kPipe, p,
+                                      ct.registerResource(id, RK::NicTx));
+    node.rxTap() = telemetry::LaneTap(Style::kPipe, p,
+                                      ct.registerResource(id, RK::NicRx));
+    node.cpuTap() = telemetry::LaneTap(Style::kCpu, p,
+                                       ct.registerResource(id, RK::Cpu));
     node.nic().tx().setObserver(&node.txTap());
     node.nic().rx().setObserver(&node.rxTap());
     node.cpu().setObserver(&node.cpuTap());
-
-    if (node.hasSsd()) {
-        node.ssd().bindTrace(&tracer, id);
-        // Media-error discoveries (LatentSectorError) land in the cluster
-        // journal with the drive's own node id.
-        node.ssd().bindJournal(&telemetry_.journal(), id);
-        node.ssd().bindContention(
-            &ct, ct.registerResource(id, RK::SsdChannel));
-    }
+    if (node.hasSsd())
+        node.ssd().attach(p);
 
     // Pull probes over the counters the components already keep; sampling
     // them at snapshot time costs the hot path nothing.

@@ -16,6 +16,7 @@
 #include "cluster/testbed.h"
 #include "net/fabric.h"
 #include "sim/simulator.h"
+#include "telemetry/probe.h"
 #include "telemetry/telemetry.h"
 
 namespace draid::cluster {
@@ -60,6 +61,12 @@ class Cluster
     const telemetry::Telemetry &telemetry() const { return telemetry_; }
     telemetry::Tracer &tracer() { return telemetry_.tracer(); }
 
+    /** The telemetry handle a component on @p node reports through. */
+    telemetry::Probe probe(sim::NodeId node)
+    {
+        return telemetry::Probe(telemetry_, node);
+    }
+
     /** Human name for a fabric node id: "host0" or "node<i>". */
     std::string nodeName(sim::NodeId node) const;
 
@@ -84,7 +91,8 @@ class Cluster
     bool isTargetFailed(std::uint32_t i) const;
 
   private:
-    /** Register per-node probes and bind span sinks for @p node. */
+    /** Register per-node metric probes and attach @p node's resources
+     *  to telemetry. */
     void instrumentNode(Node &node);
 
     TestbedConfig config_;

@@ -44,7 +44,7 @@ class Node
 
     /**
      * Observe-only telemetry taps for the node's FIFO resources; the
-     * Cluster binds tracer/contention into them and attaches them to the
+     * Cluster builds them from the node's probe and attaches them to the
      * NIC pipes and CPU core (see sim/service.h for the seam contract).
      */
     telemetry::LaneTap &txTap() { return txTap_; }
@@ -59,9 +59,9 @@ class Node
     sim::NodeId id_;
     net::Nic nic_;
     sim::CpuCore cpu_;
-    telemetry::LaneTap txTap_{telemetry::LaneTap::Style::kPipe};
-    telemetry::LaneTap rxTap_{telemetry::LaneTap::Style::kPipe};
-    telemetry::LaneTap cpuTap_{telemetry::LaneTap::Style::kCpu};
+    telemetry::LaneTap txTap_;
+    telemetry::LaneTap rxTap_;
+    telemetry::LaneTap cpuTap_;
     std::unique_ptr<nvme::Ssd> ssd_;
 };
 

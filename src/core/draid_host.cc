@@ -41,15 +41,12 @@ DraidHost::DraidHost(cluster::Cluster &cluster, const DraidOptions &options,
     cluster_.fabric().setEndpoint(cluster_.hostId(), this);
 
     setupTelemetry();
-    contention_ = &cluster_.telemetry().contention();
-    lockRes_ = contention_->registerResource(
+    probe_ = cluster_.probe(cluster_.hostId());
+    lockRes_ = cluster_.telemetry().contention().registerResource(
         cluster_.hostId(),
         telemetry::ContentionTracker::ResourceKind::StripeLock);
-    writeLocks_.bindJournal(&cluster_.telemetry().journal(),
-                            cluster_.hostId(),
-                            [this] { return cluster_.sim().now().raw(); });
-    deadlines_.bindJournal(&cluster_.telemetry().journal(),
-                           cluster_.hostId());
+    writeLocks_.attach(probe_, [this] { return cluster_.sim().now().raw(); });
+    deadlines_.attach(probe_);
 
     if (opts_.reducerPolicy == ReducerPolicy::kBwAware) {
         auto sel = std::make_unique<BwAwareReducerSelector>(
@@ -94,59 +91,6 @@ DraidHost::setupTelemetry()
                                       telemetry::latencyBucketsUs());
     writeLatencyUs_ = &scope.histogram("write_latency_us",
                                        telemetry::latencyBucketsUs());
-}
-
-void
-DraidHost::finishOpSpan(std::uint64_t trace, const char *name,
-                        sim::Ticks start, std::uint64_t bytes,
-                        telemetry::Histogram *lat_us)
-{
-    const sim::Ticks end = cluster_.sim().now();
-    if (lat_us)
-        lat_us->observe(static_cast<double>((end - start).raw()) /
-                        sim::kMicrosecond);
-    // Capture the tenant before noteOpComplete releases the binding.
-    const std::uint32_t tenant = contention_->tenantOf(trace);
-    if (contention_->enabled())
-        contention_->noteOpComplete(trace, end.raw(), (end - start).raw(),
-                                    bytes);
-    telemetry::Tracer &tracer = cluster_.tracer();
-    if (trace == 0 || !tracer.active())
-        return;
-    telemetry::TraceSpan span;
-    span.traceId = trace;
-    span.node = cluster_.hostId();
-    span.lane = "op";
-    span.name = name;
-    span.start = start.raw();
-    span.end = end.raw();
-    span.tenant = tenant;
-    span.args.emplace_back("bytes", std::to_string(bytes));
-    // Root op span: routes through the op-completion path (streaming
-    // aggregator sink + tail-exemplar reservoir) before retention.
-    tracer.recordOpCompletion(std::move(span));
-}
-
-void
-DraidHost::recordLockWait(std::uint64_t trace, std::uint64_t stripe,
-                          sim::Ticks since)
-{
-    const sim::Ticks now = cluster_.sim().now();
-    if (trace == 0 || now <= since)
-        return;
-    telemetry::Tracer &tracer = cluster_.tracer();
-    if (!tracer.active())
-        return;
-    telemetry::TraceSpan span;
-    span.traceId = trace;
-    span.node = cluster_.hostId();
-    span.lane = "lock";
-    span.name = "lock.stripe";
-    span.start = since.raw();
-    span.end = now.raw();
-    span.tenant = contention_->tenantOf(trace);
-    span.args.emplace_back("stripe", std::to_string(stripe));
-    tracer.recordSpan(std::move(span));
 }
 
 std::uint64_t
@@ -264,8 +208,8 @@ DraidHost::sendCapsule(std::uint32_t device, proto::Capsule capsule,
 {
     const sim::NodeId node = nodeOf(device);
     const std::uint64_t trace = capsule.traceId;
-    if (contention_->enabled())
-        capsule.tenant = contention_->tenantOf(trace);
+    if (const telemetry::ContentionTracker *ct = probe_.contention())
+        capsule.tenant = ct->tenantOf(trace);
     cluster_.host().cpu().execute(cluster_.config().hostCmdCost,
                                   trace, "host.cmd",
                                   [this, node,
@@ -292,18 +236,16 @@ DraidHost::markFailed(std::uint32_t device)
 {
     assert(device < width_);
     failed_ = device;
-    cluster_.telemetry().journal().record(telemetry::EventType::kDriveFailed,
-                                          cluster_.hostId(),
-                                          cluster_.sim().now().raw(), device);
+    probe_.event(telemetry::EventType::kDriveFailed,
+                 cluster_.sim().now().raw(), device);
 }
 
 void
 DraidHost::clearFailed()
 {
     if (failed_) {
-        cluster_.telemetry().journal().record(
-            telemetry::EventType::kDriveRecovered, cluster_.hostId(),
-            cluster_.sim().now().raw(), *failed_);
+        probe_.event(telemetry::EventType::kDriveRecovered,
+                     cluster_.sim().now().raw(), *failed_);
     }
     failed_.reset();
 }
@@ -314,10 +256,8 @@ DraidHost::replaceDevice(std::uint32_t device, std::uint32_t spare_target)
     assert(device < width_);
     assert(spare_target < cluster_.numTargets());
     targetMap_[device] = spare_target;
-    cluster_.telemetry().journal().record(telemetry::EventType::kHotSpareSwap,
-                                          cluster_.hostId(),
-                                          cluster_.sim().now().raw(), device,
-                                          spare_target);
+    probe_.event(telemetry::EventType::kHotSpareSwap,
+                 cluster_.sim().now().raw(), device, spare_target);
     if (failed_ && *failed_ == device)
         clearFailed();
 }
@@ -331,8 +271,9 @@ DraidHost::write(std::uint64_t offset, ec::Buffer data,
                  blockdev::WriteCallback cb)
 {
     assert(offset + data.size() <= sizeBytes());
-    const std::uint64_t trace = cluster_.tracer().mint();
-    contention_->noteOpStart(trace);
+    const std::uint64_t trace = probe_.mint();
+    if (telemetry::ContentionTracker *ct = probe_.contention())
+        ct->noteOpStart(trace);
     const sim::Ticks op_start = cluster_.sim().now();
     const std::uint64_t op_bytes = data.size();
     auto plans = planner_.plan(offset, data.size());
@@ -342,8 +283,8 @@ DraidHost::write(std::uint64_t offset, ec::Buffer data,
     auto all_ok = std::make_shared<bool>(true);
     auto wrapped = [this, cb = std::move(cb), trace, op_start,
                     op_bytes](blockdev::IoStatus st) {
-        finishOpSpan(trace, "draid.write", op_start, op_bytes,
-                     writeLatencyUs_);
+        probe_.opComplete(trace, "draid.write", op_start,
+                          cluster_.sim().now(), op_bytes, writeLatencyUs_);
         cb(st);
     };
 
@@ -361,10 +302,9 @@ DraidHost::write(std::uint64_t offset, ec::Buffer data,
         sw->done = [this, stripe, remaining, all_ok, wrapped](bool ok) {
             // Close the hold window before the release hands the lock to
             // the next waiter, so that waiter's blame split can see it.
-            if (contention_->enabled())
-                contention_->closeOccupancy(lockRes_,
-                                            cluster_.sim().now().raw(),
-                                            stripe);
+            if (telemetry::ContentionTracker *ct = probe_.contention())
+                ct->closeOccupancy(lockRes_, cluster_.sim().now().raw(),
+                                   stripe);
             writeLocks_.release(stripe);
             if (!ok)
                 *all_ok = false;
@@ -374,18 +314,23 @@ DraidHost::write(std::uint64_t offset, ec::Buffer data,
         };
         const sim::Ticks lock_req = cluster_.sim().now();
         writeLocks_.acquire(stripe, [this, sw, stripe, lock_req]() {
-            if (contention_->enabled()) {
-                const sim::Ticks now = cluster_.sim().now();
+            const sim::Ticks now = cluster_.sim().now();
+            if (telemetry::ContentionTracker *ct = probe_.contention()) {
                 // Blame the grant delay on the writers that held the lock
                 // (their hold windows tile [lock_req, now) exactly), then
                 // open this writer's own hold window.
-                contention_->attributeWait(lockRes_, sw->traceId,
-                                           lock_req.raw(), now.raw(),
-                                           stripe);
-                contention_->openOccupancy(lockRes_, sw->traceId,
-                                           now.raw(), stripe);
+                ct->attributeWait(lockRes_, sw->traceId, lock_req.raw(),
+                                  now.raw(), stripe);
+                ct->openOccupancy(lockRes_, sw->traceId, now.raw(), stripe);
             }
-            recordLockWait(sw->traceId, stripe, lock_req);
+            // The lock wait becomes a "lock" lane span, so the
+            // critical-path analyzer can attribute serialization behind
+            // another writer separately from queueing; the uncontended
+            // fast path stays span-free.
+            if (lock_req < now) {
+                probe_.span(sw->traceId, "lock", "lock.stripe",
+                            lock_req.raw(), now.raw(), {"stripe", stripe});
+            }
             executeStripeWrite(sw);
         });
     }
@@ -930,8 +875,9 @@ DraidHost::read(std::uint64_t offset, std::uint32_t length,
 {
     assert(offset + length <= sizeBytes());
     ++counters_.normalReads;
-    const std::uint64_t trace = cluster_.tracer().mint();
-    contention_->noteOpStart(trace);
+    const std::uint64_t trace = probe_.mint();
+    if (telemetry::ContentionTracker *ct = probe_.contention())
+        ct->noteOpStart(trace);
     const sim::Ticks op_start = cluster_.sim().now();
     auto extents = geom_.map(offset, length);
     ec::Buffer out(length);
@@ -953,8 +899,8 @@ DraidHost::read(std::uint64_t offset, std::uint32_t length,
         if (!ok)
             *all_ok = false;
         if (--*remaining == 0) {
-            finishOpSpan(trace, "draid.read", op_start, length,
-                         readLatencyUs_);
+            probe_.opComplete(trace, "draid.read", op_start,
+                              cluster_.sim().now(), length, readLatencyUs_);
             cb(*all_ok ? blockdev::IoStatus::kOk
                        : blockdev::IoStatus::kError,
                out);
@@ -1046,9 +992,8 @@ DraidHost::degradedStripeRead(std::uint64_t stripe,
 
     const auto participants = reconParticipants(stripe, *failed_);
     const std::uint32_t reducer = selector_->select(participants, rng_);
-    cluster_.telemetry().journal().record(
-        telemetry::EventType::kDegradedReadServed, cluster_.hostId(),
-        cluster_.sim().now().raw(), stripe, recon_len);
+    probe_.event(telemetry::EventType::kDegradedReadServed,
+                 cluster_.sim().now().raw(), stripe, recon_len);
     noteReconstructionLoad(recon_len);
     if (bwAware_ && reducer < reconTxAttributed_.size())
         reconTxAttributed_[reducer] += recon_len;
@@ -1213,11 +1158,12 @@ DraidHost::reconstructChunk(std::uint64_t stripe, std::uint32_t spare_target,
     if (bwAware_ && reducer < reconTxAttributed_.size())
         reconTxAttributed_[reducer] += chunk;
 
-    const std::uint64_t trace = cluster_.tracer().mint();
+    const std::uint64_t trace = probe_.mint();
     const sim::Ticks start = cluster_.sim().now();
     auto wrapped = [this, done = std::move(done), trace, start,
                     chunk](bool ok) {
-        finishOpSpan(trace, "draid.reconstruct", start, chunk, nullptr);
+        probe_.opComplete(trace, "draid.reconstruct", start,
+                          cluster_.sim().now(), chunk, nullptr);
         done(ok);
     };
     registerAndBroadcastReconstruction(

@@ -277,25 +277,13 @@ class DraidHost : public blockdev::BlockDevice, public net::Endpoint
     /** Register host0.draid.* probes + latency histograms. */
     void setupTelemetry();
 
-    /** Record a completed user op span + latency sample. */
-    void finishOpSpan(std::uint64_t trace, const char *name, sim::Ticks start,
-                      std::uint64_t bytes, telemetry::Histogram *lat_us);
-
-    /**
-     * Record the stripe-lock wait window [since, now) as a "lock" lane
-     * span, so the critical-path analyzer can attribute serialization
-     * behind another writer separately from queueing. No-op when the wait
-     * was zero ticks (the uncontended fast path stays span-free).
-     */
-    void recordLockWait(std::uint64_t trace, std::uint64_t stripe,
-                        sim::Ticks since);
 
     telemetry::Histogram *readLatencyUs_ = nullptr;
     telemetry::Histogram *writeLatencyUs_ = nullptr;
 
-    /** Contention attribution (tenant dimension): the cluster tracker and
-     *  this host's stripe-lock resource id (key = stripe). */
-    telemetry::ContentionTracker *contention_ = nullptr;
+    /** The host's telemetry handle, and its stripe-lock contention
+     *  resource id (key = stripe). */
+    telemetry::Probe probe_;
     std::uint32_t lockRes_ = 0;
 };
 

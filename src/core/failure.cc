@@ -18,19 +18,10 @@ DeadlineTable::arm(std::uint64_t id, sim::Ticks delay,
             return; // disarmed or re-armed since
         armed_.erase(it);
         ++expired_;
-        if (journal_) {
-            journal_->record(telemetry::EventType::kOpTimeout, journalNode_,
-                             sim_.now().raw(), id);
-        }
+        probe_.event(telemetry::EventType::kOpTimeout, sim_.now().raw(),
+                     id);
         expire();
     });
-}
-
-void
-DeadlineTable::bindJournal(telemetry::EventJournal *journal, sim::NodeId node)
-{
-    journal_ = journal;
-    journalNode_ = node;
 }
 
 void
@@ -48,14 +39,6 @@ FailureTracker::FailureTracker(std::uint32_t width, std::uint32_t redundancy)
 {
 }
 
-void
-FailureTracker::bindJournal(telemetry::EventJournal *journal,
-                            sim::NodeId node)
-{
-    journal_ = journal;
-    journalNode_ = node;
-}
-
 bool
 FailureTracker::recordFailure(std::uint32_t device, sim::Ticks tick,
                               bool already_journaled)
@@ -64,16 +47,13 @@ FailureTracker::recordFailure(std::uint32_t device, sim::Ticks tick,
         return false;
     failedAt_[device] = static_cast<std::int64_t>(tick.raw());
     ++active_;
-    if (journal_ && !already_journaled) {
-        journal_->record(telemetry::EventType::kDriveFailed, journalNode_,
-                         tick.raw(), device, active_);
+    if (!already_journaled) {
+        probe_.event(telemetry::EventType::kDriveFailed, tick.raw(), device,
+                     active_);
     }
     if (active_ > redundancy_ && !dataLoss_) {
         dataLoss_ = true;
-        if (journal_) {
-            journal_->record(telemetry::EventType::kDataLoss, journalNode_,
-                             tick.raw(), device, 0);
-        }
+        probe_.event(telemetry::EventType::kDataLoss, tick.raw(), device, 0);
     }
     return true;
 }
@@ -98,10 +78,8 @@ FailureTracker::recordStripeLoss(std::uint64_t stripe, sim::Ticks tick)
         ++lostStripes_;
     lastLostStripe_ = stripe;
     dataLoss_ = true;
-    if (journal_ && !duplicate) {
-        journal_->record(telemetry::EventType::kDataLoss, journalNode_,
-                         tick.raw(), stripe, 1);
-    }
+    if (!duplicate)
+        probe_.event(telemetry::EventType::kDataLoss, tick.raw(), stripe, 1);
 }
 
 std::vector<std::uint32_t>

@@ -18,7 +18,7 @@
 
 #include "sim/simulator.h"
 #include "sim/types.h"
-#include "telemetry/event_journal.h"
+#include "telemetry/probe.h"
 
 namespace draid::core {
 
@@ -45,10 +45,10 @@ class DeadlineTable
     std::uint64_t expiredCount() const { return expired_; }
 
     /**
-     * Attach the cluster event journal: every expiry also records an
-     * OpTimeout event (a = operation id) as node @p node. Observe-only.
+     * Report to telemetry through @p probe: every expiry also journals an
+     * OpTimeout event (a = operation id). Observe-only.
      */
-    void bindJournal(telemetry::EventJournal *journal, sim::NodeId node);
+    void attach(telemetry::Probe probe) { probe_ = probe; }
 
   private:
     sim::Simulator &sim_;
@@ -58,8 +58,7 @@ class DeadlineTable
     std::unordered_map<std::uint64_t, std::uint64_t> armed_;
     std::uint64_t nextGen_ = 1;
     std::uint64_t expired_ = 0;
-    telemetry::EventJournal *journal_ = nullptr;
-    sim::NodeId journalNode_ = 0;
+    telemetry::Probe probe_;
 };
 
 /**
@@ -83,12 +82,12 @@ class FailureTracker
     FailureTracker(std::uint32_t width, std::uint32_t redundancy);
 
     /**
-     * Attach the cluster event journal: recordFailure() then records a
-     * DriveFailed event (a = device, b = active failures after this one)
-     * unless the caller journaled it already, and any promotion to data
-     * loss records a DataLoss event. Observe-only.
+     * Report to telemetry through @p probe: recordFailure() then journals
+     * a DriveFailed event (a = device, b = active failures after this
+     * one) unless the caller journaled it already, and any promotion to
+     * data loss journals a DataLoss event. Observe-only.
      */
-    void bindJournal(telemetry::EventJournal *journal, sim::NodeId node);
+    void attach(telemetry::Probe probe) { probe_ = probe; }
 
     /**
      * A member device failed at @p tick. Journals DriveFailed (unless
@@ -143,8 +142,7 @@ class FailureTracker
     std::vector<std::int64_t> failedAt_;
     // draid-lint: cap(one entry per member device; fixed topology)
     std::vector<sim::Tick> exposure_;
-    telemetry::EventJournal *journal_ = nullptr;
-    sim::NodeId journalNode_ = 0;
+    telemetry::Probe probe_;
 };
 
 } // namespace draid::core

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <string>
 #include <utility>
-
-#include "telemetry/trace.h"
 
 namespace draid::core {
 
@@ -15,6 +12,7 @@ RebuildJob::RebuildJob(sim::Simulator &sim, StripeFn fn,
     : sim_(sim),
       fn_(std::move(fn)),
       numStripes_(num_stripes),
+      progressStride_(std::max<std::uint64_t>(num_stripes / 8, 1)),
       chunkBytes_(chunk_bytes),
       window_(window)
 {
@@ -26,37 +24,18 @@ RebuildJob::start(std::function<void(bool)> done)
 {
     onFinished_ = std::move(done);
     startTick_ = sim_.now();
-    if (journal_) {
-        journal_->record(telemetry::EventType::kRebuildStarted,
-                         journalNode_, sim_.now().raw(), numStripes_, chunkBytes_);
-    }
+    probe_.event(telemetry::EventType::kRebuildStarted, sim_.now().raw(),
+                 numStripes_, chunkBytes_);
     if (numStripes_ == 0) {
         finished_ = true;
         endTick_ = sim_.now();
-        if (journal_) {
-            journal_->record(telemetry::EventType::kRebuildCompleted,
-                             journalNode_, sim_.now().raw(), 0, 0);
-        }
+        probe_.event(telemetry::EventType::kRebuildCompleted,
+                     sim_.now().raw(), 0, 0);
         if (onFinished_)
             onFinished_(true);
         return;
     }
     pump();
-}
-
-void
-RebuildJob::bindTrace(telemetry::Tracer *tracer, sim::NodeId node)
-{
-    tracer_ = tracer;
-    traceNode_ = node;
-}
-
-void
-RebuildJob::bindJournal(telemetry::EventJournal *journal, sim::NodeId node)
-{
-    journal_ = journal;
-    journalNode_ = node;
-    progressStride_ = std::max<std::uint64_t>(numStripes_ / 8, 1);
 }
 
 void
@@ -74,22 +53,12 @@ RebuildJob::pump()
     while (inFlight_ < window_ && next_ < numStripes_) {
         const std::uint64_t stripe = next_++;
         ++inFlight_;
-        const bool traced = tracer_ && tracer_->active();
-        const std::uint64_t trace = traced ? tracer_->mint() : 0;
+        const std::uint64_t trace = probe_.mint();
         const sim::Ticks issued = sim_.now();
         fn_(stripe, [this, stripe, trace, issued](bool ok) {
-            if (trace != 0 && tracer_ && tracer_->active()) {
-                telemetry::TraceSpan span;
-                span.traceId = trace;
-                span.node = traceNode_;
-                span.lane = "rebuild";
-                span.name = "rebuild.stripe";
-                span.start = issued.raw();
-                span.end = sim_.now().raw();
-                span.args.emplace_back("stripe", std::to_string(stripe));
-                span.args.emplace_back("ok", ok ? "1" : "0");
-                tracer_->recordSpan(std::move(span));
-            }
+            probe_.untaggedSpan(trace, "rebuild", "rebuild.stripe",
+                                issued.raw(), sim_.now().raw(),
+                                {"stripe", stripe}, {"ok", ok ? 1u : 0u});
             if (!ok && stripeFailed_)
                 stripeFailed_(stripe);
             onStripeDone(ok);
@@ -107,17 +76,15 @@ RebuildJob::onStripeDone(bool ok)
     if (done_ == numStripes_) {
         finished_ = true;
         endTick_ = sim_.now();
-        if (journal_) {
-            journal_->record(telemetry::EventType::kRebuildCompleted,
-                             journalNode_, sim_.now().raw(), done_, failures_);
-        }
+        probe_.event(telemetry::EventType::kRebuildCompleted,
+                     sim_.now().raw(), done_, failures_);
         if (onFinished_)
             onFinished_(failures_ == 0);
         return;
     }
-    if (journal_ && progressStride_ > 0 && done_ % progressStride_ == 0) {
-        journal_->record(telemetry::EventType::kRebuildProgress,
-                         journalNode_, sim_.now().raw(), done_, numStripes_);
+    if (done_ % progressStride_ == 0) {
+        probe_.event(telemetry::EventType::kRebuildProgress,
+                     sim_.now().raw(), done_, numStripes_);
     }
     pump();
 }

@@ -16,12 +16,8 @@
 
 #include "sim/simulator.h"
 #include "sim/types.h"
-#include "telemetry/event_journal.h"
 #include "telemetry/metrics.h"
-
-namespace draid::telemetry {
-class Tracer;
-}
+#include "telemetry/probe.h"
 
 namespace draid::core {
 
@@ -47,21 +43,16 @@ class RebuildJob
     void start(std::function<void(bool)> done);
 
     /**
-     * Attach a span sink: each stripe's issue-to-completion window is
-     * recorded as a "rebuild.stripe" span on node @p node (lane
-     * "rebuild"). No-op cost when the tracer is disabled.
+     * Report to telemetry through @p probe: each stripe's
+     * issue-to-completion window becomes an untagged "rebuild.stripe"
+     * span (lane "rebuild"), and the job journals RebuildStarted /
+     * RebuildProgress (roughly every eighth of the job) /
+     * RebuildCompleted. Observe-only.
      */
-    void bindTrace(telemetry::Tracer *tracer, sim::NodeId node);
+    void attach(telemetry::Probe probe) { probe_ = probe; }
 
     /** Register progress probes (stripes_done, failures, in_flight). */
     void registerMetrics(telemetry::MetricScope scope);
-
-    /**
-     * Attach the cluster event journal: the job then emits
-     * RebuildStarted / RebuildProgress (roughly every eighth of the job)
-     * / RebuildCompleted records as node @p node. Observe-only.
-     */
-    void bindJournal(telemetry::EventJournal *journal, sim::NodeId node);
 
     /**
      * Injectable fault hook (fault campaigns): called with the stripe
@@ -88,12 +79,9 @@ class RebuildJob
 
     sim::Simulator &sim_;
     StripeFn fn_;
-    telemetry::Tracer *tracer_ = nullptr;
-    sim::NodeId traceNode_ = 0;
-    telemetry::EventJournal *journal_ = nullptr;
-    sim::NodeId journalNode_ = 0;
-    std::uint64_t progressStride_ = 0;
+    telemetry::Probe probe_;
     std::uint64_t numStripes_;
+    std::uint64_t progressStride_;
     std::uint32_t chunkBytes_;
     int window_;
 

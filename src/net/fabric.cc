@@ -4,8 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "telemetry/trace.h"
-
 namespace draid::net {
 
 Fabric::Fabric(sim::Simulator &sim, sim::Ticks propagation)
@@ -54,16 +52,9 @@ Fabric::transferPair(sim::NodeId src, sim::NodeId dst, std::uint64_t bytes,
                   done = std::move(done)]() mutable {
         if (--*remaining != 0)
             return;
-        if (trace != 0 && tracer_ && tracer_->active()) {
-            telemetry::TraceSpan span;
-            span.traceId = trace;
-            span.node = src;
-            span.lane = "fabric";
-            span.name = "fabric.prop";
-            span.start = sim_.now().raw();
-            span.end = (sim_.now() + delay).raw();
-            tracer_->recordSpan(std::move(span));
-        }
+        probe_.at(src).untaggedSpan(trace, "fabric", "fabric.prop",
+                                    sim_.now().raw(),
+                                    (sim_.now() + delay).raw());
         sim_.schedule(delay, "fabric.prop", std::move(done));
     };
     sp.nic->tx().transfer(bytes, trace, joint);
@@ -136,12 +127,6 @@ void
 Fabric::setExtraDelay(sim::NodeId node, sim::Ticks delay)
 {
     ports_.at(node).extraDelay = delay;
-}
-
-void
-Fabric::bindTrace(telemetry::Tracer *tracer)
-{
-    tracer_ = tracer;
 }
 
 Nic &

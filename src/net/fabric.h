@@ -29,10 +29,7 @@
 #include "proto/capsule.h"
 #include "sim/simulator.h"
 #include "sim/types.h"
-
-namespace draid::telemetry {
-class Tracer;
-}
+#include "telemetry/probe.h"
 
 namespace draid::net {
 
@@ -109,13 +106,13 @@ class Fabric
     void setExtraDelay(sim::NodeId node, sim::Ticks delay);
 
     /**
-     * Attach a span sink: traced transfers record their propagation window
-     * (the wire+switch delay after the last byte leaves the ports) as a
-     * "fabric" lane span on the source node, so the critical-path analyzer
-     * can attribute fabric time separately from NIC serialization.
-     * Observe-only, like every other trace binding.
+     * Report to telemetry through @p probe: traced transfers record their
+     * propagation window (the wire+switch delay after the last byte
+     * leaves the ports) as an untagged "fabric" lane span on the source
+     * node, so the critical-path analyzer can attribute fabric time
+     * separately from NIC serialization. Observe-only.
      */
-    void bindTrace(telemetry::Tracer *tracer);
+    void attach(telemetry::Probe probe) { probe_ = probe; }
 
     Nic &nicOf(sim::NodeId node);
 
@@ -143,7 +140,7 @@ class Fabric
 
     sim::Simulator &sim_;
     sim::Ticks propagation_;
-    telemetry::Tracer *tracer_ = nullptr;
+    telemetry::Probe probe_;
     // draid-lint: cap(one port per registered node; fixed topology)
     std::unordered_map<sim::NodeId, Port> ports_;
     // draid-lint: cap(subset of registered nodes; fixed topology)

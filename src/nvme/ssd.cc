@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <string>
 #include <utility>
 
-#include "telemetry/event_journal.h"
 #include "telemetry/interference.h"
-#include "telemetry/trace.h"
+#include "telemetry/telemetry.h"
 
 namespace draid::nvme {
 
@@ -49,7 +47,7 @@ Ssd::read(std::uint64_t offset, std::uint32_t length, std::uint64_t trace,
     bytesRead_ += length;
     const sim::Ticks start = std::max(sim_.now(), channel_.busyUntil());
     // The trace rides into the channel pipe for contention attribution
-    // (the pipe's tracer is never bound, so no duplicate span appears).
+    // (the channel tap is silent, so no duplicate span appears).
     channel_.transfer(scaled(length, config_.readBw / degrade_), trace,
                       [this, offset, length, cb = std::move(cb)]() {
         const auto latency = sim::Ticks{static_cast<sim::Tick>(
@@ -63,31 +61,17 @@ Ssd::read(std::uint64_t offset, std::uint32_t length, std::uint64_t trace,
             // time, so an intervening rewrite rescues the read).
             if (const auto *hit = findLse(offset, length)) {
                 ++lseHits_;
-                if (journal_) {
-                    journal_->record(
-                        telemetry::EventType::kLatentSectorError,
-                        journalNode_, sim_.now().raw(), hit->first,
-                        hit->second - hit->first);
-                }
+                probe_.event(telemetry::EventType::kLatentSectorError,
+                             sim_.now().raw(), hit->first,
+                             hit->second - hit->first);
                 cb(blockdev::IoStatus::kError, ec::Buffer());
                 return;
             }
             cb(blockdev::IoStatus::kOk, store_.readSync(offset, length));
         });
     });
-    if (trace != 0 && tracer_ && tracer_->active()) {
-        telemetry::TraceSpan span;
-        span.traceId = trace;
-        span.node = traceNode_;
-        span.lane = "ssd";
-        span.name = "ssd.read";
-        span.start = start.raw();
-        span.end = channel_.busyUntil().raw();
-        if (contention_ && contention_->enabled())
-            span.tenant = contention_->tenantOf(trace);
-        span.args.emplace_back("bytes", std::to_string(length));
-        tracer_->recordSpan(std::move(span));
-    }
+    probe_.span(trace, "ssd", "ssd.read", start.raw(),
+                channel_.busyUntil().raw(), {"bytes", length});
 }
 
 void
@@ -127,42 +111,23 @@ Ssd::write(std::uint64_t offset, ec::Buffer data, std::uint64_t trace,
             cb(blockdev::IoStatus::kOk);
         });
     });
-    if (trace != 0 && tracer_ && tracer_->active()) {
-        telemetry::TraceSpan span;
-        span.traceId = trace;
-        span.node = traceNode_;
-        span.lane = "ssd";
-        span.name = "ssd.write";
-        span.start = start.raw();
-        span.end = channel_.busyUntil().raw();
-        if (contention_ && contention_->enabled())
-            span.tenant = contention_->tenantOf(trace);
-        span.args.emplace_back("bytes", std::to_string(length));
-        tracer_->recordSpan(std::move(span));
+    probe_.span(trace, "ssd", "ssd.write", start.raw(),
+                channel_.busyUntil().raw(), {"bytes", length});
+}
+
+void
+Ssd::attach(telemetry::Probe probe)
+{
+    probe_ = probe;
+    std::uint32_t res = 0;
+    if (telemetry::Telemetry *tel = probe.telemetry()) {
+        res = tel->contention().registerResource(
+            probe.node(),
+            telemetry::ContentionTracker::ResourceKind::SsdChannel);
     }
-}
-
-void
-Ssd::bindTrace(telemetry::Tracer *tracer, sim::NodeId node)
-{
-    tracer_ = tracer;
-    traceNode_ = node;
-}
-
-void
-Ssd::bindContention(telemetry::ContentionTracker *tracker,
-                    std::uint32_t res)
-{
-    contention_ = tracker;
-    channelTap_.bindContention(tracker, res);
+    channelTap_ = telemetry::LaneTap(telemetry::LaneTap::Style::kSilent,
+                                     probe, res);
     channel_.setObserver(&channelTap_);
-}
-
-void
-Ssd::bindJournal(telemetry::EventJournal *journal, sim::NodeId node)
-{
-    journal_ = journal;
-    journalNode_ = node;
 }
 
 void

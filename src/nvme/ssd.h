@@ -24,12 +24,7 @@
 #include "sim/simulator.h"
 #include "sim/types.h"
 #include "telemetry/lane_tap.h"
-
-namespace draid::telemetry {
-class ContentionTracker;
-class Tracer;
-class EventJournal;
-}
+#include "telemetry/probe.h"
 
 namespace draid::nvme {
 
@@ -60,7 +55,7 @@ class Ssd : public blockdev::BlockDevice
 
     /**
      * Traced variants: record the exact media-channel occupancy window as
-     * an "ssd.read"/"ssd.write" span when telemetry is bound, tracing is
+     * an "ssd.read"/"ssd.write" span when a probe is attached, tracing is
      * enabled, and @p trace is nonzero. Timing is identical to the
      * untraced calls.
      */
@@ -69,23 +64,14 @@ class Ssd : public blockdev::BlockDevice
     void write(std::uint64_t offset, ec::Buffer data, std::uint64_t trace,
                blockdev::WriteCallback cb);
 
-    /** Attach a span sink; spans land on node @p node, lane "ssd". */
-    void bindTrace(telemetry::Tracer *tracer, sim::NodeId node);
-
     /**
-     * Attach a contention tracker under resource id @p res: traced I/O
-     * records its exact media-channel occupancy and queue-wait blame
-     * (observe-only; see Pipe::bindContention).
+     * Report to telemetry through @p probe: "ssd.read"/"ssd.write" spans
+     * on lane "ssd", media-channel occupancy and queue-wait blame (the
+     * channel registers as a contention resource here), and a
+     * LatentSectorError event (a = media offset, b = length) when a read
+     * discovers one. Observe-only.
      */
-    void bindContention(telemetry::ContentionTracker *tracker,
-                        std::uint32_t res);
-
-    /**
-     * Attach the cluster event journal: a read hitting a latent sector
-     * error records a LatentSectorError event (a = media offset, b = len)
-     * at discovery time, as node @p node. Observe-only.
-     */
-    void bindJournal(telemetry::EventJournal *journal, sim::NodeId node);
+    void attach(telemetry::Probe probe);
 
     /**
      * Gray-drive hook (fault campaigns): service times — channel occupancy
@@ -134,15 +120,10 @@ class Ssd : public blockdev::BlockDevice
      * expressed by scaling the byte count with the per-direction rate.
      */
     sim::Pipe channel_;
-    /** Observe-only contention tap for the shared channel (no spans: the
-     *  Ssd records its own "ssd.read"/"ssd.write" spans with media timing
-     *  included, so the tap's tracer is never bound). */
+    /** Contention tap for the shared channel. Silent: the Ssd records its
+     *  own "ssd.read"/"ssd.write" spans with media timing included. */
     telemetry::LaneTap channelTap_;
-    telemetry::Tracer *tracer_ = nullptr;
-    sim::NodeId traceNode_ = 0;
-    telemetry::ContentionTracker *contention_ = nullptr;
-    telemetry::EventJournal *journal_ = nullptr;
-    sim::NodeId journalNode_ = 0;
+    telemetry::Probe probe_;
     /** Gray-drive service-time multiplier (1.0 = healthy). */
     double degrade_ = 1.0;
     /** Latent sector errors: media start offset -> end offset (ordered so

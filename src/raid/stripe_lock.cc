@@ -18,19 +18,17 @@ StripeLockTable::acquire(std::uint64_t stripe, Grant granted)
     st.waiters.push_back(std::move(granted));
     // Two or more ops queued behind the holder is a convoy forming; one
     // waiter is routine serialization.
-    if (journal_ && st.waiters.size() >= 2) {
-        journal_->record(telemetry::EventType::kStripeLockConvoy,
-                         journalNode_, now_ ? now_() : 0, stripe,
-                         st.waiters.size());
+    if (probe_.attached() && st.waiters.size() >= 2) {
+        probe_.event(telemetry::EventType::kStripeLockConvoy, now_(), stripe,
+                     st.waiters.size());
     }
 }
 
 void
-StripeLockTable::bindJournal(telemetry::EventJournal *journal,
-                             sim::NodeId node, std::function<sim::Tick()> now)
+StripeLockTable::attach(telemetry::Probe probe,
+                        std::function<sim::Tick()> now)
 {
-    journal_ = journal;
-    journalNode_ = node;
+    probe_ = probe;
     now_ = std::move(now);
 }
 

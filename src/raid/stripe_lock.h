@@ -18,7 +18,7 @@
 #include <unordered_map>
 
 #include "sim/types.h"
-#include "telemetry/event_journal.h"
+#include "telemetry/probe.h"
 
 namespace draid::raid {
 
@@ -52,13 +52,12 @@ class StripeLockTable
     std::uint64_t contendedAcquires() const { return contended_; }
 
     /**
-     * Attach the cluster event journal: a StripeLockConvoy record is
-     * emitted (as node @p node) whenever a stripe accumulates two or more
-     * queued waiters behind the holder. The table holds no clock, so the
-     * owner supplies @p now. Observe-only.
+     * Report to telemetry through @p probe: a StripeLockConvoy event is
+     * journaled whenever a stripe accumulates two or more queued waiters
+     * behind the holder. The table holds no clock, so the owner supplies
+     * @p now. Observe-only.
      */
-    void bindJournal(telemetry::EventJournal *journal, sim::NodeId node,
-                     std::function<sim::Tick()> now);
+    void attach(telemetry::Probe probe, std::function<sim::Tick()> now);
 
   private:
     struct LockState
@@ -71,8 +70,7 @@ class StripeLockTable
     // draid-lint: cap(live locked stripes; erased on release)
     std::unordered_map<std::uint64_t, LockState> locks_;
     std::uint64_t contended_ = 0;
-    telemetry::EventJournal *journal_ = nullptr;
-    sim::NodeId journalNode_ = 0;
+    telemetry::Probe probe_;
     std::function<sim::Tick()> now_;
 };
 

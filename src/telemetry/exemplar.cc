@@ -18,8 +18,7 @@ ExemplarReservoir::ExemplarReservoir(sim::Tick window_ticks,
 }
 
 bool
-ExemplarReservoir::offer(const TraceSpan &root, std::uint64_t bytes,
-                         std::vector<TraceSpan> chain)
+ExemplarReservoir::offer(const TraceSpan &root, std::vector<TraceSpan> chain)
 {
     ++offered_;
     const std::int64_t idx =
@@ -55,7 +54,7 @@ ExemplarReservoir::offer(const TraceSpan &root, std::uint64_t bytes,
     ex.name = root.name;
     ex.start = root.start;
     ex.end = root.end;
-    ex.bytes = bytes;
+    ex.bytes = root.arg("bytes");
     ex.tenant = root.tenant;
     ex.chain = std::move(chain);
     held_[root.traceId] = {idx, slot};
@@ -135,25 +134,12 @@ ExemplarReservoir::all() const
 }
 
 std::uint64_t
-approxSpanBytes(const TraceSpan &span)
-{
-    std::uint64_t bytes = sizeof(TraceSpan) + span.name.size();
-    for (const auto &[k, v] : span.args)
-        bytes += sizeof(std::pair<std::string, std::string>) + k.size() +
-                 v.size();
-    return bytes;
-}
-
-std::uint64_t
 ExemplarReservoir::retainedBytes() const
 {
     std::uint64_t bytes = 0;
     for (const auto &[idx, win] : windows_) {
-        for (const Exemplar &e : win.slots) {
-            bytes += sizeof(Exemplar) + e.name.size();
-            for (const TraceSpan &s : e.chain)
-                bytes += approxSpanBytes(s);
-        }
+        for (const Exemplar &e : win.slots)
+            bytes += sizeof(Exemplar) + e.chain.size() * sizeof(TraceSpan);
     }
     return bytes;
 }
@@ -183,7 +169,7 @@ writeExemplarsJsonl(std::ostream &os, const ExemplarReservoir &res)
                       "\"window_start\":%" PRId64 ",\"start\":%" PRId64
                       ",\"end\":%" PRId64 ",\"latency_us\":%.3f,"
                       "\"bytes\":%" PRIu64 ",\"spans\":%zu",
-                      e->traceId, e->name.c_str(), e->tenant,
+                      e->traceId, e->name, e->tenant,
                       (e->end / res.windowTicks()) * res.windowTicks(),
                       e->start, e->end,
                       static_cast<double>(e->latency()) / sim::kMicrosecond,

@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <map>
 #include <ostream>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -48,10 +47,10 @@ class ExemplarReservoir
     struct Exemplar
     {
         std::uint64_t traceId = 0;
-        std::string name; ///< root span name, e.g. "draid.read"
+        const char *name = ""; ///< root span name, e.g. "draid.read"
         sim::Tick start = 0;
         sim::Tick end = 0;
-        std::uint64_t bytes = 0;
+        std::uint64_t bytes = 0; ///< the root span's "bytes" argument
         std::uint32_t tenant = 0; ///< owning tenant; 0 = untracked
         /** Every span recorded under the trace id, in record order; the
          *  root op span is last. */
@@ -82,8 +81,7 @@ class ExemplarReservoir
      * has a free slot or the op is strictly slower than the window's
      * current fastest exemplar. @return true when retained.
      */
-    bool offer(const TraceSpan &root, std::uint64_t bytes,
-               std::vector<TraceSpan> chain);
+    bool offer(const TraceSpan &root, std::vector<TraceSpan> chain);
 
     /**
      * Append a span recorded *after* its op completed (e.g. a straggler
@@ -136,9 +134,6 @@ class ExemplarReservoir
     // draid-lint: cap(mirrors live slots across retained windows)
     std::map<std::uint64_t, std::pair<std::int64_t, std::size_t>> held_;
 };
-
-/** Approximate heap footprint of one span (size-based, deterministic). */
-std::uint64_t approxSpanBytes(const TraceSpan &span);
 
 /**
  * One JSON line per exemplar (oldest window first, slowest first within a

@@ -4,13 +4,10 @@
 #include <cinttypes>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <iostream>
 #include <sstream>
-
-#include "telemetry/trace.h"
 
 namespace draid::telemetry {
 
@@ -32,12 +29,6 @@ crashTracePath()
 {
     static std::string path;
     return path;
-}
-
-void
-copyName(char (&dst)[24], const char *src)
-{
-    std::snprintf(dst, sizeof(dst), "%s", src);
 }
 
 void
@@ -111,7 +102,7 @@ FlightRecorder::size() const
 }
 
 void
-FlightRecorder::push(const Record &rec)
+FlightRecorder::push(const TraceSpan &rec)
 {
     ring_[total_ % ring_.size()] = rec;
     ++total_;
@@ -120,17 +111,8 @@ FlightRecorder::push(const Record &rec)
 void
 FlightRecorder::record(const TraceSpan &span)
 {
-    if (!enabled_)
-        return;
-    Record rec;
-    rec.traceId = span.traceId;
-    rec.node = span.node;
-    rec.tenant = span.tenant;
-    rec.lane = span.lane;
-    copyName(rec.name, span.name.c_str());
-    rec.start = span.start;
-    rec.end = span.end;
-    push(rec);
+    if (enabled_)
+        push(span);
 }
 
 void
@@ -139,14 +121,12 @@ FlightRecorder::note(const char *name, std::uint64_t id, sim::NodeId node,
 {
     if (!enabled_)
         return;
-    Record rec;
-    rec.traceId = id;
-    rec.node = node;
-    rec.lane = "event";
-    copyName(rec.name, name);
-    rec.start = tick;
-    rec.end = tick;
-    push(rec);
+    push(TraceSpan{.traceId = id,
+                   .node = node,
+                   .lane = "event",
+                   .name = name,
+                   .start = tick,
+                   .end = tick});
 }
 
 void
@@ -163,10 +143,10 @@ FlightRecorder::noteAbnormal(const char *name, std::uint64_t id,
     }
 }
 
-std::vector<FlightRecorder::Record>
+std::vector<TraceSpan>
 FlightRecorder::snapshot() const
 {
-    std::vector<Record> out;
+    std::vector<TraceSpan> out;
     const std::size_t n = size();
     out.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
@@ -183,7 +163,7 @@ FlightRecorder::dump(std::ostream &os, std::size_t max_records) const
        << total_ << " total; last " << n << ":\n";
     char line[160];
     for (std::size_t i = records.size() - n; i < records.size(); ++i) {
-        const Record &r = records[i];
+        const TraceSpan &r = records[i];
         std::snprintf(line, sizeof(line),
                       "  [%12" PRId64 " .. %12" PRId64 " ns] node%-3u "
                       "%-7s %-22s trace=%" PRIu64 " tenant=%u\n",
@@ -198,7 +178,7 @@ FlightRecorder::writeChromeTrace(std::ostream &os) const
 {
     os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
     bool first = true;
-    for (const Record &r : snapshot()) {
+    for (const TraceSpan &r : snapshot()) {
         if (!first)
             os << ",";
         first = false;

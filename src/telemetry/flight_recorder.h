@@ -23,27 +23,14 @@
 #include <vector>
 
 #include "sim/types.h"
+#include "telemetry/span.h"
 
 namespace draid::telemetry {
 
-struct TraceSpan;
-
-/** Bounded ring of recent telemetry records. */
+/** Bounded ring of recent spans, stored as recorded (no heap). */
 class FlightRecorder
 {
   public:
-    /** One compact record; names are truncated to fit (no heap). */
-    struct Record
-    {
-        std::uint64_t traceId = 0;
-        sim::NodeId node = 0;
-        std::uint32_t tenant = 0; ///< owning tenant; 0 = untracked
-        const char *lane = "";    ///< static string from the recording site
-        char name[24] = "";
-        sim::Tick start = 0;
-        sim::Tick end = 0;
-    };
-
     static constexpr std::size_t kDefaultCapacity = 4096;
 
     explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
@@ -66,9 +53,9 @@ class FlightRecorder
 
     /**
      * Append one out-of-band event record (lane "event"): op timeouts,
-     * aborts, externally observed anomalies. @p lane_static and @p name
-     * follow Record's rules. Records even a disabled recorder would want
-     * to keep are still gated on enabled() so a dark run stays dark.
+     * aborts, externally observed anomalies. @p name must be a static
+     * string. Records even a disabled recorder would want to keep are
+     * still gated on enabled() so a dark run stays dark.
      */
     void note(const char *name, std::uint64_t id, sim::NodeId node,
               sim::Tick tick);
@@ -90,7 +77,7 @@ class FlightRecorder
     bool dumpOnAbnormal() const { return dumpOnAbnormal_; }
 
     /** The retained records, oldest first. */
-    std::vector<Record> snapshot() const;
+    std::vector<TraceSpan> snapshot() const;
 
     /**
      * Human-readable post-mortem: the last @p max_records records, oldest
@@ -120,14 +107,14 @@ class FlightRecorder
     static void setCrashTracePath(std::string path);
 
   private:
-    void push(const Record &rec);
+    void push(const TraceSpan &rec);
 
     bool enabled_ = true;
     bool dumpOnAbnormal_ = false;
     int abnormalDumps_ = 0;
     std::uint64_t total_ = 0;
     // draid-lint: cap(capacity ctor arg; ring overwrite, never grows)
-    std::vector<Record> ring_;
+    std::vector<TraceSpan> ring_;
 };
 
 } // namespace draid::telemetry

@@ -1,39 +1,25 @@
 #include "telemetry/lane_tap.h"
 
-#include <string>
-#include <utility>
-
 #include "telemetry/interference.h"
-#include "telemetry/trace.h"
 
 namespace draid::telemetry {
 
 void
 LaneTap::onService(const sim::ServiceRecord &rec)
 {
-    if (contention_ && contention_->enabled()) {
+    if (ContentionTracker *ct = probe_.contention()) {
         // FIFO service: [arrival, start) is exactly tiled by the occupancy
         // segments already recorded, so the blame split sums to the wait.
-        contention_->attributeWait(res_, rec.trace, rec.arrival.raw(),
-                                   rec.start.raw());
-        contention_->noteOccupancy(res_, rec.trace, rec.start.raw(),
-                                   rec.end.raw());
+        ct->attributeWait(res_, rec.trace, rec.arrival.raw(),
+                          rec.start.raw());
+        ct->noteOccupancy(res_, rec.trace, rec.start.raw(), rec.end.raw());
     }
-
-    if (tracer_ && tracer_->active()) {
-        TraceSpan span;
-        span.traceId = rec.trace;
-        span.node = node_;
-        span.lane = style_ == Style::kCpu ? "cpu" : rec.what;
-        span.name = rec.what;
-        span.start = rec.start.raw();
-        span.end = rec.end.raw();
-        if (contention_ && contention_->enabled())
-            span.tenant = contention_->tenantOf(rec.trace);
-        if (style_ == Style::kPipe)
-            span.args.emplace_back("bytes", std::to_string(rec.bytes));
-        tracer_->recordSpan(std::move(span));
-    }
+    if (style_ == Style::kSilent)
+        return;
+    const bool cpu = style_ == Style::kCpu;
+    probe_.span(rec.trace, cpu ? "cpu" : rec.what, rec.what,
+                rec.start.raw(), rec.end.raw(),
+                cpu ? SpanArg{} : SpanArg{"bytes", rec.bytes});
 }
 
 } // namespace draid::telemetry

@@ -5,13 +5,13 @@
  * src/sim's FIFO resources (Pipe, CpuCore) report every traced service
  * commitment through sim/service.h without knowing telemetry exists; a
  * LaneTap attached via setObserver() translates each ServiceRecord into
- * the trace span and contention-attribution calls the old tightly-coupled
- * bindTrace/bindContention paths used to make — in the same order, with
- * the same gating, so output is byte-identical.
+ * contention attribution and a trace span through its Probe.
  *
  * One LaneTap serves one resource. Style selects the span shape:
  *  - kPipe: lane = name = the resource's label, "bytes" span arg.
  *  - kCpu:  lane = "cpu", name = the work label, no payload arg.
+ *  - kSilent: no span; the owner records its own (the SSD channel, whose
+ *    span includes media latency).
  */
 
 #ifndef DRAID_TELEMETRY_LANE_TAP_H
@@ -20,12 +20,9 @@
 #include <cstdint>
 
 #include "sim/service.h"
-#include "sim/types.h"
+#include "telemetry/probe.h"
 
 namespace draid::telemetry {
-
-class ContentionTracker;
-class Tracer;
 
 /** Observe-only bridge from one FIFO resource into telemetry. */
 class LaneTap final : public sim::ServiceObserver
@@ -33,36 +30,26 @@ class LaneTap final : public sim::ServiceObserver
   public:
     enum class Style
     {
-        kPipe, ///< bandwidth lane: span lane/name = resource label
-        kCpu,  ///< compute lane: span lane "cpu", name = work label
+        kPipe,   ///< bandwidth lane: span lane/name = resource label
+        kCpu,    ///< compute lane: span lane "cpu", name = work label
+        kSilent, ///< contention attribution only
     };
 
-    explicit LaneTap(Style style = Style::kPipe) : style_(style) {}
+    /** A dark tap. */
+    LaneTap() = default;
 
-    /** Attach a span sink; spans land on node @p node. */
-    void bindTrace(Tracer *tracer, sim::NodeId node)
+    /** Spans land on @p probe's node; contention is attributed to
+     *  resource id @p res. */
+    LaneTap(Style style, Probe probe, std::uint32_t res)
+        : style_(style), probe_(probe), res_(res)
     {
-        tracer_ = tracer;
-        node_ = node;
     }
-
-    /** Attach a contention tracker under resource id @p res. */
-    void bindContention(ContentionTracker *tracker, std::uint32_t res)
-    {
-        contention_ = tracker;
-        res_ = res;
-    }
-
-    const Tracer *tracer() const { return tracer_; }
-    const ContentionTracker *contention() const { return contention_; }
 
     void onService(const sim::ServiceRecord &rec) override;
 
   private:
-    Style style_;
-    Tracer *tracer_ = nullptr;
-    sim::NodeId node_ = 0;
-    ContentionTracker *contention_ = nullptr;
+    Style style_ = Style::kSilent;
+    Probe probe_;
     std::uint32_t res_ = 0;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdio>
 #include <sstream>
 
 namespace draid::telemetry {
@@ -109,23 +110,31 @@ MetricsRegistry::names() const
     return out;
 }
 
-namespace {
-
 void
-writeJsonString(std::ostream &os, const std::string &s)
+writeJsonString(std::ostream &os, std::string_view s)
 {
     os << '"';
-    for (char c : s) {
+    for (const char c : s) {
         switch (c) {
           case '"': os << "\\\""; break;
           case '\\': os << "\\\\"; break;
           case '\n': os << "\\n"; break;
           case '\t': os << "\\t"; break;
-          default: os << c; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof buf, "\\u%04x",
+                              static_cast<unsigned>(c));
+                os << buf;
+            } else {
+                os << c;
+            }
         }
     }
     os << '"';
 }
+
+namespace {
 
 void
 writeJsonNumber(std::ostream &os, double v)

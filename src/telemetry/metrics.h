@@ -28,6 +28,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -99,6 +100,12 @@ class Histogram
 
 /** Commonly useful latency bucket bounds, in microseconds. */
 std::vector<double> latencyBucketsUs();
+
+/**
+ * Write @p s as a quoted JSON string literal. Control characters are
+ * \u-escaped, since some names (tenants) come from the command line.
+ */
+void writeJsonString(std::ostream &os, std::string_view s);
 
 /**
  * The metric store. Metric objects are owned by the registry and their

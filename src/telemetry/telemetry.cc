@@ -108,26 +108,6 @@ UtilizationSampler::retainedBytes() const
     return bytes;
 }
 
-namespace {
-
-void
-writeJsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default: os << c; break;
-        }
-    }
-    os << '"';
-}
-
-} // namespace
-
 void
 Telemetry::writeMetricsJson(std::ostream &os) const
 {
@@ -174,7 +154,7 @@ Telemetry::retainedTelemetryBytes() const
 {
     return tracer_.retainedBytes() + exemplars_.retainedBytes() +
            sampler_.retainedBytes() + contention_.retainedBytes() +
-           recorder_.size() * sizeof(FlightRecorder::Record) +
+           recorder_.size() * sizeof(TraceSpan) +
            journal_.size() * sizeof(EventJournal::Event);
 }
 

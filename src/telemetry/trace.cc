@@ -3,11 +3,11 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <utility>
 
 #include "telemetry/exemplar.h"
+#include "telemetry/metrics.h"
 
 namespace draid::telemetry {
 
@@ -24,20 +24,10 @@ selfNowNs()
             .count());
 }
 
-std::uint64_t
-spanBytesArg(const TraceSpan &span)
-{
-    for (const auto &[key, value] : span.args) {
-        if (key == "bytes")
-            return std::strtoull(value.c_str(), nullptr, 10);
-    }
-    return 0;
-}
-
 } // namespace
 
 void
-Tracer::ingestSpan(TraceSpan span, bool completion)
+Tracer::ingestSpan(const TraceSpan &span, bool completion)
 {
     // Sub-spans of in-flight ops are buffered whenever an enabled
     // reservoir is bound — sampled or not, a tail op must keep its whole
@@ -57,16 +47,16 @@ Tracer::ingestSpan(TraceSpan span, bool completion)
         ++dropped_;
         return;
     }
-    spans_.push_back(std::move(span));
+    spans_.push_back(span);
 }
 
 void
-Tracer::recordSpan(TraceSpan span)
+Tracer::recordSpan(const TraceSpan &span)
 {
     const std::uint64_t t0 = selfTiming_ ? selfNowNs() : 0;
     if (recorder_)
         recorder_->record(span);
-    ingestSpan(std::move(span), /*completion=*/false);
+    ingestSpan(span, /*completion=*/false);
     if (selfTiming_) {
         ++spanCost_.calls;
         spanCost_.ns += selfNowNs() - t0;
@@ -74,13 +64,13 @@ Tracer::recordSpan(TraceSpan span)
 }
 
 void
-Tracer::recordOpCompletion(TraceSpan span)
+Tracer::recordOpCompletion(const TraceSpan &span)
 {
     const std::uint64_t t0 = selfTiming_ ? selfNowNs() : 0;
     if (recorder_)
         recorder_->record(span);
     if (opSink_ != nullptr)
-        opSink_->onOpComplete(span, spanBytesArg(span));
+        opSink_->onOpComplete(span);
     if (exemplars_ != nullptr && exemplars_->enabled() &&
         span.traceId != 0) {
         std::vector<TraceSpan> chain;
@@ -90,9 +80,9 @@ Tracer::recordOpCompletion(TraceSpan span)
             pendingChains_.erase(it);
         }
         chain.push_back(span);
-        exemplars_->offer(span, spanBytesArg(span), std::move(chain));
+        exemplars_->offer(span, std::move(chain));
     }
-    ingestSpan(std::move(span), /*completion=*/true);
+    ingestSpan(span, /*completion=*/true);
     if (selfTiming_) {
         ++opCost_.calls;
         opCost_.ns += selfNowNs() - t0;
@@ -160,15 +150,11 @@ Tracer::decimateCounters()
 std::uint64_t
 Tracer::retainedBytes() const
 {
-    std::uint64_t bytes = 0;
-    for (const TraceSpan &s : spans_)
-        bytes += approxSpanBytes(s);
+    std::uint64_t bytes = spans_.size() * sizeof(TraceSpan);
     for (const CounterSample &c : counters_)
         bytes += sizeof(CounterSample) + c.name.size();
-    for (const auto &[id, chain] : pendingChains_) {
-        for (const TraceSpan &s : chain)
-            bytes += approxSpanBytes(s);
-    }
+    for (const auto &[id, chain] : pendingChains_)
+        bytes += chain.size() * sizeof(TraceSpan);
     return bytes;
 }
 
@@ -196,22 +182,6 @@ Tracer::clear()
 }
 
 namespace {
-
-void
-writeJsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default: os << c; break;
-        }
-    }
-    os << '"';
-}
 
 /** Ticks (integer ns) -> Chrome ts (fractional microseconds). */
 void
@@ -290,11 +260,14 @@ Tracer::writeChromeTrace(std::ostream &os) const
         os << ",\"args\":{\"trace\":" << s.traceId;
         if (s.tenant != 0)
             os << ",\"tenant\":" << s.tenant;
-        for (const auto &[k, v] : s.args) {
+        // Argument values are numbers in the span and strings in the
+        // export, which is the only place they are formatted.
+        for (const SpanArg &a : s.args) {
+            if (a.key == nullptr)
+                continue;
             os << ",";
-            writeJsonString(os, k);
-            os << ":";
-            writeJsonString(os, v);
+            writeJsonString(os, a.key);
+            os << ":\"" << a.value << "\"";
         }
         os << "}}";
     }

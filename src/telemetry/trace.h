@@ -33,26 +33,11 @@
 #include "sim/types.h"
 #include "telemetry/flight_recorder.h"
 #include "telemetry/sampling.h"
+#include "telemetry/span.h"
 
 namespace draid::telemetry {
 
 class ExemplarReservoir;
-
-/** One timed span on one node's lane. */
-struct TraceSpan
-{
-    std::uint64_t traceId = 0; ///< 0 = not tied to a user op
-    sim::NodeId node = 0;      ///< Chrome pid
-    const char *lane = "";     ///< Chrome tid name: "op", "nic.tx", "ssd"...
-    std::string name;          ///< e.g. "draid.write", "ssd.read"
-    sim::Tick start = 0;
-    sim::Tick end = 0;
-    /** Owning tenant (ContentionTracker id); 0 = untracked. */
-    std::uint32_t tenant = 0;
-    /** Small key/value payload shown in the trace viewer. */
-    // draid-lint: cap(a few key/value pairs per span; call sites add O(1))
-    std::vector<std::pair<std::string, std::string>> args;
-};
 
 /** One sample of a counter timeline (utilization plots). */
 struct CounterSample
@@ -72,8 +57,7 @@ class OpCompletionSink
 {
   public:
     virtual ~OpCompletionSink() = default;
-    /** @p bytes parsed from the root span's "bytes" arg (0 if absent). */
-    virtual void onOpComplete(const TraceSpan &root, std::uint64_t bytes) = 0;
+    virtual void onOpComplete(const TraceSpan &root) = 0;
 };
 
 /** Span sink + trace-id mint. */
@@ -106,17 +90,17 @@ class Tracer
      * ring; retained for export only while enabled(), the trace id is
      * sampled, and the span cap is not hit.
      */
-    void recordSpan(TraceSpan span);
+    void recordSpan(const TraceSpan &span);
 
     /**
      * Append the root "op" span of a completed user op. Beyond the normal
      * recordSpan() path this (in order): notifies the bound
      * OpCompletionSink, offers the op — with its buffered sub-span chain —
      * to the bound exemplar reservoir, then retains the span like any
-     * other. Array entry points (DraidHost, HostCentricRaid) call this
-     * instead of recordSpan() for the root span.
+     * other. Probe::opComplete() calls this instead of recordSpan() for
+     * the root span.
      */
-    void recordOpCompletion(TraceSpan span);
+    void recordOpCompletion(const TraceSpan &span);
 
     /** Streaming consumer of op completions (nullptr detaches). */
     void bindOpSink(OpCompletionSink *sink) { opSink_ = sink; }
@@ -223,7 +207,7 @@ class Tracer
   private:
     /** Shared retention path; @p completion marks a root op span (already
      *  routed through sink/reservoir, so no pending-chain stash). */
-    void ingestSpan(TraceSpan span, bool completion);
+    void ingestSpan(const TraceSpan &span, bool completion);
     /** Buffer a sub-span until its op completes (exemplar chains). */
     void stashPending(const TraceSpan &span);
     /** Halve retained counter resolution (stride doubling). */

@@ -19,6 +19,8 @@
 #include "sim/rng.h"
 #include "sim/simulator.h"
 #include "telemetry/event_journal.h"
+#include "telemetry/probe.h"
+#include "telemetry/telemetry.h"
 
 namespace campaign = draid::campaign;
 namespace testutil = draid::testutil;
@@ -212,11 +214,12 @@ TEST(SsdFaults, DegradeFactorInflatesLatency)
 TEST(SsdFaults, LatentSectorErrorFailsReadsUntilRewritten)
 {
     Simulator sim;
-    EventJournal journal;
+    draid::telemetry::Telemetry tel;
+    EventJournal &journal = tel.journal();
     draid::nvme::SsdConfig cfg;
     cfg.capacity = 1 << 20;
     draid::nvme::Ssd ssd(sim, cfg);
-    ssd.bindJournal(&journal, 3);
+    ssd.attach(draid::telemetry::Probe(tel, 3));
 
     ssd.plantLatentSectorError(1024, 512);
     EXPECT_EQ(ssd.latentSectorErrors(), 1u);

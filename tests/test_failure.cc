@@ -8,6 +8,8 @@
 #include "core/failure.h"
 #include "sim/simulator.h"
 #include "telemetry/event_journal.h"
+#include "telemetry/probe.h"
+#include "telemetry/telemetry.h"
 
 using draid::core::DeadlineTable;
 using draid::core::FailureTracker;
@@ -15,6 +17,8 @@ using draid::sim::Simulator;
 using draid::sim::Ticks;
 using draid::telemetry::EventJournal;
 using draid::telemetry::EventType;
+using draid::telemetry::Probe;
+using draid::telemetry::Telemetry;
 
 TEST(DeadlineTable, FiresAfterDelay)
 {
@@ -94,9 +98,10 @@ TEST(DeadlineTable, IdReusableAfterExpiry)
 // record of what happened.
 TEST(FailureTracker, SameTickDualFailurePromotesToDataLoss)
 {
-    EventJournal journal;
+    Telemetry tel;
+    EventJournal &journal = tel.journal();
     FailureTracker t(4, 1);
-    t.bindJournal(&journal, 0);
+    t.attach(Probe(tel, 0));
 
     EXPECT_TRUE(t.recordFailure(0, Ticks{500}));
     EXPECT_FALSE(t.dataLoss());
@@ -125,9 +130,10 @@ TEST(FailureTracker, SameTickDualFailurePromotesToDataLoss)
 // must read DriveFailed / RebuildStarted / DriveFailed / DataLoss.
 TEST(FailureTracker, FailureDuringRebuildPromotesToDataLoss)
 {
-    EventJournal journal;
+    Telemetry tel;
+    EventJournal &journal = tel.journal();
     FailureTracker t(4, 1);
-    t.bindJournal(&journal, 0);
+    t.attach(Probe(tel, 0));
 
     EXPECT_TRUE(t.recordFailure(1, Ticks{1000}));
     // The rebuild orchestrator (not the tracker) journals the start.
@@ -160,9 +166,10 @@ TEST(FailureTracker, RedundancyTwoSurvivesDualFailure)
 
 TEST(FailureTracker, DuplicateFailureIsNoOp)
 {
-    EventJournal journal;
+    Telemetry tel;
+    EventJournal &journal = tel.journal();
     FailureTracker t(4, 1);
-    t.bindJournal(&journal, 0);
+    t.attach(Probe(tel, 0));
     EXPECT_TRUE(t.recordFailure(0, Ticks{100}));
     EXPECT_FALSE(t.recordFailure(0, Ticks{200}));
     EXPECT_EQ(t.activeFailures(), 1u);
@@ -187,9 +194,10 @@ TEST(FailureTracker, RebuiltClosesExposureWindow)
 
 TEST(FailureTracker, StripeLossJournalsOncePerStripe)
 {
-    EventJournal journal;
+    Telemetry tel;
+    EventJournal &journal = tel.journal();
     FailureTracker t(4, 1);
-    t.bindJournal(&journal, 0);
+    t.attach(Probe(tel, 0));
     t.recordStripeLoss(7, Ticks{100});
     t.recordStripeLoss(7, Ticks{110}); // retry of the same stripe: dedup
     t.recordStripeLoss(9, Ticks{120});

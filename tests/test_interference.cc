@@ -274,7 +274,8 @@ TEST(Interference, PropertySumsToWaitOnRandomizedPipeLoad)
     // itself stays draw-free.)
     sim::Simulator sim;
     sim::Rng rng(42);
-    ContentionTracker ct;
+    telemetry::Telemetry tel;
+    ContentionTracker &ct = tel.contention();
     ct.setEnabled(true);
     const auto res = ct.registerResource(0, RK::NicTx);
     std::vector<telemetry::TenantId> tenants;
@@ -286,8 +287,8 @@ TEST(Interference, PropertySumsToWaitOnRandomizedPipeLoad)
 
     sim::Pipe pipe(sim, /*bytes_per_sec=*/1e9, /*latency=*/sim::Ticks{500},
                    /*per_op=*/sim::Ticks{100});
-    telemetry::LaneTap tap(telemetry::LaneTap::Style::kPipe);
-    tap.bindContention(&ct, res);
+    telemetry::LaneTap tap(telemetry::LaneTap::Style::kPipe,
+                           telemetry::Probe(tel, 0), res);
     pipe.setObserver(&tap);
 
     std::uint64_t nextTrace = 1;

@@ -48,8 +48,9 @@ TEST(Sampling, DoubledPeriodSelectsSubset)
     // hash < max/128 implies hash < max/64: the period-128 set nests
     // inside the period-64 set, so raising the period only thins samples.
     for (std::uint64_t id = 1; id <= 50'000; ++id) {
-        if (telemetry::traceSampled(id, 128))
+        if (telemetry::traceSampled(id, 128)) {
             EXPECT_TRUE(telemetry::traceSampled(id, 64)) << id;
+        }
     }
 }
 
@@ -111,13 +112,13 @@ TEST(ExemplarReservoir, KeepsKSlowestPerWindowWithStableTies)
                                      /*max_windows=*/16);
     res.setEnabled(true);
     // One window, four ops: latencies 50, 200, 10, 200.
-    EXPECT_TRUE(res.offer(opSpan(1, 100, 150), 512, {}));
-    EXPECT_TRUE(res.offer(opSpan(2, 100, 300), 512, {}));
-    EXPECT_FALSE(res.offer(opSpan(3, 400, 410), 512, {})); // too fast
+    EXPECT_TRUE(res.offer(opSpan(1, 100, 150), {}));
+    EXPECT_TRUE(res.offer(opSpan(2, 100, 300), {}));
+    EXPECT_FALSE(res.offer(opSpan(3, 400, 410), {})); // too fast
     // Latency tie with id 2: the incumbent (smaller id) wins the slot,
     // and the newcomer displaces the strictly faster id 1 instead? No —
     // id 1 (latency 50) is the fastest retained, so 200 displaces it.
-    EXPECT_TRUE(res.offer(opSpan(4, 500, 700), 512, {}));
+    EXPECT_TRUE(res.offer(opSpan(4, 500, 700), {}));
 
     const auto kept = res.collect(0, 1000);
     ASSERT_EQ(kept.size(), 2u);
@@ -128,7 +129,7 @@ TEST(ExemplarReservoir, KeepsKSlowestPerWindowWithStableTies)
 
     // A third 200-tick op cannot displace either incumbent (strictly
     // slower only), keeping the set order-independent under ties.
-    EXPECT_FALSE(res.offer(opSpan(5, 600, 800), 512, {}));
+    EXPECT_FALSE(res.offer(opSpan(5, 600, 800), {}));
     EXPECT_EQ(res.size(), 2u);
     EXPECT_EQ(res.offered(), 5u);
     EXPECT_EQ(res.evicted(), 1u);
@@ -139,9 +140,9 @@ TEST(ExemplarReservoir, OldestWindowEvictedWhole)
     telemetry::ExemplarReservoir res(1000, /*per_window=*/2,
                                      /*max_windows=*/2);
     res.setEnabled(true);
-    res.offer(opSpan(1, 0, 500), 0, {});
-    res.offer(opSpan(2, 1000, 1800), 0, {});
-    res.offer(opSpan(3, 2000, 2900), 0, {});
+    res.offer(opSpan(1, 0, 500), {});
+    res.offer(opSpan(2, 1000, 1800), {});
+    res.offer(opSpan(3, 2000, 2900), {});
     EXPECT_EQ(res.windowsEvicted(), 1u);
     EXPECT_EQ(res.size(), 2u);
     // Window 0 (id 1) is gone wholesale; straggler spans for it no
@@ -158,7 +159,9 @@ TEST(ExemplarReservoir, ChainsRideOfferAndStragglersAppend)
     std::vector<telemetry::TraceSpan> chain;
     chain.push_back(opSpan(9, 10, 40)); // sub-span
     chain.push_back(opSpan(9, 0, 100)); // root
-    res.offer(opSpan(9, 0, 100), 4096, std::move(chain));
+    telemetry::TraceSpan root = opSpan(9, 0, 100);
+    root.args[0] = {"bytes", 4096};
+    res.offer(root, std::move(chain));
     res.appendIfHeld(opSpan(9, 50, 90)); // straggler after completion
 
     const auto kept = res.all();
@@ -174,11 +177,10 @@ TEST(Tracer, OpCompletionFeedsSinkAndReservoirWithFullChains)
     {
         std::uint64_t ops = 0;
         std::uint64_t bytes = 0;
-        void onOpComplete(const telemetry::TraceSpan &,
-                          std::uint64_t b) override
+        void onOpComplete(const telemetry::TraceSpan &root) override
         {
             ++ops;
-            bytes += b;
+            bytes += root.arg("bytes");
         }
     };
 
@@ -197,7 +199,7 @@ TEST(Tracer, OpCompletionFeedsSinkAndReservoirWithFullChains)
     sub.name = "ssd.read";
     t.recordSpan(std::move(sub));
     telemetry::TraceSpan root = opSpan(id, 0, 90);
-    root.args.emplace_back("bytes", "8192");
+    root.args[0] = {"bytes", 8192};
     t.recordOpCompletion(std::move(root));
 
     // The sink and the reservoir saw the op even though sampling dropped
@@ -207,8 +209,9 @@ TEST(Tracer, OpCompletionFeedsSinkAndReservoirWithFullChains)
     const auto kept = res.all();
     ASSERT_EQ(kept.size(), 1u);
     EXPECT_EQ(kept[0]->chain.size(), 2u);
-    if (!t.sampled(id))
+    if (!t.sampled(id)) {
         EXPECT_TRUE(t.spans().empty());
+    }
 }
 
 // --- streaming aggregation ----------------------------------------------
@@ -218,7 +221,7 @@ TEST(WindowedAggregator, StreamingMatchesBatchSpanFeed)
     std::vector<telemetry::TraceSpan> spans;
     for (std::uint64_t i = 0; i < 500; ++i) {
         telemetry::TraceSpan s = opSpan(i + 1, i * 37, i * 37 + 90 + i % 7);
-        s.args.emplace_back("bytes", "4096");
+        s.args[0] = {"bytes", 4096};
         spans.push_back(std::move(s));
     }
 
@@ -226,7 +229,7 @@ TEST(WindowedAggregator, StreamingMatchesBatchSpanFeed)
     batch.addOpSpans(spans);
     telemetry::WindowedAggregator streamed(sim::Ticks{1000});
     for (const telemetry::TraceSpan &s : spans)
-        streamed.onOpComplete(s, 4096);
+        streamed.onOpComplete(s);
 
     const auto a = batch.finalize();
     const auto b = streamed.finalize();

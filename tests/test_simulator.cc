@@ -159,8 +159,9 @@ TEST(Simulator, SameTickFifoStressInterleavedScheduleVariants)
     std::vector<int> perTickCount(kTicks, 0);
     for (std::size_t i = 1; i < fired.size(); ++i) {
         EXPECT_GE(fired[i].first, fired[i - 1].first);
-        if (fired[i].first == fired[i - 1].first)
+        if (fired[i].first == fired[i - 1].first) {
             EXPECT_GT(fired[i].second, fired[i - 1].second) << "at " << i;
+        }
     }
     for (const auto &[when, id] : fired) {
         EXPECT_EQ(when, 10 * (id % kTicks + 1));

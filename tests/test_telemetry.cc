@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstring>
 #include <set>
@@ -12,7 +13,11 @@
 #include <vector>
 
 #include "draid_test_util.h"
+#include "sim/pipe.h"
+#include "telemetry/interference.h"
+#include "telemetry/lane_tap.h"
 #include "telemetry/metrics.h"
+#include "telemetry/probe.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 
@@ -117,6 +122,16 @@ TEST(MetricsRegistry, JsonSnapshotIsWellFormed)
     EXPECT_NE(json.find("\"node1.lat_us\""), std::string::npos);
 }
 
+TEST(Json, StringWriterEscapesQuotesAndControlCharacters)
+{
+    // One writer serves metrics, traces and the interference export.
+    // Tenant names come from the command line, so control characters
+    // must not reach the JSON raw.
+    std::ostringstream os;
+    telemetry::writeJsonString(os, "a\"b\\c\nd\te\x01");
+    EXPECT_EQ(os.str(), "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
+}
+
 // --- tracer -------------------------------------------------------------
 
 TEST(Tracer, DisabledMintsZeroAndRecordsNothing)
@@ -155,7 +170,7 @@ TEST(Tracer, EnabledMintsSequentialIdsAndKeepsSpans)
     inner.name = "ssd.write";
     inner.start = 300;
     inner.end = 600;
-    inner.args.emplace_back("bytes", "4096");
+    inner.args[0] = {"bytes", 4096};
 
     t.recordSpan(outer);
     t.recordSpan(inner);
@@ -167,7 +182,7 @@ TEST(Tracer, EnabledMintsSequentialIdsAndKeepsSpans)
     EXPECT_EQ(o.traceId, i.traceId);
     EXPECT_GE(i.start, o.start);
     EXPECT_LE(i.end, o.end);
-    EXPECT_EQ(i.args[0].first, "bytes");
+    EXPECT_STREQ(i.args[0].key, "bytes");
 }
 
 TEST(Tracer, SpanCapDropsButCounts)
@@ -275,7 +290,7 @@ TEST(Tracer, ChromeTraceJsonIsWellFormed)
     s.name = "xfer \"quoted\"\\slash"; // must be escaped in the output
     s.start = 1000;
     s.end = 2500;
-    s.args.emplace_back("bytes", "128");
+    s.args[0] = {"bytes", 128};
     t.recordSpan(std::move(s));
     t.recordCounter(1, "nic.tx.util", 2000, 0.75);
 
@@ -285,6 +300,129 @@ TEST(Tracer, ChromeTraceJsonIsWellFormed)
     EXPECT_NE(json.find("\"host0\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
+}
+
+TEST(Tracer, ChromeExportStringifiesTypedArgs)
+{
+    // Span args are numbers until export; the Chrome trace shows them as
+    // strings, after the trace id and only for the slots in use.
+    telemetry::Tracer t;
+    t.setEnabled(true);
+
+    telemetry::TraceSpan ssd;
+    ssd.traceId = 1;
+    ssd.node = 2;
+    ssd.lane = "ssd";
+    ssd.name = "ssd.write";
+    ssd.start = 1000;
+    ssd.end = 2500;
+    ssd.args[0] = {"bytes", 4096};
+    t.recordSpan(ssd);
+
+    telemetry::TraceSpan rebuild;
+    rebuild.traceId = 2;
+    rebuild.lane = "rebuild";
+    rebuild.name = "rebuild.stripe";
+    rebuild.start = 3000;
+    rebuild.end = 7250;
+    rebuild.args[0] = {"stripe", 7};
+    rebuild.args[1] = {"ok", 1};
+    t.recordSpan(rebuild);
+
+    const std::string golden =
+        "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"
+        "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":2,"
+        "\"args\":{\"name\":\"rebuild\"}},\n"
+        "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":2,\"tid\":1,"
+        "\"args\":{\"name\":\"ssd\"}},\n"
+        "{\"ph\":\"X\",\"name\":\"ssd.write\",\"cat\":\"draid\",\"pid\":2,"
+        "\"tid\":1,\"ts\":1.000,\"dur\":1.500,"
+        "\"args\":{\"trace\":1,\"bytes\":\"4096\"}},\n"
+        "{\"ph\":\"X\",\"name\":\"rebuild.stripe\",\"cat\":\"draid\","
+        "\"pid\":0,\"tid\":2,\"ts\":3.000,\"dur\":4.250,"
+        "\"args\":{\"trace\":2,\"stripe\":\"7\",\"ok\":\"1\"}}\n"
+        "]}";
+    EXPECT_EQ(t.toChromeTraceJson(), golden);
+}
+
+// --- probe --------------------------------------------------------------
+
+namespace {
+
+/** Every Probe entry point once, plus two back-to-back transfers through
+ *  a pipe whose tap is built from the probe (the second one waits). */
+void
+exerciseProbe(const telemetry::Probe &probe,
+              telemetry::ContentionTracker::ResourceId res,
+              telemetry::Histogram &latency)
+{
+    probe.span(7, "ssd", "ssd.read", 0, 10, {"bytes", 4096});
+    probe.untaggedSpan(7, "fabric", "fabric.prop", 10, 20);
+    probe.event(telemetry::EventType::kDriveFailed, 20, 1);
+    probe.opComplete(7, "draid.read", sim::Ticks{0}, sim::Ticks{2000}, 4096,
+                     &latency);
+
+    sim::Simulator sim;
+    sim::Pipe pipe(sim, 1e9);
+    pipe.setLabel("nic.tx");
+    telemetry::LaneTap tap(telemetry::LaneTap::Style::kPipe, probe, res);
+    pipe.setObserver(&tap);
+    pipe.transfer(4096, 8, [] {});
+    pipe.transfer(4096, 9, [] {});
+    sim.run();
+}
+
+/** A bundle with export tracing and contention attribution both on. */
+telemetry::ContentionTracker::ResourceId
+armAll(telemetry::Telemetry &tel)
+{
+    tel.tracer().setEnabled(true);
+    tel.contention().setEnabled(true);
+    return tel.contention().registerResource(
+        0, telemetry::ContentionTracker::ResourceKind::NicTx);
+}
+
+} // namespace
+
+TEST(Probe, AttachedProbeReachesEverySink)
+{
+    telemetry::Telemetry tel;
+    const auto res = armAll(tel);
+    const telemetry::Probe probe(tel, 0);
+    telemetry::Histogram latency(telemetry::latencyBucketsUs());
+    EXPECT_EQ(probe.mint(), 1u);
+    EXPECT_EQ(probe.contention(), &tel.contention());
+    exerciseProbe(probe, res, latency);
+
+    // ssd, fabric, op, and one span per pipe transfer.
+    EXPECT_EQ(tel.tracer().spans().size(), 5u);
+    EXPECT_EQ(tel.flightRecorder().totalRecorded(), 5u);
+    EXPECT_EQ(tel.journal().totalRecorded(), 1u);
+    EXPECT_EQ(tel.contention().waitedOps(), 1u); // the queued transfer
+    EXPECT_GT(tel.contention().totalWaitTicks(), 0);
+    EXPECT_EQ(latency.count(), 1u);
+    EXPECT_EQ(tel.tracer().spans()[2].arg("bytes"), 4096u);
+}
+
+TEST(Probe, DarkProbeMintsNoIdsAndRecordsNothing)
+{
+    telemetry::Telemetry tel;
+    const auto res = armAll(tel);
+    const telemetry::Probe dark;
+    telemetry::Histogram latency(telemetry::latencyBucketsUs());
+    EXPECT_FALSE(dark.attached());
+    EXPECT_EQ(dark.mint(), 0u);
+    EXPECT_EQ(dark.contention(), nullptr);
+    exerciseProbe(dark, res, latency);
+
+    EXPECT_TRUE(tel.tracer().spans().empty());
+    EXPECT_EQ(tel.flightRecorder().totalRecorded(), 0u);
+    EXPECT_EQ(tel.journal().totalRecorded(), 0u);
+    EXPECT_EQ(tel.contention().waitedOps(), 0u);
+    EXPECT_EQ(tel.contention().totalWaitTicks(), 0);
+    EXPECT_EQ(tel.tracer().mint(), 1u); // no id was taken
+    // The caller's own histogram still sees the op.
+    EXPECT_EQ(latency.count(), 1u);
 }
 
 // --- end to end ---------------------------------------------------------
@@ -348,6 +486,35 @@ TEST(TelemetryE2E, WriteSpansExactlyTheExpectedNodes)
     EXPECT_TRUE(data_lanes.count("ssd"));
     // Parity node: absorbs the delta and writes the new parity.
     EXPECT_TRUE(parity_lanes.count("ssd"));
+}
+
+TEST(TelemetryE2E, FlightRecorderRingHoldsTheTracerSpans)
+{
+    // The tracer mirrors each span into the ring as the same POD value,
+    // so for one traced write the ring (large enough not to wrap) holds
+    // exactly the retained spans, in order, typed args included.
+    DraidRig rig(5, fourPlusOneOptions());
+    rig.cluster->tracer().setEnabled(true);
+
+    ec::Buffer data(16 * 1024);
+    data.fillPattern(3);
+    ASSERT_TRUE(writeSync(rig.sim(), rig.host(), 0, data));
+
+    const auto &spans = rig.cluster->tracer().spans();
+    const telemetry::FlightRecorder &ring =
+        rig.cluster->telemetry().flightRecorder();
+    ASSERT_FALSE(spans.empty());
+    ASSERT_LT(spans.size(), ring.capacity());
+    EXPECT_EQ(ring.snapshot(), spans);
+
+    const auto root = std::find_if(
+        spans.begin(), spans.end(),
+        [](const telemetry::TraceSpan &s) {
+            return std::strcmp(s.lane, "op") == 0;
+        });
+    ASSERT_NE(root, spans.end());
+    EXPECT_STREQ(root->name, "draid.write");
+    EXPECT_EQ(root->arg("bytes"), 16u * 1024);
 }
 
 TEST(TelemetryE2E, RegistryExposesPerNodeCountersAfterIo)

@@ -170,7 +170,7 @@ TEST(WindowedAggregator, SpanIngestionUsesOpLaneOnly)
     op.name = "draid.read";
     op.start = 100;
     op.end = 600;
-    op.args.emplace_back("bytes", "4096");
+    op.args[0] = {"bytes", 4096};
 
     telemetry::TraceSpan ssd = op;
     ssd.lane = "ssd"; // sub-span: must not be double-counted
@@ -246,7 +246,7 @@ syntheticReport()
         s.end = s.start + 80;
         // The dip: ops in [3000, 7000) carry fewer bytes.
         const bool dip = s.end >= 3000 && s.end < 7000;
-        s.args.emplace_back("bytes", dip ? "512" : "8192");
+        s.args[0] = {"bytes", dip ? 512u : 8192u};
         spans.push_back(std::move(s));
     }
     std::vector<telemetry::EventJournal::Event> events;
@@ -359,7 +359,7 @@ TEST(TimelineE2E, JournalRecordsFailureRebuildSwapLifecycle)
             rig.host().reconstructChunk(stripe, 5, std::move(done));
         },
         stripes, geom.chunkSize(), /*window=*/2);
-    job.bindJournal(&journal, rig.cluster->hostId());
+    job.attach(rig.cluster->probe(rig.cluster->hostId()));
     bool rebuilt = false;
     job.start([&](bool all_ok) {
         rebuilt = all_ok;
@@ -451,7 +451,7 @@ TEST(TimelineDeterminism, JournalAndTimelineDoNotPerturbTicks)
                 rig.host().reconstructChunk(stripe, 5, std::move(done));
             },
             2, geom.chunkSize(), /*window=*/2);
-        job.bindJournal(&tel.journal(), rig.cluster->hostId());
+        job.attach(rig.cluster->probe(rig.cluster->hostId()));
         job.start([&](bool) { rig.sim().stop(); });
         while (!job.finished() && rig.sim().pendingEvents() > 0)
             rig.sim().run();
