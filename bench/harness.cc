@@ -637,7 +637,7 @@ runFio(SystemUnderTest &sut, const workload::FioConfig &fio, bool preload)
     // completes (adaptive bin width), not rebuilt from retained spans —
     // so its windowed stats stay exact even when --trace-sample= retains
     // almost nothing, and its memory is O(bins), not O(ops).
-    telemetry::WindowedAggregator streamed(sim::Ticks::zero());
+    telemetry::WindowedAggregator streamed;
     if (g_telemetry.timeline())
         sut.cluster().tracer().bindOpSink(&streamed);
 

@@ -93,7 +93,7 @@ runTrial(const CampaignConfig &cfg, ScenarioClass cls, std::uint32_t trial,
 
     // Windowed SLO series over the measured part of the trial only (the
     // sink is fed at op completion; preload stays out of the windows).
-    telemetry::WindowedAggregator agg(sim::Ticks::zero());
+    telemetry::WindowedAggregator agg;
     cluster.tracer().bindOpSink(&agg);
     const sim::Tick measuredStart = sim.now().raw();
 

@@ -10,7 +10,7 @@ void
 LatencyRecorder::record(Ticks sample)
 {
     const Tick raw = sample.raw();
-    const std::uint64_t idx = count_++;
+    ++count_;
     sum_ += raw;
     const auto u = static_cast<unsigned __int128>(
         static_cast<std::uint64_t>(raw));
@@ -22,29 +22,7 @@ LatencyRecorder::record(Ticks sample)
         min_ = std::min(min_, raw);
         max_ = std::max(max_, raw);
     }
-    if (idx % stride_ != 0)
-        return;
-    if (samples_.size() >= kSampleCap)
-        decimate();
-    samples_.push_back(raw);
-    sorted_ = false;
-}
-
-void
-LatencyRecorder::decimate()
-{
-    // Keep every 2nd retained sample. Before any percentile query the
-    // retained set is in arrival order and the survivors stay on the
-    // `idx % stride == 0` lattice; after a query it is sorted, and
-    // keeping every 2nd order statistic is an equally uniform subsample.
-    // Either way the result is a pure function of the recorded sequence
-    // and the (deterministic) query sequence.
-    std::vector<Tick> survivors;
-    survivors.reserve(samples_.size() / 2 + 1);
-    for (std::size_t i = 0; i < samples_.size(); i += 2)
-        survivors.push_back(samples_[i]);
-    samples_ = std::move(survivors);
-    stride_ *= 2;
+    samples_.add(sample);
 }
 
 Ticks
@@ -88,7 +66,7 @@ LatencyRecorder::stddev() const
 Ticks
 LatencyRecorder::percentile(double p) const
 {
-    if (samples_.empty())
+    if (count_ == 0)
         return Ticks::zero();
     assert(p >= 0.0 && p <= 100.0);
     // The extremes are exact running aggregates — decimation must not
@@ -98,40 +76,49 @@ LatencyRecorder::percentile(double p) const
         return Ticks{min_};
     if (p >= 100.0)
         return Ticks{max_};
-    sortIfNeeded();
-    const auto n = samples_.size();
-    // The epsilon absorbs floating-point noise in p/100*n (e.g. 0.999*1000
-    // = 999.0000000000001) that would otherwise bump the rank past an
-    // exactly-representable boundary.
-    auto rank = static_cast<std::size_t>(
-        std::ceil(p / 100.0 * static_cast<double>(n) - 1e-9));
-    if (rank > 0)
-        --rank;
-    rank = std::min(rank, n - 1);
-    return Ticks{samples_[rank]};
+    return samples_.percentile(p);
 }
 
 void
 LatencyRecorder::clear()
 {
-    samples_.clear();
-    sum_ = 0;
-    sumSq_ = 0;
-    count_ = 0;
-    stride_ = 1;
-    min_ = 0;
-    max_ = 0;
-    sorted_ = true;
+    *this = LatencyRecorder{};
 }
 
 void
-LatencyRecorder::sortIfNeeded() const
+SampleSet::merge(const SampleSet &other)
+{
+    cap_ = std::max(cap_, other.cap_);
+    stride_ = std::max(stride_, other.stride_);
+    seen_ += other.seen_;
+    samples_.insert(samples_.end(), other.samples_.begin(),
+                    other.samples_.end());
+    sorted_ = false;
+    while (samples_.size() > cap_)
+        halve();
+}
+
+Ticks
+SampleSet::percentile(double p) const
 {
     if (!sorted_) {
-        auto &mut = const_cast<std::vector<Tick> &>(samples_);
-        std::sort(mut.begin(), mut.end());
-        const_cast<bool &>(sorted_) = true;
+        std::sort(samples_.begin(), samples_.end());
+        sorted_ = true;
     }
+    return Ticks{nearestRank(samples_, p)};
+}
+
+void
+SampleSet::halve()
+{
+    // Keep the even positions. In arrival order those are exactly the
+    // samples on the doubled stride's `seen % stride == 0` lattice (the
+    // cap is even); after a query they are every second order statistic.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < samples_.size(); i += 2)
+        samples_[kept++] = samples_[i];
+    samples_.resize(kept);
+    stride_ *= 2;
 }
 
 void

@@ -7,6 +7,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "sim/stats.h"
+
 namespace draid::telemetry {
 
 namespace {
@@ -16,22 +18,6 @@ double
 toUs(sim::Tick t)
 {
     return static_cast<double>(t) / static_cast<double>(sim::kMicrosecond);
-}
-
-/** Nearest-rank percentile of an already-sorted tick sample vector. */
-double
-percentileUs(const std::vector<sim::Tick> &sorted, double pct)
-{
-    if (sorted.empty())
-        return 0.0;
-    const double rank = pct / 100.0 * static_cast<double>(sorted.size());
-    std::size_t idx = static_cast<std::size_t>(rank);
-    if (static_cast<double>(idx) < rank)
-        ++idx; // ceil
-    if (idx > 0)
-        --idx; // 1-based rank -> 0-based index
-    idx = std::min(idx, sorted.size() - 1);
-    return toUs(sorted[idx]);
 }
 
 /** A clamped resource span inside one op's window. */
@@ -251,8 +237,8 @@ analyzeCriticalPath(const std::vector<TraceSpan> &spans)
             ps.meanUs = toUs(static_cast<sim::Tick>(ps.totalTicks)) /
                         static_cast<double>(samples[p].size());
             std::sort(samples[p].begin(), samples[p].end());
-            ps.p50Us = percentileUs(samples[p], 50.0);
-            ps.p99Us = percentileUs(samples[p], 99.0);
+            ps.p50Us = toUs(sim::nearestRank(samples[p], 50.0));
+            ps.p99Us = toUs(sim::nearestRank(samples[p], 99.0));
         }
     }
     if (grand > 0) {

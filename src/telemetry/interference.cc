@@ -1,7 +1,6 @@
 #include "telemetry/interference.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cinttypes>
 #include <cstdio>
 #include <utility>
@@ -40,14 +39,6 @@ ContentionTracker::kindName(ResourceKind kind)
     case ResourceKind::StripeLock: return "lock.stripe";
     }
     return "?";
-}
-
-void
-ContentionTracker::setWindowTicks(sim::Tick ticks)
-{
-    assert(ticks > 0);
-    windowTicks_ = ticks;
-    baseWindowTicks_ = ticks;
 }
 
 TenantId
@@ -121,19 +112,16 @@ ContentionTracker::noteOpComplete(std::uint64_t trace, sim::Tick end,
         return;
 
     Tenant &t = tenants_[tenant];
-    t.ops += 1;
     t.bytes += bytes;
     t.latencySum += latency;
-    t.lat.cap = kTenantSampleCap;
-    t.lat.push(latency);
+    t.lat.add(sim::Ticks{latency});
 
     const std::int64_t w = windowOf(end);
     touchWindow(w);
     SloWindow &win = t.windows[w];
-    win.ops += 1;
     win.bytes += bytes;
     win.latencySum += latency;
-    win.lat.push(latency);
+    win.lat.add(sim::Ticks{latency});
     widenWindows();
 
     if (metrics_ != nullptr && tenant != kUntracked) {
@@ -286,23 +274,18 @@ ContentionTracker::widenWindows()
                static_cast<std::int64_t>(kMaxWindows)) {
         windowTicks_ *= 2;
         ++windowMerges_;
-        for (auto &[key, cell] : matrix_) {
-            std::map<std::int64_t, sim::Tick> merged;
-            for (const auto &[w, t] : cell.byWindow)
-                merged[w / 2] += t;
-            cell.byWindow = std::move(merged);
-        }
-        for (Tenant &t : tenants_) {
-            std::map<std::int64_t, SloWindow> merged;
-            for (auto &[w, win] : t.windows) {
-                SloWindow &dst = merged[w / 2];
-                dst.ops += win.ops;
-                dst.bytes += win.bytes;
-                dst.latencySum += win.latencySum;
-                dst.lat.mergeFrom(win.lat);
-            }
-            t.windows = std::move(merged);
-        }
+        for (auto &[key, cell] : matrix_)
+            sim::regroup(cell.byWindow, 2,
+                         [](sim::Tick &dst, sim::Tick src) { dst += src; });
+        for (Tenant &t : tenants_)
+            sim::regroup(t.windows, 2,
+                         [](SloWindow &dst, const SloWindow &src) {
+                             dst.bytes += src.bytes;
+                             dst.latencySum += src.latencySum;
+                             dst.lat.merge(src.lat);
+                         });
+        // Window indices are non-negative, so halving is the same floor
+        // division regroup() applies.
         minWindow_ /= 2;
         maxWindow_ /= 2;
     }
@@ -356,13 +339,12 @@ ContentionTracker::resetAccounting()
         r.waitedOps = 0;
     }
     for (Tenant &t : tenants_) {
-        t.ops = 0;
         t.bytes = 0;
         t.latencySum = 0;
-        t.lat = SampleSet{};
+        t.lat = sim::SampleSet{kTenantSampleCap};
         t.windows.clear();
     }
-    windowTicks_ = baseWindowTicks_;
+    windowTicks_ = kBaseWindowTicks;
     windowMerges_ = 0;
     minWindow_ = 0;
     maxWindow_ = -1;
@@ -383,67 +365,11 @@ ContentionTracker::retainedBytes() const
     for (const auto &[key, cell] : matrix_)
         bytes += 96 + cell.byWindow.size() * 48;
     for (const Tenant &t : tenants_) {
-        bytes += 128 + t.lat.samples.capacity() * sizeof(sim::Tick);
+        bytes += 128 + t.lat.retainedBytes();
         for (const auto &[w, win] : t.windows)
-            bytes += 128 + win.lat.samples.capacity() * sizeof(sim::Tick);
+            bytes += 128 + win.lat.retainedBytes();
     }
     return bytes;
-}
-
-// --- SampleSet ---
-
-void
-ContentionTracker::SampleSet::push(sim::Tick latency)
-{
-    // Stride decimation: keep 1-in-stride arrivals; on overflow drop every
-    // 2nd retained sample and double the stride, so coverage stays
-    // end-to-end at reduced resolution (the timeline aggregator's trick).
-    if (seq++ % stride == 0) {
-        samples.push_back(latency);
-        if (samples.size() > cap) {
-            std::size_t kept = 0;
-            for (std::size_t i = 0; i < samples.size(); i += 2)
-                samples[kept++] = samples[i];
-            samples.resize(kept);
-            stride *= 2;
-        }
-    }
-}
-
-void
-ContentionTracker::SampleSet::mergeFrom(const SampleSet &other)
-{
-    cap = std::max(cap, other.cap);
-    stride = std::max(stride, other.stride);
-    seq += other.seq;
-    samples.insert(samples.end(), other.samples.begin(),
-                   other.samples.end());
-    while (samples.size() > cap) {
-        std::size_t kept = 0;
-        for (std::size_t i = 0; i < samples.size(); i += 2)
-            samples[kept++] = samples[i];
-        samples.resize(kept);
-        stride *= 2;
-    }
-}
-
-sim::Tick
-ContentionTracker::SampleSet::percentile(double p) const
-{
-    if (samples.empty())
-        return 0;
-    std::vector<sim::Tick> sorted = samples;
-    std::sort(sorted.begin(), sorted.end());
-    // Nearest-rank.
-    const double rank = p / 100.0 * static_cast<double>(sorted.size());
-    std::size_t idx = static_cast<std::size_t>(rank);
-    if (static_cast<double>(idx) < rank)
-        ++idx;
-    if (idx > 0)
-        --idx;
-    if (idx >= sorted.size())
-        idx = sorted.size() - 1;
-    return sorted[idx];
 }
 
 std::uint64_t
@@ -453,7 +379,7 @@ ContentionTracker::activeWindows(TenantId tenant) const
         return 0;
     std::uint64_t active = 0;
     for (const auto &[w, win] : tenants_[tenant].windows)
-        if (win.ops > 0)
+        if (win.lat.seen() > 0)
             ++active;
     return active;
 }
@@ -468,7 +394,8 @@ ContentionTracker::burnWindows(TenantId tenant) const
         return 0;
     std::uint64_t burning = 0;
     for (const auto &[w, win] : t.windows)
-        if (win.ops > 0 && win.lat.percentile(99.0) > t.sloTarget)
+        if (win.lat.seen() > 0 &&
+            win.lat.percentile(99.0).raw() > t.sloTarget)
             ++burning;
     return burning;
 }
@@ -532,7 +459,8 @@ ContentionTracker::writeJsonRow(std::ostream &os, const std::string &label,
     first = true;
     for (std::size_t id = 0; id < tenants_.size(); ++id) {
         const Tenant &t = tenants_[id];
-        if (t.ops == 0)
+        const std::uint64_t ops = t.lat.seen();
+        if (ops == 0)
             continue;
         if (!first)
             os << ",";
@@ -540,26 +468,24 @@ ContentionTracker::writeJsonRow(std::ostream &os, const std::string &label,
         std::uint64_t active = 0;
         std::uint64_t burning = 0;
         for (const auto &[w, win] : t.windows) {
-            if (win.ops == 0)
+            if (win.lat.seen() == 0)
                 continue;
             ++active;
-            if (t.sloTarget > 0 && win.lat.percentile(99.0) > t.sloTarget)
+            if (t.sloTarget > 0 &&
+                win.lat.percentile(99.0).raw() > t.sloTarget)
                 ++burning;
         }
         os << "{\"tenant\":";
         writeJsonString(os, t.name);
         os << ",\"target_p99_us\":";
         putF(os, ticksToUs(t.sloTarget));
-        os << ",\"ops\":" << t.ops << ",\"bytes\":" << t.bytes
+        os << ",\"ops\":" << ops << ",\"bytes\":" << t.bytes
            << ",\"mean_us\":";
-        putF(os, t.ops == 0
-                     ? 0.0
-                     : ticksToUs(t.latencySum) /
-                           static_cast<double>(t.ops));
+        putF(os, ticksToUs(t.latencySum) / static_cast<double>(ops));
         os << ",\"p50_us\":";
-        putF(os, ticksToUs(t.lat.percentile(50.0)));
+        putF(os, ticksToUs(t.lat.percentile(50.0).raw()));
         os << ",\"p99_us\":";
-        putF(os, ticksToUs(t.lat.percentile(99.0)));
+        putF(os, ticksToUs(t.lat.percentile(99.0).raw()));
         os << ",\"active_windows\":" << active
            << ",\"burn_windows\":" << burning << ",\"burn_rate\":";
         putF(os, active == 0 ? 0.0
@@ -568,14 +494,14 @@ ContentionTracker::writeJsonRow(std::ostream &os, const std::string &label,
         os << ",\"windows\":[";
         bool wfirst = true;
         for (const auto &[w, win] : t.windows) {
-            if (win.ops == 0)
+            if (win.lat.seen() == 0)
                 continue;
             if (!wfirst)
                 os << ",";
             wfirst = false;
-            const sim::Tick p99 = win.lat.percentile(99.0);
+            const sim::Tick p99 = win.lat.percentile(99.0).raw();
             const bool burn = t.sloTarget > 0 && p99 > t.sloTarget;
-            os << "[" << w << "," << win.ops << ",";
+            os << "[" << w << "," << win.lat.seen() << ",";
             putF(os, ticksToUs(p99));
             os << "," << (burn ? 1 : 0) << "]";
         }

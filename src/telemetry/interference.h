@@ -19,12 +19,13 @@
  * totalBlameTicks() == totalWaitTicks() holds unconditionally.
  *
  * Aggregation: blame lands in a tenant×tenant×resource-kind matrix,
- * bucketed into fixed tick windows; per-tenant completion stats feed a
- * windowed SLO series with burn flags (window p99 above the tenant's
- * target). Both stores are bounded: when the observed window span
- * exceeds kMaxWindows the window width doubles and retained windows
- * merge pairwise (the timeline aggregator's trick), so memory is O(1)
- * in run length.
+ * bucketed into tick windows (kBaseWindowTicks wide to start); per-tenant
+ * completion stats feed a windowed SLO series with burn flags (window p99
+ * above the tenant's target). Both stores are bounded and share one
+ * window grid: when the observed window span exceeds kMaxWindows the
+ * width doubles and both merge pairwise through sim::regroup(). Latency
+ * samples per tenant and per SLO window are sim::SampleSets, so memory is
+ * O(1) in run length.
  *
  * Cardinality bounds: at most kMaxTenants named tenants; registration
  * beyond that collapses into one reserved "other" tenant, so labeled
@@ -49,6 +50,7 @@
 #include <tuple>
 #include <vector>
 
+#include "sim/stats.h"
 #include "sim/types.h"
 
 namespace draid::telemetry {
@@ -94,14 +96,14 @@ class ContentionTracker
     /** Bound on concurrently tracked trace->tenant bindings. */
     static constexpr std::size_t kMaxLiveOps = 65536;
 
-    static constexpr sim::Tick kDefaultWindowTicks = sim::kMillisecond;
+    /** Window width before any merge-doubling. */
+    static constexpr sim::Tick kBaseWindowTicks = sim::kMillisecond;
 
     /** Ships disabled; every hook is one predictable branch while off. */
     bool enabled() const { return enabled_; }
     void setEnabled(bool on) { enabled_ = on; }
 
-    /** Base aggregation window width (before any merge-doubling). */
-    void setWindowTicks(sim::Tick ticks);
+    /** Current aggregation window width. */
     sim::Tick windowTicks() const { return windowTicks_; }
     /** Times the window width doubled to stay under kMaxWindows. */
     std::uint64_t windowMerges() const { return windowMerges_; }
@@ -270,37 +272,21 @@ class ContentionTracker
         std::map<std::int64_t, sim::Tick> byWindow;
     };
 
-    /** Stride-decimated latency sample set (bounded, deterministic). */
-    struct SampleSet
-    {
-        // draid-lint: cap(SampleSet::cap; stride-decimated on overflow)
-        std::vector<sim::Tick> samples;
-        std::uint64_t seq = 0;
-        std::uint64_t stride = 1;
-        std::size_t cap = kWindowSampleCap;
-
-        void push(sim::Tick latency);
-        void mergeFrom(const SampleSet &other);
-        /** Nearest-rank percentile over retained samples; 0 if empty. */
-        sim::Tick percentile(double p) const;
-    };
-
+    /** Completion stats; lat.seen() is the exact op count. */
     struct SloWindow
     {
-        std::uint64_t ops = 0;
         std::uint64_t bytes = 0;
         sim::Tick latencySum = 0;
-        SampleSet lat;
+        sim::SampleSet lat{kWindowSampleCap};
     };
 
     struct Tenant
     {
         std::string name;
         sim::Tick sloTarget = 0; ///< p99 target in ticks; 0 = none
-        std::uint64_t ops = 0;
         std::uint64_t bytes = 0;
         sim::Tick latencySum = 0;
-        SampleSet lat;
+        sim::SampleSet lat{kTenantSampleCap};
         // draid-lint: cap(kMaxWindows; width doubles on overflow)
         std::map<std::int64_t, SloWindow> windows;
     };
@@ -317,8 +303,7 @@ class ContentionTracker
     void widenWindows();
 
     bool enabled_ = false;
-    sim::Tick windowTicks_ = kDefaultWindowTicks;
-    sim::Tick baseWindowTicks_ = kDefaultWindowTicks;
+    sim::Tick windowTicks_ = kBaseWindowTicks;
     std::uint64_t windowMerges_ = 0;
     std::int64_t minWindow_ = 0;
     std::int64_t maxWindow_ = -1; ///< < minWindow_ means none observed

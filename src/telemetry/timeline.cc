@@ -3,28 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <iomanip>
-#include <limits>
 #include <sstream>
 
 namespace draid::telemetry {
 
 namespace {
-
-/** Nearest-rank percentile of a sorted tick vector, in microseconds. */
-double
-percentileUs(const std::vector<sim::Tick> &sorted, double pct)
-{
-    if (sorted.empty())
-        return 0.0;
-    std::size_t rank = static_cast<std::size_t>(
-        std::ceil(pct / 100.0 * static_cast<double>(sorted.size())));
-    if (rank == 0)
-        rank = 1;
-    rank = std::min(rank, sorted.size());
-    return static_cast<double>(sorted[rank - 1]) / sim::kMicrosecond;
-}
 
 /** Fixed-precision double (JSON-safe: never nan/inf, always has digits). */
 std::string
@@ -39,157 +23,37 @@ num(double v, int precision = 3)
 
 } // namespace
 
-WindowedAggregator::WindowedAggregator(sim::Ticks window_ticks)
-    : windowTicks_(window_ticks.raw() <= 0
-                       ? kAutoBaseTicks
-                       : std::max<sim::Tick>(window_ticks.raw(), 1)),
-      adaptive_(window_ticks.raw() <= 0)
+void
+WindowedAggregator::mergeBin(Accum &dst, const Accum &src)
 {
+    // Pooling two decimated subsamples biases toward the lower-stride
+    // half; acceptable — the totals stay exact and the percentiles are
+    // documented as approximate once decimation has kicked in.
+    dst.bytes += src.bytes;
+    dst.lat.merge(src.lat);
 }
 
 void
-WindowedAggregator::decimateBin(Accum &bin, std::uint64_t &dropped)
-{
-    // Retained samples sit at arrival indices 0, stride, 2*stride, ...;
-    // keeping the even positions leaves exactly the multiples of the
-    // doubled stride, so `seen % stride == 0` stays the keep test.
-    std::vector<sim::Tick> survivors;
-    survivors.reserve(bin.latencies.size() / 2 + 1);
-    for (std::size_t i = 0; i < bin.latencies.size(); ++i) {
-        if (i % 2 == 0)
-            survivors.push_back(bin.latencies[i]);
-        else
-            ++dropped;
-    }
-    bin.latencies = std::move(survivors);
-    bin.stride *= 2;
-}
-
-void
-WindowedAggregator::addOp(sim::Ticks end_ticks, sim::Ticks latency_ticks,
+WindowedAggregator::addOp(sim::Ticks end_ticks, sim::Ticks latency,
                           std::uint64_t bytes)
 {
     const sim::Tick end = end_ticks.raw();
-    const sim::Tick latency = latency_ticks.raw();
-    if (adaptive_) {
-        // Widen until this op's bin fits inside the kMaxBins budget
-        // spanned from the earliest bin.
-        while (!bins_.empty()) {
-            const std::int64_t idx = end / windowTicks_;
-            const std::int64_t lo =
-                std::min(idx, bins_.begin()->first);
-            const std::int64_t hi =
-                std::max(idx, bins_.rbegin()->first);
-            if (static_cast<std::uint64_t>(hi - lo) <
-                static_cast<std::uint64_t>(kMaxBins))
-                break;
-            widenBins();
-        }
+    // Widen until this op's bin fits inside the kMaxBins budget spanned
+    // from the earliest bin.
+    while (!bins_.empty()) {
+        const std::int64_t idx = end / windowTicks_;
+        const std::int64_t lo = std::min(idx, bins_.begin()->first);
+        const std::int64_t hi = std::max(idx, bins_.rbegin()->first);
+        if (static_cast<std::uint64_t>(hi - lo) <
+            static_cast<std::uint64_t>(kMaxBins))
+            break;
+        sim::regroup(bins_, 2, mergeBin);
+        windowTicks_ *= 2;
     }
     Accum &bin = bins_[end / windowTicks_];
     bin.bytes += bytes;
-    ++bin.ops;
-    if (bin.seen % bin.stride == 0) {
-        if (bin.latencies.size() >= kLatencySampleCap)
-            decimateBin(bin, droppedSamples_);
-        bin.latencies.push_back(latency);
-    } else {
-        ++droppedSamples_;
-    }
-    ++bin.seen;
+    bin.lat.add(latency);
     ++opsAdded_;
-}
-
-void
-WindowedAggregator::widenBins()
-{
-    std::map<std::int64_t, Accum> merged;
-    for (auto &[idx, bin] : bins_) {
-        Accum &dst = merged[idx >= 0 ? idx / 2 : (idx - 1) / 2];
-        if (dst.ops == 0) {
-            dst = std::move(bin);
-            continue;
-        }
-        dst.bytes += bin.bytes;
-        dst.ops += bin.ops;
-        dst.seen += bin.seen;
-        // Pooling two decimated subsamples biases toward the
-        // lower-stride half; acceptable — the totals stay exact and the
-        // percentiles are documented as approximate once decimation has
-        // kicked in.
-        dst.stride = std::max(dst.stride, bin.stride);
-        dst.latencies.insert(dst.latencies.end(), bin.latencies.begin(),
-                             bin.latencies.end());
-        while (dst.latencies.size() > kLatencySampleCap)
-            decimateBin(dst, droppedSamples_);
-    }
-    bins_ = std::move(merged);
-    windowTicks_ *= 2;
-}
-
-void
-WindowedAggregator::addOpSpans(const std::vector<TraceSpan> &spans)
-{
-    for (const TraceSpan &span : spans) {
-        if (std::strcmp(span.lane, "op") != 0)
-            continue;
-        addOp(sim::Ticks{span.end}, sim::Ticks{span.end - span.start},
-              span.arg("bytes"));
-    }
-}
-
-std::vector<TimelineWindow>
-WindowedAggregator::finalize() const
-{
-    if (bins_.empty())
-        return {};
-    const std::int64_t first = bins_.begin()->first;
-    const std::int64_t last = bins_.rbegin()->first;
-    return finalize(sim::Ticks{first * windowTicks_},
-                    sim::Ticks{(last + 1) * windowTicks_});
-}
-
-std::vector<TimelineWindow>
-WindowedAggregator::makeWindows(const std::map<std::int64_t, Accum> &bins,
-                                sim::Ticks window_ticks, std::int64_t first,
-                                std::int64_t last)
-{
-    std::vector<TimelineWindow> out;
-    out.reserve(static_cast<std::size_t>(last - first + 1));
-    const double windowSec = static_cast<double>(window_ticks.raw()) /
-                             (sim::kMillisecond * 1000.0);
-    for (std::int64_t idx = first; idx <= last; ++idx) {
-        TimelineWindow w;
-        w.start = idx * window_ticks.raw();
-        auto it = bins.find(idx);
-        if (it != bins.end()) {
-            std::vector<sim::Tick> lat = it->second.latencies;
-            std::sort(lat.begin(), lat.end());
-            w.ops = it->second.ops;
-            w.bytes = it->second.bytes;
-            w.goodputMBps =
-                static_cast<double>(w.bytes) / 1e6 / windowSec;
-            w.kiops = static_cast<double>(w.ops) / 1e3 / windowSec;
-            w.p50Us = percentileUs(lat, 50.0);
-            w.p99Us = percentileUs(lat, 99.0);
-        }
-        out.push_back(std::move(w));
-    }
-    return out;
-}
-
-std::vector<TimelineWindow>
-WindowedAggregator::finalize(sim::Ticks from_ticks, sim::Ticks to_ticks) const
-{
-    const sim::Tick from = from_ticks.raw();
-    const sim::Tick to = to_ticks.raw();
-    std::int64_t first = from / windowTicks_;
-    std::int64_t last = to <= from ? first : (to - 1) / windowTicks_;
-    if (!bins_.empty()) {
-        first = std::min(first, bins_.begin()->first);
-        last = std::max(last, bins_.rbegin()->first);
-    }
-    return makeWindows(bins_, sim::Ticks{windowTicks_}, first, last);
 }
 
 WindowedAggregator::Coalesced
@@ -199,39 +63,47 @@ WindowedAggregator::coalesce(std::size_t max_windows) const
     out.windowTicks = windowTicks_;
     if (bins_.empty() || max_windows == 0)
         return out;
-    const std::int64_t first = bins_.begin()->first;
-    const std::int64_t last = bins_.rbegin()->first;
-    const auto span = static_cast<std::uint64_t>(last - first + 1);
-    const std::uint64_t factor =
-        (span + max_windows - 1) / max_windows;
-    if (factor <= 1) {
-        out.windows =
-            makeWindows(bins_, sim::Ticks{windowTicks_}, first, last);
-        return out;
+    const auto span = static_cast<std::uint64_t>(
+        bins_.rbegin()->first - bins_.begin()->first + 1);
+    const auto factor =
+        static_cast<std::int64_t>((span + max_windows - 1) / max_windows);
+    Bins bins = bins_;
+    sim::regroup(bins, factor, mergeBin);
+    out.windowTicks = windowTicks_ * factor;
+
+    const std::int64_t first = bins.begin()->first;
+    const std::int64_t last = bins.rbegin()->first;
+    out.windows.reserve(static_cast<std::size_t>(last - first + 1));
+    const double windowSec = static_cast<double>(out.windowTicks) /
+                             (sim::kMillisecond * 1000.0);
+    for (std::int64_t idx = first; idx <= last; ++idx) {
+        TimelineWindow w;
+        w.start = idx * out.windowTicks;
+        auto it = bins.find(idx);
+        if (it != bins.end()) {
+            const sim::SampleSet &lat = it->second.lat;
+            w.ops = lat.seen();
+            w.bytes = it->second.bytes;
+            w.goodputMBps =
+                static_cast<double>(w.bytes) / 1e6 / windowSec;
+            w.kiops = static_cast<double>(w.ops) / 1e3 / windowSec;
+            w.p50Us = static_cast<double>(lat.percentile(50.0).raw()) /
+                      sim::kMicrosecond;
+            w.p99Us = static_cast<double>(lat.percentile(99.0).raw()) /
+                      sim::kMicrosecond;
+        }
+        out.windows.push_back(w);
     }
-    // Merge each run of `factor` adjacent bins. Grouping by idx/factor
-    // (floor toward -inf) keeps window starts on multiples of the merged
-    // width, matching how a wider aggregator would have binned.
-    std::map<std::int64_t, Accum> merged;
-    std::uint64_t dropped = 0;
-    const auto f = static_cast<std::int64_t>(factor);
-    for (const auto &[idx, bin] : bins_) {
-        const std::int64_t g = idx >= 0 ? idx / f : (idx - f + 1) / f;
-        Accum &dst = merged[g];
-        dst.bytes += bin.bytes;
-        dst.ops += bin.ops;
-        dst.seen += bin.seen;
-        dst.stride = std::max(dst.stride, bin.stride);
-        dst.latencies.insert(dst.latencies.end(), bin.latencies.begin(),
-                             bin.latencies.end());
-        while (dst.latencies.size() > kLatencySampleCap)
-            decimateBin(dst, dropped);
-    }
-    out.windowTicks = windowTicks_ * f;
-    out.windows = makeWindows(merged, sim::Ticks{out.windowTicks},
-                              merged.begin()->first,
-                              merged.rbegin()->first);
     return out;
+}
+
+std::uint64_t
+WindowedAggregator::droppedLatencySamples() const
+{
+    std::uint64_t dropped = 0;
+    for (const auto &[idx, bin] : bins_)
+        dropped += bin.lat.dropped();
+    return dropped;
 }
 
 std::uint64_t
@@ -240,7 +112,7 @@ WindowedAggregator::retainedBytes() const
     std::uint64_t bytes = 0;
     for (const auto &[idx, bin] : bins_)
         bytes += sizeof(Accum) + sizeof(std::int64_t) +
-                 bin.latencies.size() * sizeof(sim::Tick);
+                 bin.lat.retainedBytes();
     return bytes;
 }
 
@@ -356,54 +228,6 @@ detectHealth(const std::vector<TimelineWindow> &windows,
         }
     }
     return flags;
-}
-
-TimelineReport
-buildTimeline(const std::vector<TraceSpan> &spans,
-              const std::vector<EventJournal::Event> &events,
-              const std::vector<UtilizationSampler::Sample> &samples,
-              sim::Ticks window_ticks_in, sim::NodeId host_node)
-{
-    sim::Tick window_ticks = window_ticks_in.raw();
-    TimelineReport report;
-
-    // The op completion range drives the window grid.
-    sim::Tick firstEnd = std::numeric_limits<sim::Tick>::max();
-    sim::Tick lastEnd = 0;
-    for (const TraceSpan &span : spans) {
-        if (std::strcmp(span.lane, "op") != 0)
-            continue;
-        firstEnd = std::min(firstEnd, span.end);
-        lastEnd = std::max(lastEnd, span.end);
-    }
-    if (firstEnd > lastEnd)
-        return report; // no ops recorded
-
-    if (window_ticks <= 0) {
-        // Auto-size to ~64 windows over the run, min 1 us each.
-        window_ticks = std::max<sim::Tick>((lastEnd - firstEnd + 1) / 64,
-                                           sim::kMicrosecond);
-    }
-
-    WindowedAggregator agg(sim::Ticks{window_ticks});
-    agg.addOpSpans(spans);
-    report.windowTicks = agg.windowTicks().raw();
-    report.windows = agg.finalize();
-    report.startTick = report.windows.empty() ? 0 : report.windows.front().start;
-    const sim::Tick endTick = report.startTick
-        + static_cast<sim::Tick>(report.windows.size()) * report.windowTicks;
-
-    for (const EventJournal::Event &e : events) {
-        if (e.tick >= report.startTick && e.tick < endTick)
-            report.events.push_back(e);
-    }
-    report.utilization = binUtilization(samples,
-                                        sim::Ticks{report.startTick},
-                                        sim::Ticks{report.windowTicks},
-                                        report.windows.size());
-    report.health =
-        detectHealth(report.windows, report.utilization, host_node);
-    return report;
 }
 
 TimelineReport

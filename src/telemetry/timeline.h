@@ -1,6 +1,6 @@
 /**
  * @file
- * Windowed performance timeline: bins completed user ops into fixed tick
+ * Windowed performance timeline: bins completed user ops into tick
  * windows (goodput, IOPS, p50/p99 latency per window), re-bins the
  * utilization sampler's busy fractions onto the same windows, flags
  * unhealthy windows (stalls, cross-server utilization imbalance), and
@@ -14,8 +14,9 @@
  * after a drive failure, load staying (or not staying) balanced.
  *
  * Everything here is a pure function of already-recorded telemetry
- * (spans, journal events, sampler samples); nothing touches the
- * Simulator, so building a timeline cannot perturb event ordering.
+ * (streamed op completions, journal events, sampler samples); nothing
+ * touches the Simulator, so building a timeline cannot perturb event
+ * ordering.
  */
 
 #ifndef DRAID_TELEMETRY_TIMELINE_H
@@ -27,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/stats.h"
 #include "sim/types.h"
 #include "telemetry/event_journal.h"
 #include "telemetry/telemetry.h"
@@ -76,21 +78,16 @@ struct HealthFlags
 };
 
 /**
- * Bins op completions into fixed tick windows. Feed it either raw
- * (end tick, latency, bytes) triples or a recorded span stream; windows
- * between the first and last completion that saw no ops still appear
- * (zero-filled) so stalls stay visible.
- *
- * Built to be fed *incrementally* at op completion (it implements
- * OpCompletionSink), with memory bounded independent of op count:
+ * Bins op completions into tick windows, fed incrementally at op
+ * completion (it implements OpCompletionSink), with memory bounded
+ * independent of op count:
  *  - op and byte totals per bin are exact, always;
- *  - per-bin latency samples are capped (kLatencySampleCap); on overflow
- *    the retained set is decimated in place (keep 1-in-stride, stride
- *    doubled), so percentiles degrade gracefully to a deterministic
- *    uniform subsample instead of truncating the tail;
- *  - with window_ticks == 0 the bin width adapts to the (unknown) run
- *    length: it starts at 1 us and doubles — merging bins pairwise —
- *    whenever the bin span would exceed kMaxBins.
+ *  - each bin's latencies live in a sim::SampleSet capped at
+ *    kLatencySampleCap, so percentiles degrade gracefully to a
+ *    deterministic uniform subsample instead of truncating the tail;
+ *  - the bin width adapts to the (unknown) run length: it starts at
+ *    kBaseTicks and doubles — merging bins pairwise — whenever the bin
+ *    span would exceed kMaxBins.
  * Every decision is a pure function of the fed sequence: no RNG, no
  * clock, byte-identical across runs.
  */
@@ -99,13 +96,10 @@ class WindowedAggregator : public OpCompletionSink
   public:
     /** Retained latency samples per bin before stride decimation. */
     static constexpr std::size_t kLatencySampleCap = 512;
-    /** Bin budget in adaptive (window_ticks == 0) mode. */
+    /** Bin budget; the width doubles to stay inside it. */
     static constexpr std::size_t kMaxBins = 256;
-    /** Adaptive mode's starting bin width. */
-    static constexpr sim::Tick kAutoBaseTicks = sim::kMicrosecond;
-
-    /** @param window_ticks bin width; zero selects the adaptive mode */
-    explicit WindowedAggregator(sim::Ticks window_ticks);
+    /** Starting bin width. */
+    static constexpr sim::Tick kBaseTicks = sim::kMicrosecond;
 
     sim::Ticks windowTicks() const { return sim::Ticks{windowTicks_}; }
     std::uint64_t opsAdded() const { return opsAdded_; }
@@ -121,26 +115,14 @@ class WindowedAggregator : public OpCompletionSink
     }
 
     /**
-     * Record every root op from a span stream: spans on the "op" lane,
-     * using the span's [start, end) as the latency window and its
-     * "bytes" arg as the payload size. Non-op spans are ignored.
+     * The contiguous window series covering every added op (empty if
+     * none), re-binned so at most @p max_windows windows remain: runs of
+     * adjacent bins merge by the smallest integral factor that fits, and
+     * windows that saw no ops stay in (zero-filled) so stalls stay
+     * visible. Goodput/IOPS use the window width as the denominator;
+     * percentiles are nearest-rank over the retained samples; ops/bytes
+     * are exact. coalesce(kMaxBins) returns every bin unmerged.
      */
-    void addOpSpans(const std::vector<TraceSpan> &spans);
-
-    /**
-     * Produce the contiguous window series covering every added op
-     * (empty if none were added). Goodput/IOPS use the window width as
-     * the denominator; percentiles use the nearest-rank method over the
-     * retained (possibly decimated) samples; ops/bytes are exact.
-     */
-    std::vector<TimelineWindow> finalize() const;
-
-    /** As finalize(), but covering at least [from, to). */
-    std::vector<TimelineWindow> finalize(sim::Ticks from,
-                                         sim::Ticks to) const;
-
-    /** finalize() re-binned so at most @p max_windows windows remain
-     *  (adjacent bins merged by an integral factor). */
     struct Coalesced
     {
         sim::Tick windowTicks = 0;
@@ -150,7 +132,7 @@ class WindowedAggregator : public OpCompletionSink
     Coalesced coalesce(std::size_t max_windows) const;
 
     /** Latency samples dropped by per-bin decimation (totals stay exact). */
-    std::uint64_t droppedLatencySamples() const { return droppedSamples_; }
+    std::uint64_t droppedLatencySamples() const;
 
     /** Approximate heap bytes retained (size-based, deterministic). */
     std::uint64_t retainedBytes() const;
@@ -159,32 +141,20 @@ class WindowedAggregator : public OpCompletionSink
     struct Accum
     {
         std::uint64_t bytes = 0;
-        std::uint64_t ops = 0; ///< exact, even when samples are decimated
-        // draid-lint: cap(kLatencySampleCap; decimated on overflow)
-        std::vector<sim::Tick> latencies; ///< 1-in-stride retained subset
-        std::uint64_t stride = 1;
-        std::uint64_t seen = 0; ///< samples offered to this bin
+        /** seen() is the exact op count, even when samples decimate. */
+        sim::SampleSet lat{kLatencySampleCap};
     };
+    using Bins = std::map<std::int64_t, Accum>;
 
-    /** Decimate one bin to half its retained samples (stride doubling). */
-    static void decimateBin(Accum &bin, std::uint64_t &dropped);
-    /** Adaptive mode: double the bin width, merging bins pairwise. */
-    void widenBins();
-    /** Window series for an arbitrary bin map (shared by finalize and
-     *  coalesce). */
-    static std::vector<TimelineWindow>
-    makeWindows(const std::map<std::int64_t, Accum> &bins,
-                sim::Ticks window_ticks, std::int64_t first,
-                std::int64_t last);
+    /** regroup() merge step: pool two bins. */
+    static void mergeBin(Accum &dst, const Accum &src);
 
     // Raw Tick here is storage, not API: the tick-unit rule covers
     // parameters and returns; retained state stays on the wire format.
-    sim::Tick windowTicks_;
-    bool adaptive_ = false;
+    sim::Tick windowTicks_ = kBaseTicks;
     std::uint64_t opsAdded_ = 0;
-    std::uint64_t droppedSamples_ = 0;
-    // draid-lint: cap(kMaxBins; adaptive coalescing merges on overflow)
-    std::map<std::int64_t, Accum> bins_; ///< window index -> accum
+    // draid-lint: cap(kMaxBins; the width doubles on overflow)
+    Bins bins_; ///< window index -> accum
 };
 
 /**
@@ -223,22 +193,10 @@ struct TimelineReport
 };
 
 /**
- * Assemble a report from recorded telemetry. @p window_ticks == 0
- * auto-sizes to ~64 windows over the op completion range. Events and
- * samples outside the covered range are dropped.
- */
-TimelineReport buildTimeline(const std::vector<TraceSpan> &spans,
-                             const std::vector<EventJournal::Event> &events,
-                             const std::vector<UtilizationSampler::Sample>
-                                 &samples,
-                             sim::Ticks window_ticks,
-                             sim::NodeId host_node);
-
-/**
- * As above, but from an incrementally-fed aggregator instead of a
- * retained span stream — the scale path: windowed stats stay exact (the
- * sink saw every completion) even when trace sampling retains almost no
- * spans. The aggregator's bins are coalesced to at most ~64 windows.
+ * Assemble a report from an incrementally-fed aggregator: windowed stats
+ * stay exact (the sink saw every completion) even when trace sampling
+ * retains almost no spans. The aggregator's bins are coalesced to at
+ * most ~64 windows; events and samples outside them are dropped.
  */
 TimelineReport buildTimeline(const WindowedAggregator &agg,
                              const std::vector<EventJournal::Event> &events,

@@ -175,18 +175,19 @@ TEST(Interference, WindowWideningBoundsRetention)
 {
     ContentionTracker ct;
     ct.setEnabled(true);
-    ct.setWindowTicks(1000);
     const auto t = ct.registerTenant("t");
-    // Completions spread over 4x the window budget force merges.
+    // One completion per base window, spread over 4x the window budget,
+    // forces merges.
+    const sim::Tick base = ContentionTracker::kBaseWindowTicks;
     const std::int64_t spread =
         static_cast<std::int64_t>(ContentionTracker::kMaxWindows) * 4;
     for (std::int64_t i = 0; i < spread; ++i) {
         const std::uint64_t trace = 1000 + static_cast<std::uint64_t>(i);
         ct.noteOpStart(trace, t);
-        ct.noteOpComplete(trace, i * 1000 + 500, 100, 4096);
+        ct.noteOpComplete(trace, i * base + base / 2, 100, 4096);
     }
     EXPECT_GT(ct.windowMerges(), 0u);
-    EXPECT_GE(ct.windowTicks(), 4000);
+    EXPECT_GE(ct.windowTicks(), 4 * base);
     EXPECT_LE(ct.activeWindows(t), ContentionTracker::kMaxWindows);
     // Merging must not lose ops.
     std::ostringstream row;
@@ -201,20 +202,20 @@ TEST(Interference, BurnWindowsFlagP99AboveTarget)
 {
     ContentionTracker ct;
     ct.setEnabled(true);
-    ct.setWindowTicks(1000);
     const auto t = ct.registerTenant("svc");
     ct.setSloTargetTicks(t, 500);
 
     // Window 0: all ops at 100 ticks (healthy). Window 1: all at 900.
+    const sim::Tick base = ContentionTracker::kBaseWindowTicks;
     for (int i = 0; i < 10; ++i) {
         const std::uint64_t trace = 10 + static_cast<std::uint64_t>(i);
         ct.noteOpStart(trace, t);
-        ct.noteOpComplete(trace, 500, 100, 4096);
+        ct.noteOpComplete(trace, base / 2, 100, 4096);
     }
     for (int i = 0; i < 10; ++i) {
         const std::uint64_t trace = 50 + static_cast<std::uint64_t>(i);
         ct.noteOpStart(trace, t);
-        ct.noteOpComplete(trace, 1500, 900, 4096);
+        ct.noteOpComplete(trace, base + base / 2, 900, 4096);
     }
     EXPECT_EQ(ct.activeWindows(t), 2u);
     EXPECT_EQ(ct.burnWindows(t), 1u);

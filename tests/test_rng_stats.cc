@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "sim/rng.h"
@@ -118,6 +120,27 @@ TEST(LatencyRecorder, PercentileNearestRank)
         rec.record(Ticks{t});
     EXPECT_EQ(rec.percentile(99).raw(), 99);
     EXPECT_EQ(rec.percentile(1).raw(), 1);
+
+    // n = 1000 at p99.9: 0.999 * 1000 evaluates to 999.0000000000001,
+    // and the epsilon keeps the rank on the 999th order statistic where
+    // a plain ceil would step to the 1000th.
+    LatencyRecorder thousand;
+    for (Tick t = 1; t <= 1000; ++t)
+        thousand.record(Ticks{t});
+    EXPECT_EQ(thousand.percentile(99.9).raw(), 999);
+
+    // At p50 and p99 the epsilon never matters: nearestRank() agrees with
+    // a plain ceil for every n, so one rule serves every caller.
+    std::vector<std::size_t> ranks;
+    for (std::size_t n = 1; n <= 5000; ++n) {
+        ranks.push_back(n);
+        for (double p : {50.0, 99.0}) {
+            const auto plain = static_cast<std::size_t>(
+                std::ceil(p / 100.0 * static_cast<double>(n)));
+            ASSERT_EQ(nearestRank(ranks, p), std::max<std::size_t>(plain, 1))
+                << "n=" << n << " p=" << p;
+        }
+    }
 }
 
 TEST(LatencyRecorder, PercentileExtremesAreExactMinMax)

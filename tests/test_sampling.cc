@@ -216,40 +216,13 @@ TEST(Tracer, OpCompletionFeedsSinkAndReservoirWithFullChains)
 
 // --- streaming aggregation ----------------------------------------------
 
-TEST(WindowedAggregator, StreamingMatchesBatchSpanFeed)
-{
-    std::vector<telemetry::TraceSpan> spans;
-    for (std::uint64_t i = 0; i < 500; ++i) {
-        telemetry::TraceSpan s = opSpan(i + 1, i * 37, i * 37 + 90 + i % 7);
-        s.args[0] = {"bytes", 4096};
-        spans.push_back(std::move(s));
-    }
-
-    telemetry::WindowedAggregator batch(sim::Ticks{1000});
-    batch.addOpSpans(spans);
-    telemetry::WindowedAggregator streamed(sim::Ticks{1000});
-    for (const telemetry::TraceSpan &s : spans)
-        streamed.onOpComplete(s);
-
-    const auto a = batch.finalize();
-    const auto b = streamed.finalize();
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t w = 0; w < a.size(); ++w) {
-        EXPECT_EQ(a[w].start, b[w].start);
-        EXPECT_EQ(a[w].ops, b[w].ops);
-        EXPECT_EQ(a[w].bytes, b[w].bytes);
-        EXPECT_DOUBLE_EQ(a[w].p50Us, b[w].p50Us);
-        EXPECT_DOUBLE_EQ(a[w].p99Us, b[w].p99Us);
-    }
-}
-
 TEST(WindowedAggregator, DecimationKeepsTotalsExactAndTailsClose)
 {
-    // >=50k ops into a handful of bins: per-bin latency samples blow past
+    // >=50k ops into ten 1 us bins: per-bin latency samples blow past
     // kLatencySampleCap and decimate, but ops/bytes stay exact and the
     // percentile drift stays under 5% of ground truth.
     const std::uint64_t n = 50'000;
-    telemetry::WindowedAggregator agg(sim::Ticks{1'000'000});
+    telemetry::WindowedAggregator agg;
     std::vector<sim::Tick> all;
     for (std::uint64_t i = 0; i < n; ++i) {
         // Hash-scrambled arrival order, smooth latency spread in
@@ -258,13 +231,13 @@ TEST(WindowedAggregator, DecimationKeepsTotalsExactAndTailsClose)
         const std::uint64_t h = telemetry::traceSampleHash(i + 1);
         const sim::Tick lat = 1000 + static_cast<sim::Tick>(h % 1000);
         all.push_back(lat);
-        // Every completion lands in the same window.
-        agg.addOp(sim::Ticks{static_cast<sim::Tick>((i * 17) % 999'000)},
+        agg.addOp(sim::Ticks{static_cast<sim::Tick>((i * 17) % 9'999)},
                   sim::Ticks{lat}, 4096);
     }
     EXPECT_GT(agg.droppedLatencySamples(), 0u);
 
-    const auto windows = agg.finalize();
+    // One window pools every bin's decimated samples.
+    const auto windows = agg.coalesce(1).windows;
     ASSERT_EQ(windows.size(), 1u);
     EXPECT_EQ(windows[0].ops, n);
     EXPECT_EQ(windows[0].bytes, n * 4096);
@@ -283,15 +256,16 @@ TEST(WindowedAggregator, DecimationKeepsTotalsExactAndTailsClose)
 TEST(WindowedAggregator, RetainedBytesBoundedInOpCount)
 {
     // Same tick range, 4x the ops: retained bytes must not scale with op
-    // count (bins are capped; totals are scalars).
+    // count (bins are capped; totals are scalars). 100k ops over 10 ms
+    // already fill every 64 us bin past kLatencySampleCap.
     const sim::Tick range = 10'000'000;
-    telemetry::WindowedAggregator a(sim::Ticks{1'000'000});
-    telemetry::WindowedAggregator b(sim::Ticks{1'000'000});
-    for (std::uint64_t i = 0; i < 50'000; ++i)
-        a.addOp(sim::Ticks{static_cast<sim::Tick>(i) * (range / 50'000)},
+    telemetry::WindowedAggregator a;
+    telemetry::WindowedAggregator b;
+    for (std::uint64_t i = 0; i < 100'000; ++i)
+        a.addOp(sim::Ticks{static_cast<sim::Tick>(i) * (range / 100'000)},
                 sim::Ticks{1000 + static_cast<sim::Tick>(i % 500)}, 4096);
-    for (std::uint64_t i = 0; i < 200'000; ++i)
-        b.addOp(sim::Ticks{static_cast<sim::Tick>(i) * (range / 200'000)},
+    for (std::uint64_t i = 0; i < 400'000; ++i)
+        b.addOp(sim::Ticks{static_cast<sim::Tick>(i) * (range / 400'000)},
                 sim::Ticks{1000 + static_cast<sim::Tick>(i % 500)}, 4096);
     EXPECT_GT(a.retainedBytes(), 0u);
     EXPECT_LE(b.retainedBytes(), a.retainedBytes() * 3 / 2);
@@ -299,7 +273,7 @@ TEST(WindowedAggregator, RetainedBytesBoundedInOpCount)
 
 TEST(WindowedAggregator, AdaptiveWidthBoundsBinsAndCoalesces)
 {
-    telemetry::WindowedAggregator agg(sim::Ticks::zero()); // adaptive
+    telemetry::WindowedAggregator agg;
     EXPECT_EQ(agg.windowTicks().raw(), sim::kMicrosecond);
     // 80 ms of completions at 1 us base width would be 80k bins; the
     // width must double until the span fits the bin budget.
@@ -307,7 +281,8 @@ TEST(WindowedAggregator, AdaptiveWidthBoundsBinsAndCoalesces)
         agg.addOp(sim::Ticks{static_cast<sim::Tick>(i) * 4000},
                   sim::Ticks{500}, 512);
     EXPECT_GT(agg.windowTicks().raw(), sim::kMicrosecond);
-    const auto windows = agg.finalize();
+    const auto windows =
+        agg.coalesce(telemetry::WindowedAggregator::kMaxBins).windows;
     EXPECT_LE(windows.size(), telemetry::WindowedAggregator::kMaxBins);
     std::uint64_t ops = 0;
     for (const auto &w : windows)

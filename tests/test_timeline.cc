@@ -119,15 +119,16 @@ TEST(EventJournal, JsonlLinesAreWellFormed)
 
 TEST(WindowedAggregator, HandComputedBins)
 {
-    // Window = 1000 ticks = 1 us. Two ops land in window 0, none in
+    // Base window = 1000 ticks = 1 us. Two ops land in window 0, none in
     // window 1, one in window 2.
-    telemetry::WindowedAggregator agg(sim::Ticks{1000});
+    telemetry::WindowedAggregator agg;
     agg.addOp(sim::Ticks{100}, sim::Ticks{50}, /*bytes=*/1000);
     agg.addOp(sim::Ticks{999}, sim::Ticks{150}, /*bytes=*/500);
     agg.addOp(sim::Ticks{2500}, sim::Ticks{100}, /*bytes=*/2000);
     EXPECT_EQ(agg.opsAdded(), 3u);
 
-    const auto windows = agg.finalize();
+    const auto windows =
+        agg.coalesce(telemetry::WindowedAggregator::kMaxBins).windows;
     ASSERT_EQ(windows.size(), 3u);
 
     EXPECT_EQ(windows[0].start, 0);
@@ -151,20 +152,11 @@ TEST(WindowedAggregator, HandComputedBins)
     EXPECT_NEAR(windows[2].p50Us, 0.1, 1e-12);
 }
 
-TEST(WindowedAggregator, ExplicitRangeExtendsCoverage)
-{
-    telemetry::WindowedAggregator agg(sim::Ticks{1000});
-    agg.addOp(sim::Ticks{1500}, sim::Ticks{10}, 100);
-    const auto windows = agg.finalize(sim::Ticks::zero(), sim::Ticks{5000});
-    ASSERT_EQ(windows.size(), 5u);
-    EXPECT_EQ(windows[0].ops, 0u);
-    EXPECT_EQ(windows[1].ops, 1u);
-    EXPECT_EQ(windows[4].start, 4000);
-}
-
 TEST(WindowedAggregator, SpanIngestionUsesOpLaneOnly)
 {
-    telemetry::WindowedAggregator agg(sim::Ticks{1000});
+    telemetry::WindowedAggregator agg;
+    telemetry::Tracer tracer;
+    tracer.bindOpSink(&agg);
     telemetry::TraceSpan op;
     op.lane = "op";
     op.name = "draid.read";
@@ -175,8 +167,10 @@ TEST(WindowedAggregator, SpanIngestionUsesOpLaneOnly)
     telemetry::TraceSpan ssd = op;
     ssd.lane = "ssd"; // sub-span: must not be double-counted
 
-    agg.addOpSpans({op, ssd});
-    const auto windows = agg.finalize();
+    tracer.recordSpan(ssd);
+    tracer.recordOpCompletion(op);
+    const auto windows =
+        agg.coalesce(telemetry::WindowedAggregator::kMaxBins).windows;
     ASSERT_EQ(windows.size(), 1u);
     EXPECT_EQ(windows[0].ops, 1u);
     EXPECT_EQ(windows[0].bytes, 4096u);
@@ -237,24 +231,18 @@ namespace {
 telemetry::TimelineReport
 syntheticReport()
 {
-    std::vector<telemetry::TraceSpan> spans;
-    for (int i = 0; i < 100; ++i) {
-        telemetry::TraceSpan s;
-        s.lane = "op";
-        s.name = "draid.read";
-        s.start = i * 100;
-        s.end = s.start + 80;
-        // The dip: ops in [3000, 7000) carry fewer bytes.
-        const bool dip = s.end >= 3000 && s.end < 7000;
-        s.args[0] = {"bytes", dip ? 512u : 8192u};
-        spans.push_back(std::move(s));
+    telemetry::WindowedAggregator agg;
+    for (sim::Tick i = 0; i < 100; ++i) {
+        const sim::Tick end = i * 100 + 80;
+        // The dip: ops completing in [3000, 7000) carry fewer bytes.
+        const bool dip = end >= 3000 && end < 7000;
+        agg.addOp(sim::Ticks{end}, sim::Ticks{80}, dip ? 512u : 8192u);
     }
     std::vector<telemetry::EventJournal::Event> events;
     events.push_back({telemetry::EventType::kRebuildStarted, 0, 3000, 8, 0});
     events.push_back(
         {telemetry::EventType::kRebuildCompleted, 0, 6999, 8, 0});
-    return telemetry::buildTimeline(spans, events, {},
-                                    sim::Ticks{1000}, /*host_node=*/0);
+    return telemetry::buildTimeline(agg, events, {}, /*host_node=*/0);
 }
 
 } // namespace
@@ -269,12 +257,9 @@ TEST(Timeline, BuildClampsEventsAndSizesWindows)
     // An event outside the op range is dropped.
     std::vector<telemetry::EventJournal::Event> far;
     far.push_back({telemetry::EventType::kDriveFailed, 0, 1'000'000, 0, 0});
-    telemetry::TraceSpan s;
-    s.lane = "op";
-    s.start = 0;
-    s.end = 100;
-    const auto clamped =
-        telemetry::buildTimeline({s}, far, {}, sim::Ticks{1000}, 0);
+    telemetry::WindowedAggregator one;
+    one.addOp(sim::Ticks{100}, sim::Ticks{100}, 0);
+    const auto clamped = telemetry::buildTimeline(one, far, {}, 0);
     EXPECT_TRUE(clamped.events.empty());
 }
 
@@ -419,8 +404,10 @@ TEST(TimelineDeterminism, JournalAndTimelineDoNotPerturbTicks)
     auto run = [](bool instrumented) {
         DraidRig rig(6, fourPlusOneOptions(), 5);
         auto &tel = rig.cluster->telemetry();
+        telemetry::WindowedAggregator agg;
         if (instrumented) {
             rig.cluster->tracer().setEnabled(true);
+            rig.cluster->tracer().bindOpSink(&agg);
             rig.cluster->startUtilizationSampling(sim::Ticks::us(20));
         } else {
             tel.journal().setEnabled(false);
@@ -465,9 +452,9 @@ TEST(TimelineDeterminism, JournalAndTimelineDoNotPerturbTicks)
         if (instrumented) {
             // Post-processing is pure: it runs after the ticks were
             // sampled and touches no simulator state.
+            rig.cluster->tracer().bindOpSink(nullptr);
             const auto report = telemetry::buildTimeline(
-                rig.cluster->tracer().spans(), tel.journal().snapshot(),
-                tel.sampler().samples(), sim::Ticks::zero(),
+                agg, tel.journal().snapshot(), tel.sampler().samples(),
                 rig.cluster->hostId());
             EXPECT_FALSE(report.windows.empty());
             std::ostringstream ss;
