@@ -240,24 +240,7 @@ DraidBdev::partialWritePhase2(const proto::Capsule &cmd, sim::NodeId from,
         const sim::NodeId relay =
             opts_.p2pForwarding ? sim::kInvalidNode : from;
         auto do_forward = [this, cmd, relay, partial]() {
-            if (cmd.nextDest != sim::kInvalidNode) {
-                forwardPartial(opOf(cmd.commandId), cmd.nextDest, relay,
-                               cmd.fwdOffset, partial, cmd.dataIdx,
-                               cmd.traceId);
-            }
-            if (cmd.nextDest2 != sim::kInvalidNode) {
-                // Q-bound copy: apply g^idx at the sender so the reducer
-                // stays a pure XOR machine (late-Parity safe).
-                ec::Buffer qcopy = partial.clone();
-                applyQCoefficient(qcopy, cmd.dataIdx);
-                node_.cpu().executeBytes(
-                    qcopy.size(), cluster_.config().gfBw, sim::Ticks::zero(), cmd.traceId,
-                    "parity.gf", [this, cmd, relay, qcopy]() {
-                        forwardPartial(opOf(cmd.commandId), cmd.nextDest2,
-                                       relay, cmd.fwdOffset, qcopy,
-                                       cmd.dataIdx, cmd.traceId);
-                    });
-            }
+            forwardToParity(cmd, relay, partial);
         };
         auto do_write = [this, cmd, from, new_data]() {
             if (cmd.length == 0)
@@ -567,11 +550,11 @@ DraidBdev::handleReconstruction(const net::Message &msg)
                     });
             } else {
                 // §6.1: prioritize the partial over the direct read path.
-                forwardPartial(opOf(cmd.commandId), cmd.nextDest,
-                               opts_.p2pForwarding ? sim::kInvalidNode
-                                                   : from,
-                               cmd.fwdOffset, recon, cmd.dataIdx,
-                               cmd.traceId);
+                // A degraded write names Q as well (next-dest2).
+                forwardToParity(cmd,
+                                opts_.p2pForwarding ? sim::kInvalidNode
+                                                    : from,
+                                recon);
             }
 
             if (also_read) {
@@ -609,6 +592,29 @@ DraidBdev::forwardPartial(std::uint64_t op_id, sim::NodeId dest,
     const sim::NodeId to = relay != sim::kInvalidNode ? relay : dest;
     cluster_.fabric().send(net::Message{node_.id(), to, std::move(peer),
                                         std::move(partial)});
+}
+
+void
+DraidBdev::forwardToParity(const proto::Capsule &cmd, sim::NodeId relay,
+                           const ec::Buffer &partial)
+{
+    if (cmd.nextDest != sim::kInvalidNode) {
+        forwardPartial(opOf(cmd.commandId), cmd.nextDest, relay,
+                       cmd.fwdOffset, partial, cmd.dataIdx, cmd.traceId);
+    }
+    if (cmd.nextDest2 != sim::kInvalidNode) {
+        // Q-bound copy: apply g^idx at the sender so the reducer stays a
+        // pure XOR machine (late-Parity safe).
+        ec::Buffer qcopy = partial.clone();
+        applyQCoefficient(qcopy, cmd.dataIdx);
+        node_.cpu().executeBytes(
+            qcopy.size(), cluster_.config().gfBw, sim::Ticks::zero(),
+            cmd.traceId, "parity.gf", [this, cmd, relay, qcopy]() {
+                forwardPartial(opOf(cmd.commandId), cmd.nextDest2, relay,
+                               cmd.fwdOffset, qcopy, cmd.dataIdx,
+                               cmd.traceId);
+            });
+    }
 }
 
 void

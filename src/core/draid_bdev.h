@@ -90,6 +90,14 @@ class DraidBdev : public blockdev::NvmfTarget
                         ec::Buffer partial, std::uint16_t data_idx,
                         std::uint64_t trace = 0);
 
+    /**
+     * Send @p partial to the parity bdevs @p cmd names: as is to its
+     * next-dest (P, or the reducer), and premultiplied by g^dataIdx,
+     * charged as parity.gf, to its next-dest2 (RAID-6 Q) when set.
+     */
+    void forwardToParity(const proto::Capsule &cmd, sim::NodeId relay,
+                         const ec::Buffer &partial);
+
     /** Apply the Q coefficient g^idx to a partial result (CPU-charged). */
     void applyQCoefficient(ec::Buffer &partial, std::uint16_t idx);
 

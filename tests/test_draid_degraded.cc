@@ -166,6 +166,10 @@ TEST_P(DraidDegraded, DegradedWriteToFailedChunkPartialCoverage)
     EXPECT_EQ(std::memcmp(got.data(), model.data() + chunk_off,
                           g.chunkSize()),
               0);
+    // Served by the targeted parity update alone: every parity bdev
+    // (RAID-6 Q too) receives the survivors' slices, so nothing times out
+    // into a full-stripe retry.
+    EXPECT_EQ(rig.host().counters().retries, 0u);
 }
 
 TEST_P(DraidDegraded, WriteToStripeWithFailedParity)
