@@ -17,7 +17,10 @@
 # so its two values are printed instead of compared.
 #
 # Benches: fig09_normal_read fig17_reconstruction fig_qos_interference
-# campaign_durability (the default is all four). Exit 0 when neutral.
+# campaign_durability (the default is these four), and the degraded-path
+# figures fig18_degraded_write fig28_r6_degraded_read
+# fig30_r6_degraded_write (stdout, BENCH_* JSON and the timing-stripped
+# BENCH_simcore.json). Exit 0 when neutral.
 set -euo pipefail
 
 usage="usage: ci/neutral.sh <base-ref> [bench ...]"
@@ -31,7 +34,8 @@ fi
 for b in "${benches[@]}"; do
     case $b in
       fig09_normal_read|fig17_reconstruction|fig_qos_interference|\
-      campaign_durability) ;;
+      campaign_durability|fig18_degraded_write|fig28_r6_degraded_read|\
+      fig30_r6_degraded_write) ;;
       *) echo "neutral: unknown bench '$b'" >&2; echo "$usage" >&2; exit 2 ;;
     esac
 done
@@ -75,6 +79,10 @@ run() { # <build-dir> <out-dir>
               campaign_durability)
                 "$bin/$b" --seed=1 --strict-flags --trials=8 \
                     > stdout_campaign.txt ;;
+              fig18_degraded_write|fig28_r6_degraded_read|\
+              fig30_r6_degraded_write)
+                "$bin/$b" --seed=1 --strict-flags \
+                    --profile=BENCH_simcore.json > "stdout_$b.txt" ;;
             esac
             if [ -f BENCH_simcore.json ]; then
                 mv BENCH_simcore.json "simcore_$b.json"

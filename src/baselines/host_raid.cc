@@ -180,114 +180,63 @@ HostCentricRaid::write(std::uint64_t offset, ec::Buffer data,
 void
 HostCentricRaid::executeStripeWrite(std::shared_ptr<StripeWrite> sw)
 {
-    const std::uint64_t stripe = sw->plan.stripe;
-
-    if (!failed_) {
-        switch (sw->plan.mode) {
-          case raid::WriteMode::kFullStripe:
-            doFullStripe(sw);
+    if (failed_) {
+        ++counters_.degradedWrites;
+        raid::DegradedRoute route =
+            planner_.routeDegraded(sw->plan, *failed_);
+        switch (route.kind) {
+          case raid::DegradedKind::kParityLess:
+            doParityLess(sw);
             return;
-          case raid::WriteMode::kReadModifyWrite:
-            doRmw(sw);
+          case raid::DegradedKind::kTargeted: {
+            // Surviving segments go through an ordinary RMW sub-op, then
+            // the failed segment updates the parity window directly from
+            // the survivors' slices (no reconstruction round-trip — the
+            // same targeted path dRAID uses, only host-centric). `sw`
+            // keeps every segment for a retry.
+            const std::size_t pos = route.failedPos;
+            if (route.plan.writes.empty()) {
+                doDegradedTargeted(sw, pos);
+                return;
+            }
+            auto phase1 = std::make_shared<StripeWrite>();
+            phase1->plan = std::move(route.plan);
+            phase1->segData = sw->segData;
+            phase1->segData.erase(phase1->segData.begin() +
+                                  static_cast<std::ptrdiff_t>(pos));
+            phase1->retriesLeft = sw->retriesLeft;
+            phase1->done = [this, sw, pos](bool ok) {
+                if (ok)
+                    doDegradedTargeted(sw, pos);
+                else
+                    sw->done(false);
+            };
+            doRmw(phase1);
             return;
-          case raid::WriteMode::kReconstructWrite:
-            doRcw(sw, std::nullopt);
-            return;
+          }
+          case raid::DegradedKind::kAsPlanned:
+            sw->plan = std::move(route.plan); // same segments
+            break;
         }
     }
-
-    ++counters_.degradedWrites;
-    const raid::ChunkRole role = geom_.roleOf(stripe, *failed_);
-    if (role == raid::ChunkRole::kParityP &&
-        geom_.level() == raid::RaidLevel::kRaid5) {
-        doParityLess(sw);
-        return;
-    }
-    if (role != raid::ChunkRole::kData) {
-        // One parity lost; the normal flow skips it.
-        switch (sw->plan.mode) {
-          case raid::WriteMode::kFullStripe:
-            doFullStripe(sw);
-            return;
-          case raid::WriteMode::kReadModifyWrite:
-            doRmw(sw);
-            return;
-          case raid::WriteMode::kReconstructWrite:
-            doRcw(sw, std::nullopt);
-            return;
-        }
-    }
-
-    const std::uint32_t fidx = geom_.dataIndexOf(stripe, *failed_);
-    const auto written =
-        std::find_if(sw->plan.writes.begin(), sw->plan.writes.end(),
-                     [fidx](const raid::WriteSegment &s) {
-                         return s.dataIdx == fidx;
-                     });
-    if (sw->plan.mode == raid::WriteMode::kFullStripe) {
+    switch (sw->plan.mode) {
+      case raid::WriteMode::kFullStripe:
         doFullStripe(sw);
         return;
-    }
-    if (written == sw->plan.writes.end()) {
-        // Untouched failed chunk cancels out of the delta: force RMW.
-        auto &plan = sw->plan;
-        plan.mode = raid::WriteMode::kReadModifyWrite;
-        plan.rcwReads.clear();
-        std::uint32_t lo = geom_.chunkSize(), hi = 0;
-        for (const auto &s : plan.writes) {
-            lo = std::min(lo, s.offset);
-            hi = std::max(hi, s.offset + s.length);
-        }
-        plan.parityOffset = lo;
-        plan.parityLength = hi - lo;
+      case raid::WriteMode::kReadModifyWrite:
         doRmw(sw);
         return;
-    }
-    // Peel the failed chunk's segment off: surviving segments go through
-    // an ordinary RMW sub-op, then the failed segment updates the parity
-    // window directly from the survivors' slices (no reconstruction
-    // round-trip — the same targeted path dRAID uses, only host-centric).
-    const raid::WriteSegment failed_seg = *written;
-    const std::size_t seg_pos =
-        static_cast<std::size_t>(written - sw->plan.writes.begin());
-    ec::Buffer failed_data = sw->segData[seg_pos];
-    sw->plan.writes.erase(written);
-    sw->segData.erase(sw->segData.begin() +
-                      static_cast<std::ptrdiff_t>(seg_pos));
-
-    if (sw->plan.writes.empty()) {
-        doDegradedTargeted(sw, failed_seg, std::move(failed_data));
+      case raid::WriteMode::kReconstructWrite:
+        doRcw(sw);
         return;
     }
-    auto phase1 = std::make_shared<StripeWrite>();
-    phase1->plan = sw->plan;
-    phase1->plan.mode = raid::WriteMode::kReadModifyWrite;
-    phase1->plan.rcwReads.clear();
-    std::uint32_t lo = geom_.chunkSize(), hi = 0;
-    for (const auto &s : phase1->plan.writes) {
-        lo = std::min(lo, s.offset);
-        hi = std::max(hi, s.offset + s.length);
-    }
-    phase1->plan.parityOffset = lo;
-    phase1->plan.parityLength = hi - lo;
-    phase1->segData = sw->segData;
-    phase1->retriesLeft = sw->retriesLeft;
-    phase1->done = [this, sw, failed_seg,
-                    failed_data = std::move(failed_data)](bool ok) mutable {
-        if (!ok) {
-            sw->done(false);
-            return;
-        }
-        doDegradedTargeted(sw, failed_seg, std::move(failed_data));
-    };
-    doRmw(phase1);
 }
 
 void
 HostCentricRaid::doDegradedTargeted(std::shared_ptr<StripeWrite> sw,
-                                    const raid::WriteSegment &seg,
-                                    ec::Buffer data)
+                                    std::size_t pos)
 {
+    const raid::WriteSegment seg = sw->plan.writes[pos];
     const std::uint64_t stripe = sw->plan.stripe;
     const std::uint32_t fidx = seg.dataIdx;
     const bool raid6 = geom_.level() == raid::RaidLevel::kRaid6;
@@ -304,7 +253,7 @@ HostCentricRaid::doDegradedTargeted(std::shared_ptr<StripeWrite> sw,
     auto ctx = std::make_shared<Ctx>();
 
     auto assemble = [this, sw, ctx, seg, stripe, fidx, raid6, addr,
-                     data = std::move(data)]() mutable {
+                     data = sw->segData[pos]]() mutable {
         if (!ctx->ok) {
             sw->suspect = ctx->suspect;
             retryStripe(sw);
@@ -638,8 +587,7 @@ HostCentricRaid::doRmw(std::shared_ptr<StripeWrite> sw)
 }
 
 void
-HostCentricRaid::doRcw(std::shared_ptr<StripeWrite> sw,
-                       std::optional<ec::Buffer> failed_chunk_content)
+HostCentricRaid::doRcw(std::shared_ptr<StripeWrite> sw)
 {
     ++counters_.rcwWrites;
     const std::uint64_t stripe = sw->plan.stripe;
@@ -648,7 +596,7 @@ HostCentricRaid::doRcw(std::shared_ptr<StripeWrite> sw,
     const bool raid6 = geom_.level() == raid::RaidLevel::kRaid6;
 
     // Final content of every data chunk: merged old+new for partially
-    // written chunks, read for untouched ones, supplied for a failed one.
+    // written chunks, read for untouched ones.
     struct Ctx
     {
         // draid-lint: cap(stripe width; one buffer per data chunk)
@@ -659,13 +607,6 @@ HostCentricRaid::doRcw(std::shared_ptr<StripeWrite> sw,
     };
     auto ctx = std::make_shared<Ctx>();
     ctx->chunks.assign(k, ec::Buffer());
-
-    std::optional<std::uint32_t> fidx;
-    if (failed_chunk_content) {
-        assert(failed_);
-        fidx = geom_.dataIndexOf(stripe, *failed_);
-        ctx->chunks[*fidx] = *failed_chunk_content;
-    }
 
     auto after_reads = [this, sw, ctx, stripe, chunk, raid6]() {
         if (!ctx->ok) {
@@ -778,11 +719,8 @@ HostCentricRaid::doRcw(std::shared_ptr<StripeWrite> sw,
             fully_written[seg.dataIdx] = true;
     }
     for (std::uint32_t i = 0; i < k; ++i) {
-        if (fully_written[i])
-            continue;
-        if (fidx && *fidx == i)
-            continue; // content supplied by the caller
-        to_read.push_back(i);
+        if (!fully_written[i])
+            to_read.push_back(i);
     }
     if (to_read.empty()) {
         after_reads();
@@ -877,17 +815,8 @@ HostCentricRaid::read(std::uint64_t offset, std::uint32_t length,
     const std::uint64_t trace = probe_.mint();
     cluster_.telemetry().contention().noteOpStart(trace);
     const sim::Ticks op_start = cluster_.sim().now();
-    auto extents = geom_.map(offset, length);
+    auto groups = geom_.mapByStripe(offset, length);
     ec::Buffer out(length);
-
-    std::vector<std::pair<std::uint64_t, std::vector<GroupExtent>>> groups;
-    std::size_t pos = 0;
-    for (const auto &e : extents) {
-        if (groups.empty() || groups.back().first != e.stripe)
-            groups.push_back({e.stripe, {}});
-        groups.back().second.push_back(GroupExtent{e, pos});
-        pos += e.length;
-    }
 
     auto remaining = std::make_shared<int>(static_cast<int>(groups.size()));
     auto all_ok = std::make_shared<bool>(true);
@@ -906,8 +835,10 @@ HostCentricRaid::read(std::uint64_t offset, std::uint32_t length,
 
     auto submit = [this, groups = std::move(groups), out, group_done,
                    trace]() mutable {
-        for (auto &[stripe, ge] : groups)
-            readStripeGroup(stripe, std::move(ge), out, group_done, trace);
+        for (auto &g : groups) {
+            readStripeGroup(g.stripe, std::move(g.extents), out, group_done,
+                            trace);
+        }
     };
     cluster_.sim().schedule(tuning_.queueDelay, "hostraid.queue",
                             [this, submit, trace]() mutable {
@@ -918,7 +849,7 @@ HostCentricRaid::read(std::uint64_t offset, std::uint32_t length,
 
 void
 HostCentricRaid::readStripeGroup(std::uint64_t stripe,
-                                 std::vector<GroupExtent> extents,
+                                 std::vector<raid::PlacedExtent> extents,
                                  ec::Buffer out,
                                  std::function<void(bool)> done,
                                  std::uint64_t trace)
@@ -935,7 +866,7 @@ HostCentricRaid::readStripeGroup(std::uint64_t stripe,
                 done = std::move(done), trace]() mutable {
         const bool has_failed =
             failed_ && std::any_of(extents.begin(), extents.end(),
-                                   [this](const GroupExtent &g) {
+                                   [this](const raid::PlacedExtent &g) {
                                        return geom_.dataDevice(
                                                   g.extent.stripe,
                                                   g.extent.dataIdx) ==
@@ -989,7 +920,7 @@ HostCentricRaid::readStripeGroup(std::uint64_t stripe,
 
 void
 HostCentricRaid::degradedStripeRead(std::uint64_t stripe,
-                                    std::vector<GroupExtent> extents,
+                                    std::vector<raid::PlacedExtent> extents,
                                     ec::Buffer out,
                                     std::function<void(bool)> done,
                                     std::uint64_t trace)
@@ -998,7 +929,7 @@ HostCentricRaid::degradedStripeRead(std::uint64_t stripe,
     const std::uint32_t fidx = geom_.dataIndexOf(stripe, *failed_);
     const auto failed_it =
         std::find_if(extents.begin(), extents.end(),
-                     [fidx](const GroupExtent &g) {
+                     [fidx](const raid::PlacedExtent &g) {
                          return g.extent.dataIdx == fidx;
                      });
     assert(failed_it != extents.end());
@@ -1017,7 +948,7 @@ HostCentricRaid::degradedStripeRead(std::uint64_t stripe,
     auto ctx = std::make_shared<Ctx>();
 
     auto extents_shared =
-        std::make_shared<std::vector<GroupExtent>>(std::move(extents));
+        std::make_shared<std::vector<raid::PlacedExtent>>(std::move(extents));
 
     auto finish = [this, ctx, out, fpos, fl, trace,
                    done = std::move(done)]() mutable {
@@ -1036,16 +967,9 @@ HostCentricRaid::degradedStripeRead(std::uint64_t stripe,
     // The host fetches the recon window of every surviving data chunk and
     // of P (n-1 reads). Requested survivor extents are fetched separately
     // — the host-centric baselines lack dRAID's §6.1 union co-design.
-    std::uint64_t total_bytes = 0;
-    std::vector<std::uint32_t> recon_devs;
-    for (std::uint32_t i = 0; i < geom_.dataChunks(); ++i) {
-        if (i == fidx)
-            continue;
-        recon_devs.push_back(geom_.dataDevice(stripe, i));
-        total_bytes += fl;
-    }
-    recon_devs.push_back(geom_.parityDevice(stripe));
-    total_bytes += fl;
+    const auto recon_devs = geom_.rebuildSources(stripe, *failed_);
+    std::uint64_t total_bytes =
+        static_cast<std::uint64_t>(fl) * recon_devs.size();
     for (const auto &g : *extents_shared) {
         if (g.extent.dataIdx != fidx)
             total_bytes += g.extent.length;
@@ -1109,8 +1033,8 @@ HostCentricRaid::readChunk(std::uint64_t stripe, std::uint32_t data_idx,
     const std::uint64_t addr = geom_.deviceAddress(stripe, 0);
     if (failed_ && dev == *failed_) {
         ec::Buffer out(chunk);
-        std::vector<GroupExtent> extents{
-            GroupExtent{raid::Extent{stripe, data_idx, 0, chunk}, 0}};
+        std::vector<raid::PlacedExtent> extents{
+            raid::PlacedExtent{raid::Extent{stripe, data_idx, 0, chunk}, 0}};
         degradedStripeRead(stripe, std::move(extents), out,
                            [cb, out](bool ok) { cb(ok, out); }, trace);
         return;
@@ -1144,16 +1068,8 @@ HostCentricRaid::reconstructChunk(std::uint64_t stripe,
     const std::uint32_t chunk = geom_.chunkSize();
     const std::uint64_t addr = geom_.deviceAddress(stripe, 0);
 
-    // Sources: all surviving data chunks, plus P when rebuilding data.
-    std::vector<std::uint32_t> sources;
+    const auto sources = geom_.rebuildSources(stripe, *failed_);
     const bool q_rebuild = role == raid::ChunkRole::kParityQ;
-    for (std::uint32_t i = 0; i < geom_.dataChunks(); ++i) {
-        const std::uint32_t dev = geom_.dataDevice(stripe, i);
-        if (dev != *failed_)
-            sources.push_back(dev);
-    }
-    if (role == raid::ChunkRole::kData)
-        sources.push_back(geom_.parityDevice(stripe));
 
     struct Ctx
     {

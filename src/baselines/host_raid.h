@@ -136,31 +136,27 @@ class HostCentricRaid : public blockdev::BlockDevice, public net::Endpoint
     void executeStripeWrite(std::shared_ptr<StripeWrite> sw);
     void doFullStripe(std::shared_ptr<StripeWrite> sw);
     void doRmw(std::shared_ptr<StripeWrite> sw);
-    void doRcw(std::shared_ptr<StripeWrite> sw,
-               std::optional<ec::Buffer> failed_chunk_content);
+    void doRcw(std::shared_ptr<StripeWrite> sw);
     void doParityLess(std::shared_ptr<StripeWrite> sw);
     /**
-     * Degraded write touching the failed chunk: update the parity window
-     * directly from the survivors' slices of the written range plus the
-     * new data (host-centric version of dRAID's targeted path).
+     * Degraded write of segment @p pos, which lies on the failed chunk
+     * (raid::DegradedKind::kTargeted): update the parity window directly
+     * from the survivors' slices of the written range plus the new data
+     * (host-centric version of dRAID's targeted path).
      */
     void doDegradedTargeted(std::shared_ptr<StripeWrite> sw,
-                            const raid::WriteSegment &seg, ec::Buffer data);
+                            std::size_t pos);
     void retryStripe(std::shared_ptr<StripeWrite> sw);
 
     // --- read path ---
-    struct GroupExtent
-    {
-        raid::Extent extent;
-        std::size_t outPos;
-    };
-
     void readStripeGroup(std::uint64_t stripe,
-                         std::vector<GroupExtent> extents, ec::Buffer out,
+                         std::vector<raid::PlacedExtent> extents,
+                         ec::Buffer out,
                          std::function<void(bool)> done,
                          std::uint64_t trace = 0);
     void degradedStripeRead(std::uint64_t stripe,
-                            std::vector<GroupExtent> extents, ec::Buffer out,
+                            std::vector<raid::PlacedExtent> extents,
+                            ec::Buffer out,
                             std::function<void(bool)> done,
                             std::uint64_t trace = 0);
 

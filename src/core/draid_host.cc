@@ -339,125 +339,57 @@ DraidHost::write(std::uint64_t offset, ec::Buffer data,
 void
 DraidHost::executeStripeWrite(std::shared_ptr<StripeWrite> sw)
 {
-    const std::uint64_t stripe = sw->plan.stripe;
-
-    if (!failed_) {
-        if (sw->plan.mode == raid::WriteMode::kFullStripe)
-            executeFullStripe(sw);
-        else
-            executePartialStripe(sw);
-        return;
-    }
-
-    ++counters_.degradedWrites;
-    const raid::ChunkRole role = geom_.roleOf(stripe, *failed_);
-
-    if (role == raid::ChunkRole::kParityP) {
-        if (geom_.level() == raid::RaidLevel::kRaid5) {
-            // No parity to maintain: plain writes of the data segments.
+    if (failed_) {
+        ++counters_.degradedWrites;
+        raid::DegradedRoute route =
+            planner_.routeDegraded(sw->plan, *failed_);
+        switch (route.kind) {
+          case raid::DegradedKind::kParityLess:
             executeParityLessWrite(sw);
-        } else {
-            // Keep Q, skip P.
-            if (sw->plan.mode == raid::WriteMode::kFullStripe)
-                executeFullStripe(sw);
-            else
-                executePartialStripe(sw);
-        }
-        return;
-    }
-    if (role == raid::ChunkRole::kParityQ) {
-        // Q lost: run the ordinary (P-only) flow.
-        if (sw->plan.mode == raid::WriteMode::kFullStripe)
-            executeFullStripe(sw);
-        else
-            executePartialStripe(sw);
-        return;
-    }
-
-    // Failed device holds a data chunk of this stripe.
-    const std::uint32_t fidx = geom_.dataIndexOf(stripe, *failed_);
-    const auto written =
-        std::find_if(sw->plan.writes.begin(), sw->plan.writes.end(),
-                     [fidx](const raid::WriteSegment &s) {
-                         return s.dataIdx == fidx;
-                     });
-
-    if (sw->plan.mode == raid::WriteMode::kFullStripe) {
-        executeFullStripe(sw); // skips the failed device's write
-        return;
-    }
-
-    if (written == sw->plan.writes.end()) {
-        // Untouched failed chunk: its (unknown) old content cancels out of
-        // the parity delta, so read-modify-write works unmodified.
-        auto &plan = sw->plan;
-        plan.mode = raid::WriteMode::kReadModifyWrite;
-        plan.rcwReads.clear();
-        std::uint32_t lo = geom_.chunkSize(), hi = 0;
-        for (const auto &s : plan.writes) {
-            lo = std::min(lo, s.offset);
-            hi = std::max(hi, s.offset + s.length);
-        }
-        plan.parityOffset = lo;
-        plan.parityLength = hi - lo;
-        plan.waitNum = static_cast<std::uint32_t>(plan.writes.size());
-        executePartialStripe(sw);
-        return;
-    }
-
-    // The write touches the failed chunk itself. Peel its segment off and
-    // route it through the targeted parity update; any surviving written
-    // chunks go through an ordinary forced-RMW sub-operation first (the
-    // stripe lock is held across both, so the sequence is atomic with
-    // respect to other writers).
-    const raid::WriteSegment failed_seg = *written;
-    const std::size_t seg_pos =
-        static_cast<std::size_t>(written - sw->plan.writes.begin());
-    ec::Buffer failed_data = sw->segData[seg_pos];
-    sw->plan.writes.erase(written);
-    sw->segData.erase(sw->segData.begin() +
-                      static_cast<std::ptrdiff_t>(seg_pos));
-
-    if (sw->plan.writes.empty()) {
-        executeDegradedTargetedWrite(sw, failed_seg,
-                                     std::move(failed_data));
-        return;
-    }
-
-    // Phase 1: surviving segments via RMW (the failed chunk is untouched
-    // in this sub-op, so its unknown content cancels out of the delta).
-    auto phase1 = std::make_shared<StripeWrite>();
-    phase1->plan = sw->plan;
-    phase1->plan.mode = raid::WriteMode::kReadModifyWrite;
-    phase1->plan.rcwReads.clear();
-    std::uint32_t lo = geom_.chunkSize(), hi = 0;
-    for (const auto &s : phase1->plan.writes) {
-        lo = std::min(lo, s.offset);
-        hi = std::max(hi, s.offset + s.length);
-    }
-    phase1->plan.parityOffset = lo;
-    phase1->plan.parityLength = hi - lo;
-    phase1->plan.waitNum =
-        static_cast<std::uint32_t>(phase1->plan.writes.size());
-    phase1->segData = sw->segData;
-    phase1->retriesLeft = sw->retriesLeft;
-    phase1->done = [this, sw, failed_seg,
-                    failed_data = std::move(failed_data)](bool ok) mutable {
-        if (!ok) {
-            sw->done(false);
             return;
+          case raid::DegradedKind::kTargeted: {
+            // The surviving segments run first as an RMW sub-op (the lost
+            // chunk is untouched there, so its unknown content cancels out
+            // of the delta); then the lost chunk's segment goes through
+            // the targeted parity update. The stripe lock is held across
+            // both, and `sw` keeps every segment for a retry.
+            const std::size_t pos = route.failedPos;
+            if (route.plan.writes.empty()) {
+                executeDegradedTargetedWrite(sw, pos);
+                return;
+            }
+            auto phase1 = std::make_shared<StripeWrite>();
+            phase1->plan = std::move(route.plan);
+            phase1->segData = sw->segData;
+            phase1->segData.erase(phase1->segData.begin() +
+                                  static_cast<std::ptrdiff_t>(pos));
+            phase1->retriesLeft = sw->retriesLeft;
+            phase1->done = [this, sw, pos](bool ok) {
+                if (ok)
+                    executeDegradedTargetedWrite(sw, pos);
+                else
+                    sw->done(false);
+            };
+            executePartialStripe(phase1);
+            return;
+          }
+          case raid::DegradedKind::kAsPlanned:
+            sw->plan = std::move(route.plan); // same segments
+            break;
         }
-        executeDegradedTargetedWrite(sw, failed_seg,
-                                     std::move(failed_data));
-    };
-    executePartialStripe(phase1);
+    }
+    if (sw->plan.mode == raid::WriteMode::kFullStripe)
+        executeFullStripe(sw); // skips a failed device's write
+    else
+        executePartialStripe(sw);
 }
 
 void
 DraidHost::executeDegradedTargetedWrite(std::shared_ptr<StripeWrite> sw,
-                                        const raid::WriteSegment &seg,
-                                        ec::Buffer data)
+                                        std::size_t pos)
 {
+    const raid::WriteSegment seg = sw->plan.writes[pos];
+    const ec::Buffer &data = sw->segData[pos];
     const std::uint64_t stripe = sw->plan.stripe;
     const std::uint32_t fidx = seg.dataIdx;
     const bool raid6 = geom_.level() == raid::RaidLevel::kRaid6;
@@ -879,18 +811,8 @@ DraidHost::read(std::uint64_t offset, std::uint32_t length,
     if (telemetry::ContentionTracker *ct = probe_.contention())
         ct->noteOpStart(trace);
     const sim::Ticks op_start = cluster_.sim().now();
-    auto extents = geom_.map(offset, length);
+    auto groups = geom_.mapByStripe(offset, length);
     ec::Buffer out(length);
-
-    // Group extents by stripe, remembering each one's place in the output.
-    std::vector<std::pair<std::uint64_t, std::vector<GroupExtent>>> groups;
-    std::size_t pos = 0;
-    for (const auto &e : extents) {
-        if (groups.empty() || groups.back().first != e.stripe)
-            groups.push_back({e.stripe, {}});
-        groups.back().second.push_back(GroupExtent{e, pos});
-        pos += e.length;
-    }
 
     auto remaining = std::make_shared<int>(static_cast<int>(groups.size()));
     auto all_ok = std::make_shared<bool>(true);
@@ -907,19 +829,21 @@ DraidHost::read(std::uint64_t offset, std::uint32_t length,
         }
     };
 
-    for (auto &[stripe, ge] : groups)
-        readStripeGroup(stripe, std::move(ge), out, group_done, trace);
+    for (auto &g : groups)
+        readStripeGroup(g.stripe, std::move(g.extents), out, group_done,
+                        trace);
 }
 
 void
 DraidHost::readStripeGroup(std::uint64_t stripe,
-                           std::vector<GroupExtent> extents, ec::Buffer out,
+                           std::vector<raid::PlacedExtent> extents,
+                           ec::Buffer out,
                            std::function<void(bool)> done,
                            std::uint64_t trace)
 {
     const bool has_failed_extent =
         failed_ && std::any_of(extents.begin(), extents.end(),
-                               [this](const GroupExtent &g) {
+                               [this](const raid::PlacedExtent &g) {
                                    return deviceOf(g.extent) == *failed_;
                                });
     if (has_failed_extent) {
@@ -951,27 +875,9 @@ DraidHost::readStripeGroup(std::uint64_t stripe,
     }
 }
 
-std::vector<std::uint32_t>
-DraidHost::reconParticipants(std::uint64_t stripe,
-                             std::uint32_t failed) const
-{
-    // XOR recovery path: every surviving data chunk plus P. Q does not
-    // participate (its chunks are not XOR-linear with coefficient one).
-    std::vector<std::uint32_t> out;
-    for (std::uint32_t i = 0; i < geom_.dataChunks(); ++i) {
-        const std::uint32_t dev = geom_.dataDevice(stripe, i);
-        if (dev != failed)
-            out.push_back(dev);
-    }
-    const std::uint32_t p = geom_.parityDevice(stripe);
-    if (p != failed)
-        out.push_back(p);
-    return out;
-}
-
 void
 DraidHost::degradedStripeRead(std::uint64_t stripe,
-                              std::vector<GroupExtent> extents,
+                              std::vector<raid::PlacedExtent> extents,
                               ec::Buffer out,
                               std::function<void(bool)> done,
                               std::uint64_t trace)
@@ -982,7 +888,7 @@ DraidHost::degradedStripeRead(std::uint64_t stripe,
 
     const auto failed_it =
         std::find_if(extents.begin(), extents.end(),
-                     [fidx](const GroupExtent &g) {
+                     [fidx](const raid::PlacedExtent &g) {
                          return g.extent.dataIdx == fidx;
                      });
     assert(failed_it != extents.end());
@@ -990,7 +896,7 @@ DraidHost::degradedStripeRead(std::uint64_t stripe,
     const std::uint32_t recon_len = failed_it->extent.length;
     const std::size_t recon_out = failed_it->outPos;
 
-    const auto participants = reconParticipants(stripe, *failed_);
+    const auto participants = geom_.rebuildSources(stripe, *failed_);
     const std::uint32_t reducer = selector_->select(participants, rng_);
     probe_.event(telemetry::EventType::kDegradedReadServed,
                  cluster_.sim().now().raw(), stripe, recon_len);
@@ -1007,7 +913,7 @@ DraidHost::degradedStripeRead(std::uint64_t stripe,
 
     // Deliver payloads into the user buffer as they land.
     auto extents_shared =
-        std::make_shared<std::vector<GroupExtent>>(std::move(extents));
+        std::make_shared<std::vector<raid::PlacedExtent>>(std::move(extents));
     auto on_data = [out, extents_shared, recon_out,
                     fidx](std::uint8_t sub, ec::Buffer payload) mutable {
         if (sub == kReducerSub) {
@@ -1035,7 +941,7 @@ void
 DraidHost::registerAndBroadcastReconstruction(
     std::uint64_t stripe, const std::vector<std::uint32_t> &participants,
     std::uint32_t reducer, std::uint32_t recon_off, std::uint32_t recon_len,
-    sim::NodeId spare_node, const std::vector<GroupExtent> &extents,
+    sim::NodeId spare_node, const std::vector<raid::PlacedExtent> &extents,
     std::uint32_t fidx, std::function<void(std::uint8_t, ec::Buffer)> on_data,
     std::function<void(bool)> done, proto::Subtype base_subtype,
     std::uint64_t trace)
@@ -1058,7 +964,7 @@ DraidHost::registerAndBroadcastReconstruction(
                                (geom_.level() == raid::RaidLevel::kRaid6 &&
                                 dev == geom_.qDevice(stripe));
         std::uint32_t idx = 0;
-        const GroupExtent *read_extent = nullptr;
+        const raid::PlacedExtent *read_extent = nullptr;
         if (!is_parity) {
             idx = geom_.dataIndexOf(stripe, dev);
             for (const auto &g : extents) {
@@ -1107,8 +1013,8 @@ DraidHost::readChunk(std::uint64_t stripe, std::uint32_t data_idx,
 
     if (failed_ && dev == *failed_) {
         ec::Buffer out(chunk);
-        std::vector<GroupExtent> extents{
-            GroupExtent{raid::Extent{stripe, data_idx, 0, chunk}, 0}};
+        std::vector<raid::PlacedExtent> extents{
+            raid::PlacedExtent{raid::Extent{stripe, data_idx, 0, chunk}, 0}};
         degradedStripeRead(stripe, std::move(extents), out,
                            [cb, out](bool ok) { cb(ok, out); }, trace);
         return;
@@ -1133,25 +1039,15 @@ DraidHost::reconstructChunk(std::uint64_t stripe, std::uint32_t spare_target,
     assert(spare_target < cluster_.numTargets());
     const raid::ChunkRole role = geom_.roleOf(stripe, *failed_);
     const std::uint32_t chunk = geom_.chunkSize();
-
-    std::vector<std::uint32_t> participants;
-    proto::Subtype subtype = proto::Subtype::kNoRead;
-    std::uint32_t fidx = 0;
-    if (role == raid::ChunkRole::kData) {
-        fidx = geom_.dataIndexOf(stripe, *failed_);
-        participants = reconParticipants(stripe, *failed_);
-    } else if (role == raid::ChunkRole::kParityP) {
-        // P = XOR of all data chunks.
-        for (std::uint32_t i = 0; i < geom_.dataChunks(); ++i)
-            participants.push_back(geom_.dataDevice(stripe, i));
-        fidx = geom_.dataChunks(); // no data extent matches
-    } else {
-        // Q = sum g^i D_i: contributions arrive premultiplied.
-        for (std::uint32_t i = 0; i < geom_.dataChunks(); ++i)
-            participants.push_back(geom_.dataDevice(stripe, i));
-        subtype = proto::Subtype::kNoReadQ;
-        fidx = geom_.dataChunks();
-    }
+    const auto participants = geom_.rebuildSources(stripe, *failed_);
+    // A lost parity matches no data extent; a lost Q (sum g^i D_i) takes
+    // its contributions premultiplied.
+    const std::uint32_t fidx = role == raid::ChunkRole::kData
+                                   ? geom_.dataIndexOf(stripe, *failed_)
+                                   : geom_.dataChunks();
+    const proto::Subtype subtype = role == raid::ChunkRole::kParityQ
+                                       ? proto::Subtype::kNoReadQ
+                                       : proto::Subtype::kNoRead;
 
     const std::uint32_t reducer = selector_->select(participants, rng_);
     noteReconstructionLoad(chunk);

@@ -169,32 +169,28 @@ class DraidHost : public blockdev::BlockDevice, public net::Endpoint
     void executeParityLessWrite(std::shared_ptr<StripeWrite> sw);
 
     /**
-     * Degraded write touching the failed chunk itself: survivors forward
-     * their slices of the written range to the parity bdev(s), the host
+     * Degraded write of segment @p pos, which lies on the failed chunk
+     * itself (raid::DegradedKind::kTargeted): survivors forward their
+     * slices of the written range to the parity bdev(s), the host
      * contributes the new data, and the parity window absorbs the lost
      * chunk's new content — no reconstruction round-trip, no device write
      * for the lost chunk (its bytes live in parity until rebuild).
      */
     void executeDegradedTargetedWrite(std::shared_ptr<StripeWrite> sw,
-                                      const raid::WriteSegment &seg,
-                                      ec::Buffer data);
+                                      std::size_t pos);
     void retryStripe(std::shared_ptr<StripeWrite> sw);
     void failoverFrom(const std::set<std::uint8_t> &missing,
                       std::uint64_t stripe);
 
     // ---- read path ----
-    struct GroupExtent
-    {
-        raid::Extent extent;
-        std::size_t outPos; ///< byte position in the user buffer
-    };
-
     void readStripeGroup(std::uint64_t stripe,
-                         std::vector<GroupExtent> extents, ec::Buffer out,
+                         std::vector<raid::PlacedExtent> extents,
+                         ec::Buffer out,
                          std::function<void(bool)> done,
                          std::uint64_t trace = 0);
     void degradedStripeRead(std::uint64_t stripe,
-                            std::vector<GroupExtent> extents, ec::Buffer out,
+                            std::vector<raid::PlacedExtent> extents,
+                            ec::Buffer out,
                             std::function<void(bool)> done,
                             std::uint64_t trace = 0);
 
@@ -203,7 +199,7 @@ class DraidHost : public blockdev::BlockDevice, public net::Endpoint
         std::uint64_t stripe, const std::vector<std::uint32_t> &participants,
         std::uint32_t reducer, std::uint32_t recon_off,
         std::uint32_t recon_len, sim::NodeId spare_node,
-        const std::vector<GroupExtent> &extents, std::uint32_t fidx,
+        const std::vector<raid::PlacedExtent> &extents, std::uint32_t fidx,
         std::function<void(std::uint8_t, ec::Buffer)> on_data,
         std::function<void(bool)> done,
         proto::Subtype base_subtype = proto::Subtype::kNoRead,
@@ -228,10 +224,6 @@ class DraidHost : public blockdev::BlockDevice, public net::Endpoint
     {
         return cluster_.targetNodeId(targetMap_[device]);
     }
-
-    /** Reconstruction participants for @p stripe (XOR path; excludes Q). */
-    std::vector<std::uint32_t> reconParticipants(std::uint64_t stripe,
-                                                 std::uint32_t failed) const;
 
     void refreshBwPlan();
     void armBwTimer();

@@ -1,5 +1,6 @@
 #include "raid/geometry.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace draid::raid {
@@ -66,10 +67,10 @@ Geometry::stripeOf(std::uint64_t offset) const
     return offset / stripeDataSize();
 }
 
-std::vector<Extent>
-Geometry::map(std::uint64_t offset, std::uint64_t length) const
+std::vector<StripeExtents>
+Geometry::mapByStripe(std::uint64_t offset, std::uint64_t length) const
 {
-    std::vector<Extent> out;
+    std::vector<StripeExtents> out;
     const std::uint64_t sds = stripeDataSize();
     std::uint64_t pos = offset;
     std::uint64_t remaining = length;
@@ -82,11 +83,29 @@ Geometry::map(std::uint64_t offset, std::uint64_t length) const
             static_cast<std::uint32_t>(in_stripe % chunkSize_);
         const std::uint64_t take =
             std::min<std::uint64_t>(remaining, chunkSize_ - in_chunk);
-        out.push_back(Extent{stripe, data_idx, in_chunk,
-                             static_cast<std::uint32_t>(take)});
+        if (out.empty() || out.back().stripe != stripe)
+            out.push_back(StripeExtents{stripe, {}});
+        out.back().extents.push_back(PlacedExtent{
+            Extent{stripe, data_idx, in_chunk,
+                   static_cast<std::uint32_t>(take)},
+            static_cast<std::size_t>(pos - offset)});
         pos += take;
         remaining -= take;
     }
+    return out;
+}
+
+std::vector<std::uint32_t>
+Geometry::rebuildSources(std::uint64_t stripe, std::uint32_t lost) const
+{
+    std::vector<std::uint32_t> out;
+    for (std::uint32_t i = 0; i < dataChunks(); ++i) {
+        const std::uint32_t dev = dataDevice(stripe, i);
+        if (dev != lost)
+            out.push_back(dev);
+    }
+    if (roleOf(stripe, lost) == ChunkRole::kData)
+        out.push_back(parityDevice(stripe));
     return out;
 }
 

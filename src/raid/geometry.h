@@ -7,6 +7,7 @@
 #ifndef DRAID_RAID_GEOMETRY_H
 #define DRAID_RAID_GEOMETRY_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -34,6 +35,22 @@ struct Extent
     std::uint32_t dataIdx;  ///< data-chunk index within the stripe
     std::uint32_t offset;   ///< byte offset within the chunk
     std::uint32_t length;   ///< byte length within the chunk
+};
+
+/** An extent together with its byte position in the caller's buffer. */
+struct PlacedExtent
+{
+    Extent extent;
+    std::size_t outPos; ///< byte position of the extent in the user buffer
+};
+
+/** The extents of one logical range that fall in one stripe. */
+struct StripeExtents
+{
+    std::uint64_t stripe;
+    /** Ordered by logical address. */
+    // draid-lint: cap(chunks of one stripe; at most data width)
+    std::vector<PlacedExtent> extents;
 };
 
 /**
@@ -95,9 +112,21 @@ class Geometry
 
     /**
      * Split the logical range [offset, offset+length) into per-chunk
-     * extents, ordered by logical address.
+     * extents, ordered by logical address and grouped by stripe. Each
+     * extent also carries its byte position within the range.
      */
-    std::vector<Extent> map(std::uint64_t offset, std::uint64_t length) const;
+    std::vector<StripeExtents> mapByStripe(std::uint64_t offset,
+                                           std::uint64_t length) const;
+
+    /**
+     * Devices whose chunks rebuild the chunk @p lost holds in @p stripe,
+     * when @p lost is the only failed device. A lost data chunk is the XOR
+     * of the surviving data chunks, listed in data-index order, and P (Q
+     * does not take part). A lost P or Q is recomputed from every data
+     * chunk, in data-index order.
+     */
+    std::vector<std::uint32_t> rebuildSources(std::uint64_t stripe,
+                                              std::uint32_t lost) const;
 
     /**
      * Byte address on a member device of @p chunk_offset within the chunk

@@ -2,14 +2,16 @@
  * @file
  * Per-stripe write planning: pick the write mode (full-stripe,
  * read-modify-write, or reconstruct write) and enumerate the device I/Os
- * every mode needs. Used by the host-side controllers of dRAID and of both
- * baselines, so all systems make identical mode decisions (§9.1's fairness
- * requirement).
+ * every mode needs, and decide how a stripe write is served while one
+ * device is down. Used by the host-side controllers of dRAID and of both
+ * baselines, so all systems make identical mode and degraded-write
+ * decisions (§9.1's fairness requirement).
  */
 
 #ifndef DRAID_RAID_WRITE_PLAN_H
 #define DRAID_RAID_WRITE_PLAN_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -57,6 +59,45 @@ struct StripeWritePlan
 
     /** Bytes of user data written in this stripe. */
     std::uint64_t userBytes() const;
+
+    /**
+     * Narrow the plan to read-modify-write: no untouched-chunk reads, the
+     * parity window is the union of the written ranges, and the parity
+     * bdevs wait for one partial per written chunk. A chunk outside
+     * `writes` then never enters the parity update, which is what lets a
+     * stripe with a lost data chunk be written without reading it.
+     */
+    void forceRmw();
+};
+
+/** How a stripe write is served while one member device is down. */
+enum class DegradedKind
+{
+    /** Run the returned plan's own mode. The lost device is a RAID-6 P
+     * or Q that the flow skips, or the plan is a full-stripe write, or
+     * the lost data chunk is not written (the plan is then forced to
+     * RMW so that chunk's unknown content cancels out). */
+    kAsPlanned,
+    /** RAID-5 stripe whose P is lost: write the data segments only. */
+    kParityLess,
+    /** The write touches the lost data chunk: its new bytes go straight
+     * into the parity window (the survivors contribute their slices of
+     * that range), after the returned RMW plan writes the surviving
+     * segments. */
+    kTargeted,
+};
+
+/** The single-failure decision for one stripe write. */
+struct DegradedRoute
+{
+    DegradedKind kind = DegradedKind::kAsPlanned;
+    /** kTargeted: index of the lost chunk's segment in the input plan's
+     * `writes` (and in any array parallel to it). */
+    std::size_t failedPos = 0;
+    /** The plan to run. For kTargeted it holds the surviving segments,
+     * forced to RMW, and has no writes when only the lost chunk is
+     * written. */
+    StripeWritePlan plan;
 };
 
 /**
@@ -82,6 +123,14 @@ class WritePlanner
     /** Plan a single stripe given its write segments. */
     StripeWritePlan planStripe(std::uint64_t stripe,
                                std::vector<WriteSegment> segs) const;
+
+    /**
+     * Route @p plan while device @p failed is the array's only failed
+     * member (see DegradedKind). @p plan itself is left unchanged, so a
+     * retry can still replay every segment.
+     */
+    DegradedRoute routeDegraded(const StripeWritePlan &plan,
+                                std::uint32_t failed) const;
 
   private:
     const Geometry &geom_;

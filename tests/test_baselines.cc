@@ -306,3 +306,40 @@ TEST(BaselineFailure, TimeoutFailsOverToDegraded)
     ec::Buffer got = readSync(rig.sim(), *rig.raidDev, 0, 8192);
     EXPECT_TRUE(got.contentEquals(data));
 }
+
+TEST(BaselineFailure, RetriedDegradedWriteKeepsFailedChunkBytes)
+{
+    // The host-centric twin of the dRAID case: the targeted parity update
+    // of a write to the failed chunk cannot read a survivor that is down
+    // for a while, and every retry must still carry the new bytes.
+    BaselineRig rig(Kind::kSpdk, RaidLevel::kRaid5);
+    const auto &g = rig.raidDev->geometry();
+    ec::Buffer pre(2 * g.stripeDataSize());
+    pre.fillPattern(14);
+    ASSERT_TRUE(writeSync(rig.sim(), *rig.raidDev, 0, pre));
+
+    rig.raidDev->markFailed(g.dataDevice(0, 0));
+    const std::uint32_t victim = g.dataDevice(0, 1);
+    rig.cluster->failTarget(victim);
+    rig.sim().schedule(sim::Ticks::ms(60),
+                       [&]() { rig.cluster->recoverTarget(victim); });
+
+    ec::Buffer data(8192);
+    data.fillPattern(15);
+    bool done = false;
+    blockdev::IoStatus st = blockdev::IoStatus::kError;
+    rig.raidDev->write(0, data.clone(), [&](blockdev::IoStatus s) {
+        st = s;
+        done = true;
+        rig.sim().stop();
+    });
+    while (!done && rig.sim().pendingEvents() > 0)
+        rig.sim().run();
+    ASSERT_TRUE(done);
+    EXPECT_EQ(st, blockdev::IoStatus::kOk);
+    EXPECT_GE(rig.raidDev->counters().retries, 1u);
+    bool ok = false;
+    ec::Buffer got = readSync(rig.sim(), *rig.raidDev, 0, 8192, &ok);
+    ASSERT_TRUE(ok);
+    EXPECT_TRUE(got.contentEquals(data));
+}

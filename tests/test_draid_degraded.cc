@@ -85,7 +85,8 @@ TEST_P(DraidDegraded, DegradedWriteToUntouchedFailedChunkUsesRmw)
     std::vector<std::uint8_t> model;
     preload(rig, 2 * g.stripeDataSize(), model);
 
-    const std::uint32_t failed_dev = 0;
+    // A data device of stripe 0 (for RAID-6 at width 6, device 0 is Q).
+    const std::uint32_t failed_dev = g.dataDevice(0, 0);
     rig.host().markFailed(failed_dev);
 
     // Write a chunk that is NOT on the failed device.

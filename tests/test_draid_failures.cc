@@ -131,6 +131,45 @@ TEST(DraidFailures, RetryFullStripeRestoresConsistencyAfterPartialWrite)
     EXPECT_TRUE(got.contentEquals(data));
 }
 
+TEST(DraidFailures, RetriedDegradedWriteKeepsFailedChunkBytes)
+{
+    // Degraded array: a write landing only on the failed chunk goes
+    // through the targeted parity update. A survivor is down for a while,
+    // so that update times out and the full-stripe retry must replay the
+    // failed chunk's new bytes, not just the surviving segments.
+    DraidRig rig(6, opts());
+    const auto &g = rig.host().geometry();
+    ec::Buffer pre(2 * g.stripeDataSize());
+    pre.fillPattern(12);
+    ASSERT_TRUE(writeSync(rig.sim(), rig.host(), 0, pre));
+
+    rig.host().markFailed(g.dataDevice(0, 0));
+    const std::uint32_t victim = g.dataDevice(0, 1);
+    rig.cluster->failTarget(victim);
+    rig.sim().schedule(sim::Ticks::ms(60),
+                       [&]() { rig.cluster->recoverTarget(victim); });
+
+    ec::Buffer data(8192);
+    data.fillPattern(13);
+    bool done = false;
+    blockdev::IoStatus status = blockdev::IoStatus::kError;
+    rig.host().write(0, data.clone(), [&](blockdev::IoStatus st) {
+        status = st;
+        done = true;
+        rig.sim().stop();
+    });
+    while (!done && rig.sim().pendingEvents() > 0)
+        rig.sim().run();
+
+    ASSERT_TRUE(done);
+    EXPECT_EQ(status, blockdev::IoStatus::kOk);
+    EXPECT_GE(rig.host().counters().retries, 1u);
+    bool ok = false;
+    ec::Buffer got = readSync(rig.sim(), rig.host(), 0, 8192, &ok);
+    ASSERT_TRUE(ok);
+    EXPECT_TRUE(got.contentEquals(data));
+}
+
 TEST(DraidFailures, NetworkJitterDelaysButCompletes)
 {
     DraidRig rig(6, opts());

@@ -3,10 +3,33 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "raid/geometry.h"
 
 using namespace draid::raid;
+
+namespace {
+
+/** mapByStripe's extents in address order, checking their positions. */
+std::vector<Extent>
+mapFlat(const Geometry &g, std::uint64_t offset, std::uint64_t length)
+{
+    std::vector<Extent> out;
+    std::size_t pos = 0;
+    for (const auto &group : g.mapByStripe(offset, length)) {
+        EXPECT_FALSE(group.extents.empty());
+        for (const auto &pe : group.extents) {
+            EXPECT_EQ(pe.extent.stripe, group.stripe);
+            EXPECT_EQ(pe.outPos, pos);
+            pos += pe.extent.length;
+            out.push_back(pe.extent);
+        }
+    }
+    return out;
+}
+
+} // namespace
 
 class GeometryParam
     : public ::testing::TestWithParam<std::tuple<RaidLevel, std::uint32_t>>
@@ -53,6 +76,20 @@ TEST_P(GeometryParam, RoleAndIndexAreConsistent)
             } else {
                 EXPECT_EQ(g.qDevice(s), d);
             }
+
+            // Rebuilding d alone: the surviving data chunks in data-index
+            // order, then P for a lost data chunk; every data chunk for a
+            // lost P or Q. The order picks the reducer, so it is exact.
+            std::vector<std::uint32_t> want;
+            for (std::uint32_t i = 0; i < g.dataChunks(); ++i) {
+                if (g.dataDevice(s, i) != d)
+                    want.push_back(g.dataDevice(s, i));
+            }
+            if (role == ChunkRole::kData)
+                want.push_back(g.parityDevice(s));
+            EXPECT_EQ(g.rebuildSources(s, d), want)
+                << "stripe " << s << " lost device " << d;
+            EXPECT_EQ(want.size(), g.dataChunks());
         }
     }
 }
@@ -76,7 +113,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Geometry, MapSingleChunkInterior)
 {
     Geometry g(RaidLevel::kRaid5, 512 * 1024, 8); // 7 data chunks
-    auto ext = g.map(100, 1000);
+    auto ext = mapFlat(g, 100, 1000);
     ASSERT_EQ(ext.size(), 1u);
     EXPECT_EQ(ext[0].stripe, 0u);
     EXPECT_EQ(ext[0].dataIdx, 0u);
@@ -87,7 +124,7 @@ TEST(Geometry, MapSingleChunkInterior)
 TEST(Geometry, MapSplitsAcrossChunks)
 {
     Geometry g(RaidLevel::kRaid5, 1024, 4); // 3 data chunks, stripe 3072
-    auto ext = g.map(1000, 2000);
+    auto ext = mapFlat(g, 1000, 2000);
     ASSERT_EQ(ext.size(), 3u);
     EXPECT_EQ(ext[0].dataIdx, 0u);
     EXPECT_EQ(ext[0].offset, 1000u);
@@ -101,7 +138,7 @@ TEST(Geometry, MapSplitsAcrossChunks)
 TEST(Geometry, MapSplitsAcrossStripes)
 {
     Geometry g(RaidLevel::kRaid5, 1024, 4); // stripe data = 3072
-    auto ext = g.map(3000, 200);
+    auto ext = mapFlat(g, 3000, 200);
     ASSERT_EQ(ext.size(), 2u);
     EXPECT_EQ(ext[0].stripe, 0u);
     EXPECT_EQ(ext[0].dataIdx, 2u);
@@ -110,6 +147,11 @@ TEST(Geometry, MapSplitsAcrossStripes)
     EXPECT_EQ(ext[1].dataIdx, 0u);
     EXPECT_EQ(ext[1].offset, 0u);
     EXPECT_EQ(ext[1].length, 128u);
+    // One group per stripe.
+    const auto groups = g.mapByStripe(3000, 200);
+    ASSERT_EQ(groups.size(), 2u);
+    EXPECT_EQ(groups[1].stripe, 1u);
+    EXPECT_EQ(groups[1].extents[0].outPos, 72u);
 }
 
 TEST(Geometry, MapTotalLengthPreserved)
@@ -118,7 +160,7 @@ TEST(Geometry, MapTotalLengthPreserved)
     for (std::uint64_t off : {0ull, 100ull, 5000ull, 123456ull}) {
         for (std::uint64_t len : {1ull, 4096ull, 100000ull}) {
             std::uint64_t sum = 0;
-            for (const auto &e : g.map(off, len))
+            for (const auto &e : mapFlat(g, off, len))
                 sum += e.length;
             EXPECT_EQ(sum, len);
         }
