@@ -235,8 +235,6 @@ DraidBdev::partialWritePhase2(const proto::Capsule &cmd, sim::NodeId from,
     node_.cpu().executeBytes(xor_bytes, cfg.xorBw, sim::Ticks::zero(), cmd.traceId,
                              "parity.xor", [this, cmd, from, new_data,
                                             partial]() mutable {
-        const std::uint64_t op = opOf(cmd.commandId);
-
         const sim::NodeId relay =
             opts_.p2pForwarding ? sim::kInvalidNode : from;
         auto do_forward = [this, cmd, relay, partial]() {
@@ -255,7 +253,6 @@ DraidBdev::partialWritePhase2(const proto::Capsule &cmd, sim::NodeId from,
             });
         };
 
-        (void)op;
         if (opts_.pipeline) {
             // §5.3: the drive write overlaps partial-parity forwarding.
             do_forward();
@@ -605,7 +602,7 @@ DraidBdev::forwardToParity(const proto::Capsule &cmd, sim::NodeId relay,
     if (cmd.nextDest2 != sim::kInvalidNode) {
         // Q-bound copy: apply g^idx at the sender so the reducer stays a
         // pure XOR machine (late-Parity safe).
-        ec::Buffer qcopy = partial.clone();
+        ec::Buffer qcopy = partial;
         applyQCoefficient(qcopy, cmd.dataIdx);
         node_.cpu().executeBytes(
             qcopy.size(), cluster_.config().gfBw, sim::Ticks::zero(),
@@ -621,7 +618,7 @@ void
 DraidBdev::applyQCoefficient(ec::Buffer &partial, std::uint16_t idx)
 {
     const auto &gf = ec::Gf256::instance();
-    ec::Buffer out(partial.size());
+    ec::Buffer out = ec::Buffer::forOverwrite(partial.size());
     gf.mulBlock(gf.pow2(idx), partial.data(), out.data(), out.size());
     partial = std::move(out);
 }

@@ -98,7 +98,11 @@ class DraidBdev : public blockdev::NvmfTarget
     void forwardToParity(const proto::Capsule &cmd, sim::NodeId relay,
                          const ec::Buffer &partial);
 
-    /** Apply the Q coefficient g^idx to a partial result (CPU-charged). */
+    /**
+     * Apply the Q coefficient g^idx to a partial result (CPU-charged).
+     * @p partial is rebound to a new buffer; the bytes it shared with other
+     * handles are left as they were.
+     */
     void applyQCoefficient(ec::Buffer &partial, std::uint16_t idx);
 
     /** Completion routing for commands this bdev itself issued. */

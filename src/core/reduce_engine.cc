@@ -1,7 +1,6 @@
 #include "core/reduce_engine.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 
 #include "ec/xor_kernel.h"
@@ -37,17 +36,24 @@ ReduceEngine::erase(std::uint64_t key)
 
 namespace {
 
-/** Grow the accumulator so it covers [0, end). New bytes are zero. */
+/**
+ * Grow the accumulator so it covers [begin, end) as well. New bytes are
+ * zero. @pre the accumulator is not empty
+ */
 void
-ensureCapacity(ReduceSession &s, std::uint32_t end)
+cover(ReduceSession &s, std::uint32_t begin, std::uint32_t end)
 {
-    if (end <= s.accEnd && !s.acc.empty())
+    if (begin >= s.accBegin && end <= s.accEnd)
         return;
+    const std::uint32_t new_begin = std::min(begin, s.accBegin);
     const std::uint32_t new_end = std::max(end, s.accEnd);
-    ec::Buffer grown(new_end);
-    if (!s.acc.empty())
-        std::memcpy(grown.data(), s.acc.data(), s.accEnd);
-    s.acc = grown;
+    ec::Buffer grown = ec::Buffer::forOverwrite(new_end - new_begin);
+    const std::uint32_t below = s.accBegin - new_begin;
+    std::memset(grown.data(), 0, below);
+    std::memcpy(grown.data() + below, s.acc.data(), s.acc.size());
+    std::memset(grown.data() + below + s.acc.size(), 0, new_end - s.accEnd);
+    s.acc = std::move(grown);
+    s.accBegin = new_begin;
     s.accEnd = new_end;
 }
 
@@ -65,10 +71,20 @@ void
 ReduceEngine::absorbNoCount(ReduceSession &s, std::uint32_t offset,
                             const ec::Buffer &data)
 {
-    ensureCapacity(s, offset + static_cast<std::uint32_t>(data.size()));
-    ec::xorInto(s.acc.data() + offset, data.data(), data.size());
+    const auto end = offset + static_cast<std::uint32_t>(data.size());
     ++s.absorbed;
     s.bytesAbsorbed += data.size();
+    if (data.empty())
+        return;
+    if (s.acc.empty()) {
+        s.acc = data.clone();
+        s.accBegin = offset;
+        s.accEnd = end;
+        return;
+    }
+    cover(s, offset, end);
+    ec::xorInto(s.acc.data() + (offset - s.accBegin), data.data(),
+                data.size());
 }
 
 bool
@@ -80,8 +96,18 @@ ReduceEngine::readyToFinish(const ReduceSession &s)
 ec::Buffer
 ReduceEngine::finalWindow(const ReduceSession &s)
 {
-    assert(s.baseOffset + s.length <= s.accEnd);
-    return s.acc.slice(s.baseOffset, s.length);
+    const std::uint32_t end = s.baseOffset + s.length;
+    if (s.baseOffset == s.accBegin && end == s.accEnd)
+        return s.acc;
+    if (s.baseOffset >= s.accBegin && end <= s.accEnd)
+        return s.acc.slice(s.baseOffset - s.accBegin, s.length);
+    ec::Buffer out(s.length);
+    const std::uint32_t lo = std::max(s.baseOffset, s.accBegin);
+    const std::uint32_t hi = std::min(end, s.accEnd);
+    if (lo < hi)
+        std::memcpy(out.data() + (lo - s.baseOffset),
+                    s.acc.data() + (lo - s.accBegin), hi - lo);
+    return out;
 }
 
 } // namespace draid::core

@@ -56,8 +56,12 @@ struct ReduceSession
     /** Old-parity preload (RMW) still in flight? */
     bool preloadPending = false;
 
-    /** Accumulator in in-chunk coordinates [0, accEnd). */
+    /**
+     * Accumulator over in-chunk offsets [accBegin, accEnd): the smallest
+     * range covering every contribution absorbed so far.
+     */
     ec::Buffer acc;
+    std::uint32_t accBegin = 0;
     std::uint32_t accEnd = 0;
 
     /** Final window (from the host command): in-chunk offset + length. */
@@ -123,7 +127,7 @@ class ReduceEngine
     /**
      * XOR @p data into the session accumulator at in-chunk offset
      * @p offset, growing the accumulator as needed, and decrement the
-     * outstanding count.
+     * outstanding count. The first contribution is copied in.
      */
     static void absorb(ReduceSession &s, std::uint32_t offset,
                        const ec::Buffer &data);
@@ -138,7 +142,11 @@ class ReduceEngine
      */
     static bool readyToFinish(const ReduceSession &s);
 
-    /** The final bytes [baseOffset, baseOffset+length) of the window. */
+    /**
+     * The final bytes [baseOffset, baseOffset+length) of the window; bytes
+     * no contribution covered read as zero. When the window is exactly the
+     * accumulator's range this is the accumulator itself, not a copy.
+     */
     static ec::Buffer finalWindow(const ReduceSession &s);
 
   private:

@@ -11,9 +11,19 @@ Buffer::Buffer(std::size_t size)
 {
 }
 
-Buffer::Buffer(const std::uint8_t *src, std::size_t size) : Buffer(size)
+Buffer::Buffer(const std::uint8_t *src, std::size_t size)
+    : Buffer(forOverwrite(size))
 {
     std::memcpy(data_.get(), src, size);
+}
+
+Buffer
+Buffer::forOverwrite(std::size_t size)
+{
+    Buffer b;
+    b.data_.reset(new std::uint8_t[size]);
+    b.size_ = size;
+    return b;
 }
 
 Buffer

@@ -30,6 +30,12 @@ class Buffer
     /** Allocate and fill from @p src (copies @p size bytes). */
     Buffer(const std::uint8_t *src, std::size_t size);
 
+    /**
+     * Allocate @p size bytes left uninitialized, for an output the caller
+     * overwrites in full before reading it.
+     */
+    static Buffer forOverwrite(std::size_t size);
+
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
 

@@ -8,20 +8,46 @@
 
 namespace draid::ec {
 
+namespace {
+
+/**
+ * P = XOR and Q = sum g^i * data[i] over every chunk except @p skip_a and
+ * @p skip_b (pass data.size() to skip nothing). The first chunk is copied
+ * into P and scaled into Q; each later one updates both in a single pass.
+ */
+void
+sumPQ(const std::vector<Buffer> &data, std::size_t len, std::size_t skip_a,
+      std::size_t skip_b, Buffer &p, Buffer &q)
+{
+    const auto &gf = Gf256::instance();
+    bool first = true;
+    for (std::size_t i = 0; i < data.size(); ++i) {
+        if (i == skip_a || i == skip_b)
+            continue;
+        assert(data[i].size() == len);
+        const std::uint8_t g = gf.pow2(static_cast<unsigned>(i));
+        if (first) {
+            p = data[i].clone();
+            q = Buffer::forOverwrite(len);
+            gf.mulBlock(g, data[i].data(), q.data(), len);
+            first = false;
+        } else {
+            gf.xorMulAccum(g, data[i].data(), p.data(), q.data(), len);
+        }
+    }
+    if (first) {
+        p = Buffer(len);
+        q = Buffer(len);
+    }
+}
+
+} // namespace
+
 void
 Raid6Codec::computePQ(const std::vector<Buffer> &data, Buffer &p, Buffer &q)
 {
     assert(!data.empty());
-    const auto &gf = Gf256::instance();
-    const std::size_t len = data[0].size();
-    p = Buffer(len);
-    q = Buffer(len);
-    for (std::size_t i = 0; i < data.size(); ++i) {
-        assert(data[i].size() == len);
-        xorInto(p.data(), data[i].data(), len);
-        gf.mulAccum(gf.pow2(static_cast<unsigned>(i)), data[i].data(),
-                    q.data(), len);
-    }
+    sumPQ(data, data[0].size(), data.size(), data.size(), p, q);
 }
 
 Buffer
@@ -78,7 +104,7 @@ Raid6Codec::recoverDataWithQ(const std::vector<Buffer> &data, const Buffer &q,
     }
     const std::uint8_t ginv =
         gf.inv(gf.pow2(static_cast<unsigned>(missing)));
-    Buffer out(acc.size());
+    Buffer out = Buffer::forOverwrite(acc.size());
     gf.mulBlock(ginv, acc.data(), out.data(), out.size());
     return out;
 }
@@ -92,15 +118,8 @@ Raid6Codec::recoverTwoData(std::vector<Buffer> &data, const Buffer &p,
     const std::size_t len = p.size();
 
     // Pxy/Qxy: parities computed from the survivors only.
-    Buffer pxy(len), qxy(len);
-    for (std::size_t i = 0; i < data.size(); ++i) {
-        if (i == x || i == y)
-            continue;
-        assert(!data[i].empty());
-        xorInto(pxy.data(), data[i].data(), len);
-        gf.mulAccum(gf.pow2(static_cast<unsigned>(i)), data[i].data(),
-                    qxy.data(), len);
-    }
+    Buffer pxy, qxy;
+    sumPQ(data, len, x, y, pxy, qxy);
 
     // From hpa's paper:
     //   A = g^{y-x} / (g^{y-x} ^ 1)
@@ -112,17 +131,17 @@ Raid6Codec::recoverTwoData(std::vector<Buffer> &data, const Buffer &p,
     const std::uint8_t b =
         gf.div(gf.inv(gf.pow2(static_cast<unsigned>(x))), denom);
 
-    Buffer pd = xorOf(p, pxy);
-    Buffer qd = xorOf(q, qxy);
+    // P ^ Pxy and Q ^ Qxy, in place: sumPQ returned fresh buffers.
+    xorInto(pxy, p);
+    xorInto(qxy, q);
 
-    Buffer dx(len);
-    gf.mulBlock(a, pd.data(), dx.data(), len);
-    gf.mulAccum(b, qd.data(), dx.data(), len);
+    Buffer dx = Buffer::forOverwrite(len);
+    gf.mulBlock(a, pxy.data(), dx.data(), len);
+    gf.mulAccum(b, qxy.data(), dx.data(), len);
 
-    Buffer dy = xorOf(pd, dx);
-
+    xorInto(pxy, dx); // Dy
     data[x] = dx;
-    data[y] = dy;
+    data[y] = pxy;
 }
 
 bool

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "ec/gf256.h"
+#include "ec/gf256_kernels.h"
 
 using draid::ec::Gf256;
 
@@ -131,3 +137,163 @@ TEST(Gf256, MulBlockByZeroClears)
     for (int i = 0; i < 16; ++i)
         EXPECT_EQ(dst[i], 0);
 }
+
+TEST(Gf256, KernelNameIsTheSelectedBody)
+{
+    const std::string name = Gf256::instance().kernelName();
+    EXPECT_EQ(name, draid::ec::detail::selectedGfKernels().name);
+    EXPECT_TRUE(name == "ssse3" || name == "portable") << name;
+}
+
+namespace {
+
+/** The three block kernels of one body, addressed by coefficient. */
+struct GfBody
+{
+    std::function<void(std::uint8_t, const std::uint8_t *, std::uint8_t *,
+                       std::size_t)>
+        mulBlock, mulAccum;
+    std::function<void(std::uint8_t, const std::uint8_t *, std::uint8_t *,
+                       std::uint8_t *, std::size_t)>
+        xorMulAccum;
+};
+
+/** The public Gf256 kernels (the body selected for this CPU). */
+GfBody
+publicBody()
+{
+    const auto &gf = Gf256::instance();
+    return {[&gf](std::uint8_t c, const std::uint8_t *src, std::uint8_t *dst,
+                  std::size_t len) { gf.mulBlock(c, src, dst, len); },
+            [&gf](std::uint8_t c, const std::uint8_t *src, std::uint8_t *dst,
+                  std::size_t len) { gf.mulAccum(c, src, dst, len); },
+            [&gf](std::uint8_t c, const std::uint8_t *src, std::uint8_t *p,
+                  std::uint8_t *q, std::size_t len) {
+                gf.xorMulAccum(c, src, p, q, len);
+            }};
+}
+
+/** The portable body, called directly so it runs on every CPU. */
+GfBody
+portableBody()
+{
+    const auto &gf = Gf256::instance();
+    const auto &k = draid::ec::detail::portableGfKernels();
+    return {[&gf, &k](std::uint8_t c, const std::uint8_t *src,
+                      std::uint8_t *dst, std::size_t len) {
+                k.mulBlock(gf.tables(c), src, nullptr, dst, len);
+            },
+            [&gf, &k](std::uint8_t c, const std::uint8_t *src,
+                      std::uint8_t *dst, std::size_t len) {
+                k.mulAccum(gf.tables(c), src, nullptr, dst, len);
+            },
+            [&gf, &k](std::uint8_t c, const std::uint8_t *src,
+                      std::uint8_t *p, std::uint8_t *q, std::size_t len) {
+                k.xorMulAccum(gf.tables(c), src, p, q, len);
+            }};
+}
+
+std::uint8_t
+byteOf(std::size_t i, unsigned salt)
+{
+    return static_cast<std::uint8_t>(i * 29 + salt * 71 + 7);
+}
+
+} // namespace
+
+class GfKernelBody : public ::testing::TestWithParam<bool>
+{
+  protected:
+    GfBody body() const { return GetParam() ? portableBody() : publicBody(); }
+};
+
+TEST_P(GfKernelBody, EveryCoefficientTimesEveryByteMatchesMul)
+{
+    // 256 source bytes (every value) plus 13 more, so the 16-byte body and
+    // the scalar tail both see every value.
+    const auto &gf = Gf256::instance();
+    const GfBody k = body();
+    constexpr std::size_t kLen = 256 + 13;
+    std::vector<std::uint8_t> src(kLen), dst(kLen), p(kLen), q(kLen);
+    for (std::size_t i = 0; i < kLen; ++i)
+        src[i] = static_cast<std::uint8_t>(i);
+    int mismatches = 0;
+    for (int ci = 0; ci < 256; ++ci) {
+        const auto c = static_cast<std::uint8_t>(ci);
+        k.mulBlock(c, src.data(), dst.data(), kLen);
+        for (std::size_t i = 0; i < kLen; ++i)
+            mismatches += dst[i] != gf.mul(c, src[i]);
+
+        for (std::size_t i = 0; i < kLen; ++i)
+            dst[i] = byteOf(i, 1);
+        k.mulAccum(c, src.data(), dst.data(), kLen);
+        for (std::size_t i = 0; i < kLen; ++i)
+            mismatches += dst[i] != (byteOf(i, 1) ^ gf.mul(c, src[i]));
+
+        for (std::size_t i = 0; i < kLen; ++i) {
+            p[i] = byteOf(i, 2);
+            q[i] = byteOf(i, 3);
+        }
+        k.xorMulAccum(c, src.data(), p.data(), q.data(), kLen);
+        for (std::size_t i = 0; i < kLen; ++i) {
+            mismatches += p[i] != (byteOf(i, 2) ^ src[i]);
+            mismatches += q[i] != (byteOf(i, 3) ^ gf.mul(c, src[i]));
+        }
+        ASSERT_EQ(mismatches, 0) << "c=" << ci;
+    }
+}
+
+TEST_P(GfKernelBody, ShortMisalignedBlocksTouchOnlyTheirRange)
+{
+    // Lengths 0-47 at odd offsets: the 16-byte body runs zero to two
+    // times, then the tail; bytes around the range must stay as they were.
+    const auto &gf = Gf256::instance();
+    const GfBody k = body();
+    constexpr std::size_t kPad = 64;
+    const std::uint8_t coeffs[] = {0, 1, 2, 0x1d, 0x53, 0x8e, 0xff};
+    int mismatches = 0;
+    for (std::size_t len = 0; len < 48; ++len) {
+        for (std::size_t src_off : {1u, 3u, 8u}) {
+            for (std::size_t dst_off : {0u, 5u, 15u}) {
+                for (std::uint8_t c : coeffs) {
+                    std::uint8_t src[kPad + 48], dst[kPad + 48],
+                        p[kPad + 48], q[kPad + 48];
+                    for (std::size_t i = 0; i < sizeof(src); ++i) {
+                        src[i] = byteOf(i, static_cast<unsigned>(4 + len));
+                        dst[i] = byteOf(i, 5);
+                        p[i] = byteOf(i, 6);
+                        q[i] = byteOf(i, 7);
+                    }
+                    const std::uint8_t *s = src + src_off;
+                    k.mulBlock(c, s, dst + dst_off, len);
+                    k.xorMulAccum(c, s, p + dst_off, q + dst_off, len);
+                    for (std::size_t i = 0; i < sizeof(dst); ++i) {
+                        const bool in = i >= dst_off && i < dst_off + len;
+                        const std::uint8_t prod =
+                            in ? gf.mul(c, s[i - dst_off]) : 0;
+                        mismatches += dst[i] != (in ? prod : byteOf(i, 5));
+                        mismatches +=
+                            p[i] != (byteOf(i, 6) ^ (in ? s[i - dst_off] : 0));
+                        mismatches += q[i] != (byteOf(i, 7) ^ prod);
+                    }
+                    for (std::size_t i = 0; i < sizeof(dst); ++i)
+                        dst[i] = byteOf(i, 5);
+                    k.mulAccum(c, s, dst + dst_off, len);
+                    for (std::size_t i = 0; i < sizeof(dst); ++i) {
+                        const bool in = i >= dst_off && i < dst_off + len;
+                        mismatches +=
+                            dst[i] != (byteOf(i, 5) ^
+                                       (in ? gf.mul(c, s[i - dst_off]) : 0));
+                    }
+                }
+            }
+        }
+        ASSERT_EQ(mismatches, 0) << "len=" << len;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Bodies, GfKernelBody, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool> &param) {
+                             return param.param ? std::string("portable")
+                                               : std::string("selected");
+                         });

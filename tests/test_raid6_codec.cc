@@ -4,7 +4,9 @@
 
 #include <vector>
 
+#include "ec/gf256.h"
 #include "ec/raid6_codec.h"
+#include "ec/xor_kernel.h"
 
 using namespace draid::ec;
 
@@ -21,6 +23,29 @@ makeData(std::size_t k, std::size_t len, std::uint64_t seed)
     }
     return data;
 }
+
+/**
+ * The two-pass reference for the survivors' parities: zeroed P and Q, then
+ * one xorInto and one mulAccum per chunk other than @p skip_a, @p skip_b.
+ */
+void
+twoPassPQ(const std::vector<Buffer> &data, std::size_t len,
+          std::size_t skip_a, std::size_t skip_b, Buffer &p, Buffer &q)
+{
+    const auto &gf = Gf256::instance();
+    p = Buffer(len);
+    q = Buffer(len);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+        if (i == skip_a || i == skip_b)
+            continue;
+        xorInto(p, data[i]);
+        gf.mulAccum(gf.pow2(static_cast<unsigned>(i)), data[i].data(),
+                    q.data(), len);
+    }
+}
+
+// Lengths that leave a tail after the 16-byte kernel body.
+const std::size_t kOddLengths[] = {1, 15, 17, 100, 1001};
 
 } // namespace
 
@@ -150,4 +175,62 @@ TEST(Raid6Codec, PAndQDiffer)
     Buffer p, q;
     Raid6Codec::computePQ(data, p, q);
     EXPECT_FALSE(p.contentEquals(q));
+}
+
+TEST(Raid6Codec, FusedPQMatchesTwoPassReference)
+{
+    for (std::size_t k = 1; k <= 16; ++k) {
+        for (std::size_t len : kOddLengths) {
+            auto data = makeData(k, len, 10 + k);
+            Buffer p, q, ref_p, ref_q;
+            Raid6Codec::computePQ(data, p, q);
+            twoPassPQ(data, len, k, k, ref_p, ref_q);
+            EXPECT_TRUE(p.contentEquals(ref_p)) << "k=" << k << " len=" << len;
+            EXPECT_TRUE(q.contentEquals(ref_q)) << "k=" << k << " len=" << len;
+        }
+    }
+}
+
+TEST(Raid6Codec, RecoverTwoDataMatchesTwoPassReference)
+{
+    const auto &gf = Gf256::instance();
+    for (std::size_t k = 2; k <= 16; ++k) {
+        for (std::size_t len : kOddLengths) {
+            const auto data = makeData(k, len, 40 + k);
+            Buffer p, q;
+            Raid6Codec::computePQ(data, p, q);
+            for (std::size_t x = 0; x < k; ++x) {
+                for (std::size_t y = x + 1; y < k; ++y) {
+                    auto broken = data;
+                    broken[x] = Buffer();
+                    broken[y] = Buffer();
+                    Raid6Codec::recoverTwoData(broken, p, q, x, y);
+
+                    // Anvin's closed form over the two-pass parities.
+                    Buffer pxy, qxy;
+                    twoPassPQ(data, len, x, y, pxy, qxy);
+                    const auto gyx = gf.pow2(static_cast<unsigned>(y - x));
+                    const auto denom = static_cast<std::uint8_t>(gyx ^ 1);
+                    const auto a = gf.div(gyx, denom);
+                    const auto b = gf.div(
+                        gf.inv(gf.pow2(static_cast<unsigned>(x))), denom);
+                    Buffer dx(len), dy(len);
+                    for (std::size_t i = 0; i < len; ++i) {
+                        const std::uint8_t pd = p[i] ^ pxy[i];
+                        const std::uint8_t qd = q[i] ^ qxy[i];
+                        dx[i] = gf.mul(a, pd) ^ gf.mul(b, qd);
+                        dy[i] = pd ^ dx[i];
+                    }
+                    EXPECT_TRUE(broken[x].contentEquals(dx))
+                        << "k=" << k << " len=" << len << " x=" << x
+                        << " y=" << y;
+                    EXPECT_TRUE(broken[y].contentEquals(dy))
+                        << "k=" << k << " len=" << len << " x=" << x
+                        << " y=" << y;
+                    EXPECT_TRUE(broken[x].contentEquals(data[x]));
+                    EXPECT_TRUE(broken[y].contentEquals(data[y]));
+                }
+            }
+        }
+    }
 }

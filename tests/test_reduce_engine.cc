@@ -9,6 +9,19 @@
 using namespace draid::core;
 using draid::ec::Buffer;
 
+namespace {
+
+/** Reduced bytes at in-chunk offsets [offset, offset+len), via finalWindow. */
+Buffer
+windowOf(ReduceSession s, std::uint32_t offset, std::uint32_t len)
+{
+    s.baseOffset = offset;
+    s.length = len;
+    return ReduceEngine::finalWindow(s);
+}
+
+} // namespace
+
 TEST(ReduceEngine, ObtainCreatesOnce)
 {
     ReduceEngine eng;
@@ -37,16 +50,18 @@ TEST(ReduceEngine, AbsorbXorsAtOffset)
     a.fill(0x0f);
     ReduceEngine::absorbNoCount(s, 50, a);
     EXPECT_GE(s.accEnd, 150u);
+    Buffer w = windowOf(s, 0, 150);
     for (int i = 0; i < 50; ++i)
-        EXPECT_EQ(s.acc[i], 0);
+        EXPECT_EQ(w[i], 0); // no contribution covers these bytes
     for (int i = 50; i < 150; ++i)
-        EXPECT_EQ(s.acc[i], 0x0f);
+        EXPECT_EQ(w[i], 0x0f);
 
     Buffer b(100);
     b.fill(0xf0);
     ReduceEngine::absorbNoCount(s, 50, b);
+    w = windowOf(s, 0, 150);
     for (int i = 50; i < 150; ++i)
-        EXPECT_EQ(s.acc[i], 0xff);
+        EXPECT_EQ(w[i], 0xff);
 }
 
 TEST(ReduceEngine, AccumulatorGrowsPreservingContent)
@@ -58,8 +73,60 @@ TEST(ReduceEngine, AccumulatorGrowsPreservingContent)
     Buffer b(10);
     b.fill(0xbb);
     ReduceEngine::absorbNoCount(s, 100, b);
-    EXPECT_EQ(s.acc[5], 0xaa);
-    EXPECT_EQ(s.acc[105], 0xbb);
+    EXPECT_EQ(windowOf(s, 5, 1)[0], 0xaa);
+    EXPECT_EQ(windowOf(s, 105, 1)[0], 0xbb);
+}
+
+TEST(ReduceEngine, AccumulatorGrowsDownward)
+{
+    ReduceSession s;
+    Buffer hi(10);
+    hi.fill(0xbb);
+    ReduceEngine::absorbNoCount(s, 100, hi);
+    EXPECT_EQ(s.accBegin, 100u);
+    Buffer lo(20);
+    lo.fill(0xaa);
+    ReduceEngine::absorbNoCount(s, 95, lo); // overlaps, starts below
+    EXPECT_EQ(s.accBegin, 95u);
+    EXPECT_EQ(s.accEnd, 115u);
+    Buffer w = windowOf(s, 90, 30);
+    for (int i = 0; i < 30; ++i) {
+        const int off = 90 + i;
+        std::uint8_t want = 0;
+        if (off >= 95 && off < 115)
+            want ^= 0xaa;
+        if (off >= 100 && off < 110)
+            want ^= 0xbb;
+        EXPECT_EQ(w[i], want) << "offset " << off;
+    }
+}
+
+TEST(ReduceEngine, FirstAbsorbDoesNotAliasCallerBuffer)
+{
+    ReduceSession s;
+    Buffer a(32);
+    a.fill(0x5a);
+    ReduceEngine::absorbNoCount(s, 8, a);
+    s.acc[0] ^= 0xff;
+    for (std::size_t i = 0; i < a.size(); ++i)
+        EXPECT_EQ(a[i], 0x5a);
+}
+
+TEST(ReduceEngine, ExactlyCoveredWindowIsTheAccumulator)
+{
+    ReduceSession s;
+    Buffer a(64), b(64);
+    a.fillPattern(1);
+    b.fillPattern(2);
+    ReduceEngine::absorbNoCount(s, 32, a);
+    ReduceEngine::absorbNoCount(s, 32, b);
+    s.baseOffset = 32;
+    s.length = 64;
+    Buffer w = ReduceEngine::finalWindow(s);
+    EXPECT_EQ(w.data(), s.acc.data());
+    ASSERT_EQ(w.size(), 64u);
+    for (std::size_t i = 0; i < 64; ++i)
+        EXPECT_EQ(w[i], a[i] ^ b[i]);
 }
 
 TEST(ReduceEngine, CountedAbsorbDecrementsRemaining)
