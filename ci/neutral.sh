@@ -17,10 +17,11 @@
 # so its two values are printed instead of compared.
 #
 # Benches: fig09_normal_read fig17_reconstruction fig_qos_interference
-# campaign_durability (the default is these four), and the degraded-path
+# campaign_durability (the default is these four), the degraded-path
 # figures fig18_degraded_write fig28_r6_degraded_read
-# fig30_r6_degraded_write (stdout, BENCH_* JSON and the timing-stripped
-# BENCH_simcore.json). Exit 0 when neutral.
+# fig30_r6_degraded_write, and the store-heavy table1_overheads
+# fig10_write_io_size fig20_objstore_normal (stdout, BENCH_* JSON and the
+# timing-stripped BENCH_simcore.json). Exit 0 when neutral.
 set -euo pipefail
 
 usage="usage: ci/neutral.sh <base-ref> [bench ...]"
@@ -35,7 +36,8 @@ for b in "${benches[@]}"; do
     case $b in
       fig09_normal_read|fig17_reconstruction|fig_qos_interference|\
       campaign_durability|fig18_degraded_write|fig28_r6_degraded_read|\
-      fig30_r6_degraded_write) ;;
+      fig30_r6_degraded_write|table1_overheads|fig10_write_io_size|\
+      fig20_objstore_normal) ;;
       *) echo "neutral: unknown bench '$b'" >&2; echo "$usage" >&2; exit 2 ;;
     esac
 done
@@ -80,7 +82,8 @@ run() { # <build-dir> <out-dir>
                 "$bin/$b" --seed=1 --strict-flags --trials=8 \
                     > stdout_campaign.txt ;;
               fig18_degraded_write|fig28_r6_degraded_read|\
-              fig30_r6_degraded_write)
+              fig30_r6_degraded_write|table1_overheads|\
+              fig10_write_io_size|fig20_objstore_normal)
                 "$bin/$b" --seed=1 --strict-flags \
                     --profile=BENCH_simcore.json > "stdout_$b.txt" ;;
             esac
