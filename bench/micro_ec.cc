@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks of the erasure-coding kernels (the
 // ISA-L stand-ins of §8): XOR parity, GF(2^8) multiply and multiply-
-// accumulate, RAID-6 P+Q generation, and recovery paths. The GF rows are
-// labelled with the kernel body the CPU selected (ssse3 or portable).
+// accumulate, RAID-6 P+Q generation, and recovery paths. The XOR and GF
+// rows are labelled with the kernel body that runs (sse2, ssse3 or
+// portable).
 
 #include <benchmark/benchmark.h>
 
@@ -39,11 +40,31 @@ BM_XorInto(benchmark::State &state)
     for (auto _ : state) {
         xorInto(a.data(), b.data(), len);
         benchmark::DoNotOptimize(a.data());
+        benchmark::ClobberMemory();
     }
     state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(len));
+    state.SetLabel(xorKernelName());
 }
 BENCHMARK(BM_XorInto)->Arg(4096)->Arg(65536)->Arg(524288);
+
+void
+BM_XorBlocks(benchmark::State &state)
+{
+    const auto len = static_cast<std::size_t>(state.range(0));
+    Buffer a(len), b(len), out(len);
+    a.fillPattern(1);
+    b.fillPattern(2);
+    for (auto _ : state) {
+        xorBlocks(out.data(), a.data(), b.data(), len);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(len));
+    state.SetLabel(xorKernelName());
+}
+BENCHMARK(BM_XorBlocks)->Arg(4096)->Arg(65536)->Arg(524288);
 
 void
 BM_GfMulAccum(benchmark::State &state)

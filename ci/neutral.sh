@@ -18,10 +18,11 @@
 #
 # Benches: fig09_normal_read fig17_reconstruction fig_qos_interference
 # campaign_durability (the default is these four), the degraded-path
-# figures fig18_degraded_write fig28_r6_degraded_read
-# fig30_r6_degraded_write, and the store-heavy table1_overheads
-# fig10_write_io_size fig20_objstore_normal (stdout, BENCH_* JSON and the
-# timing-stripped BENCH_simcore.json). Exit 0 when neutral.
+# figures fig15_degraded_read_io_size fig18_degraded_write
+# fig28_r6_degraded_read fig30_r6_degraded_write, and the store-heavy
+# table1_overheads fig10_write_io_size fig20_objstore_normal (stdout,
+# BENCH_* JSON and the timing-stripped BENCH_simcore.json). Exit 0 when
+# neutral.
 set -euo pipefail
 
 usage="usage: ci/neutral.sh <base-ref> [bench ...]"
@@ -35,7 +36,8 @@ fi
 for b in "${benches[@]}"; do
     case $b in
       fig09_normal_read|fig17_reconstruction|fig_qos_interference|\
-      campaign_durability|fig18_degraded_write|fig28_r6_degraded_read|\
+      campaign_durability|fig15_degraded_read_io_size|\
+      fig18_degraded_write|fig28_r6_degraded_read|\
       fig30_r6_degraded_write|table1_overheads|fig10_write_io_size|\
       fig20_objstore_normal) ;;
       *) echo "neutral: unknown bench '$b'" >&2; echo "$usage" >&2; exit 2 ;;
@@ -81,9 +83,9 @@ run() { # <build-dir> <out-dir>
               campaign_durability)
                 "$bin/$b" --seed=1 --strict-flags --trials=8 \
                     > stdout_campaign.txt ;;
-              fig18_degraded_write|fig28_r6_degraded_read|\
-              fig30_r6_degraded_write|table1_overheads|\
-              fig10_write_io_size|fig20_objstore_normal)
+              fig15_degraded_read_io_size|fig18_degraded_write|\
+              fig28_r6_degraded_read|fig30_r6_degraded_write|\
+              table1_overheads|fig10_write_io_size|fig20_objstore_normal)
                 "$bin/$b" --seed=1 --strict-flags \
                     --profile=BENCH_simcore.json > "stdout_$b.txt" ;;
             esac

@@ -816,17 +816,21 @@ HostCentricRaid::read(std::uint64_t offset, std::uint32_t length,
     cluster_.telemetry().contention().noteOpStart(trace);
     const sim::Ticks op_start = cluster_.sim().now();
     auto groups = geom_.mapByStripe(offset, length);
-    ec::Buffer out(length);
+    // Every successful read overwrites all of `out`; a failed one hands
+    // back zeros rather than whatever parts happened to land.
+    ec::Buffer out = ec::Buffer::forOverwrite(length);
 
     auto remaining = std::make_shared<int>(static_cast<int>(groups.size()));
     auto all_ok = std::make_shared<bool>(true);
     auto group_done = [this, remaining, all_ok, out, cb, trace, op_start,
-                       length](bool ok) {
+                       length](bool ok) mutable {
         if (!ok)
             *all_ok = false;
         if (--*remaining == 0) {
             probe_.opComplete(trace, "raid.read", op_start,
                               cluster_.sim().now(), length, readLatencyUs_);
+            if (!*all_ok)
+                out.fill(0);
             cb(*all_ok ? blockdev::IoStatus::kOk
                        : blockdev::IoStatus::kError,
                out);

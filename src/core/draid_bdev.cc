@@ -312,14 +312,16 @@ DraidBdev::handleParity(const net::Message &msg)
             node_.ssd().read(cmd.offset, cmd.length, cmd.traceId,
                              [this, key, cmd](blockdev::IoStatus,
                                               ec::Buffer data) {
+                const std::size_t bytes = data.size(); // before the move below
                 node_.cpu().executeBytes(
-                    data.size(), cluster_.config().xorBw, sim::Ticks::zero(), cmd.traceId,
-                    "reduce.xor", [this, key, cmd, data]() {
+                    bytes, cluster_.config().xorBw, sim::Ticks::zero(), cmd.traceId,
+                    "reduce.xor",
+                    [this, key, cmd, data = std::move(data)]() mutable {
                         auto *sess = reduce_.find(key);
                         if (!sess)
                             return;
                         ReduceEngine::absorbNoCount(*sess, cmd.fwdOffset,
-                                                    data);
+                                                    std::move(data));
                         sess->preloadPending = false;
                         maybeFinish(key);
                     });
@@ -399,14 +401,16 @@ DraidBdev::absorbContribution(std::uint64_t key, std::uint32_t offset,
                               ec::Buffer data, bool counted,
                               std::uint64_t trace)
 {
-    node_.cpu().executeBytes(data.size(), cluster_.config().xorBw, sim::Ticks::zero(), trace,
+    const std::size_t bytes = data.size(); // before the move below
+    node_.cpu().executeBytes(bytes, cluster_.config().xorBw, sim::Ticks::zero(), trace,
                              "reduce.xor",
-                             [this, key, offset, data, counted]() {
+                             [this, key, offset, data = std::move(data),
+                              counted]() mutable {
         auto &s = reduce_.obtain(key);
         if (counted)
-            ReduceEngine::absorb(s, offset, data);
+            ReduceEngine::absorb(s, offset, std::move(data));
         else
-            ReduceEngine::absorbNoCount(s, offset, data);
+            ReduceEngine::absorbNoCount(s, offset, std::move(data));
         ++counters_.peersAbsorbed;
         maybeFinish(key);
     });
@@ -534,13 +538,17 @@ DraidBdev::handleReconstruction(const net::Message &msg)
                 // drive `remaining` to zero and persist a reduction that
                 // is missing this very chunk.
                 s.preloadPending = true;
+                const std::size_t bytes = recon.size(); // before the move below
                 node_.cpu().executeBytes(
-                    recon.size(), cluster_.config().xorBw, sim::Ticks::zero(), cmd.traceId,
-                    "reduce.xor", [this, key, off = cmd.fwdOffset, recon]() {
+                    bytes, cluster_.config().xorBw, sim::Ticks::zero(), cmd.traceId,
+                    "reduce.xor",
+                    [this, key, off = cmd.fwdOffset,
+                     recon = std::move(recon)]() mutable {
                         auto *sess = reduce_.find(key);
                         if (!sess)
                             return;
-                        ReduceEngine::absorbNoCount(*sess, off, recon);
+                        ReduceEngine::absorbNoCount(*sess, off,
+                                                    std::move(recon));
                         ++counters_.peersAbsorbed;
                         sess->preloadPending = false;
                         maybeFinish(key);

@@ -463,9 +463,7 @@ void
 DraidHost::executeFullStripe(std::shared_ptr<StripeWrite> sw)
 {
     ++counters_.fullStripeWrites;
-    const std::uint64_t stripe = sw->plan.stripe;
     const std::uint32_t k = geom_.dataChunks();
-    const std::uint32_t chunk = geom_.chunkSize();
 
     // Order the chunk buffers by data index.
     std::vector<ec::Buffer> chunks(k);
@@ -478,7 +476,7 @@ DraidHost::executeFullStripe(std::shared_ptr<StripeWrite> sw)
     auto &cpu = cluster_.host().cpu();
     const auto &cfg = cluster_.config();
 
-    auto issue = [this, sw, stripe, chunk, chunks]() {
+    auto issue = [this, sw, chunks]() {
         ec::Buffer p, q;
         if (geom_.level() == raid::RaidLevel::kRaid6) {
             ec::Raid6Codec::computePQ(chunks, p, q);
@@ -524,8 +522,6 @@ DraidHost::executeFullStripe(std::shared_ptr<StripeWrite> sw)
             initiator_.writeRemote(targetOf(dev), addr, buf, finish,
                                    sw->traceId);
         }
-        (void)stripe;
-        (void)chunk;
     };
 
     // Charge the host-side parity computation.
@@ -812,17 +808,21 @@ DraidHost::read(std::uint64_t offset, std::uint32_t length,
         ct->noteOpStart(trace);
     const sim::Ticks op_start = cluster_.sim().now();
     auto groups = geom_.mapByStripe(offset, length);
-    ec::Buffer out(length);
+    // Every successful read overwrites all of `out`; a failed one hands
+    // back zeros rather than whatever parts happened to land.
+    ec::Buffer out = ec::Buffer::forOverwrite(length);
 
     auto remaining = std::make_shared<int>(static_cast<int>(groups.size()));
     auto all_ok = std::make_shared<bool>(true);
     auto group_done = [this, remaining, all_ok, out, cb, trace, op_start,
-                       length](bool ok) {
+                       length](bool ok) mutable {
         if (!ok)
             *all_ok = false;
         if (--*remaining == 0) {
             probe_.opComplete(trace, "draid.read", op_start,
                               cluster_.sim().now(), length, readLatencyUs_);
+            if (!*all_ok)
+                out.fill(0);
             cb(*all_ok ? blockdev::IoStatus::kOk
                        : blockdev::IoStatus::kError,
                out);

@@ -61,15 +61,15 @@ cover(ReduceSession &s, std::uint32_t begin, std::uint32_t end)
 
 void
 ReduceEngine::absorb(ReduceSession &s, std::uint32_t offset,
-                     const ec::Buffer &data)
+                     ec::Buffer data)
 {
-    absorbNoCount(s, offset, data);
+    absorbNoCount(s, offset, std::move(data));
     --s.remaining;
 }
 
 void
 ReduceEngine::absorbNoCount(ReduceSession &s, std::uint32_t offset,
-                            const ec::Buffer &data)
+                            ec::Buffer data)
 {
     const auto end = offset + static_cast<std::uint32_t>(data.size());
     ++s.absorbed;
@@ -77,7 +77,7 @@ ReduceEngine::absorbNoCount(ReduceSession &s, std::uint32_t offset,
     if (data.empty())
         return;
     if (s.acc.empty()) {
-        s.acc = data.clone();
+        s.acc = data.unique() ? std::move(data) : data.clone();
         s.accBegin = offset;
         s.accEnd = end;
         return;
@@ -97,8 +97,6 @@ ec::Buffer
 ReduceEngine::finalWindow(const ReduceSession &s)
 {
     const std::uint32_t end = s.baseOffset + s.length;
-    if (s.baseOffset == s.accBegin && end == s.accEnd)
-        return s.acc;
     if (s.baseOffset >= s.accBegin && end <= s.accEnd)
         return s.acc.slice(s.baseOffset - s.accBegin, s.length);
     ec::Buffer out(s.length);

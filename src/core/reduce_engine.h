@@ -127,14 +127,16 @@ class ReduceEngine
     /**
      * XOR @p data into the session accumulator at in-chunk offset
      * @p offset, growing the accumulator as needed, and decrement the
-     * outstanding count. The first contribution is copied in.
+     * outstanding count. The first contribution becomes the accumulator
+     * when @p data holds its storage alone (move it in); otherwise it is
+     * copied, so a caller's handle never sees the reduction.
      */
     static void absorb(ReduceSession &s, std::uint32_t offset,
-                       const ec::Buffer &data);
+                       ec::Buffer data);
 
     /** absorb() without touching the outstanding count (RMW preload). */
     static void absorbNoCount(ReduceSession &s, std::uint32_t offset,
-                              const ec::Buffer &data);
+                              ec::Buffer data);
 
     /**
      * Ready to persist/reply: host command processed, no outstanding

@@ -38,6 +38,8 @@ Buffer
 Buffer::slice(std::size_t offset, std::size_t len) const
 {
     assert(offset + len <= size_);
+    if (offset == 0 && len == size_)
+        return *this;
     return Buffer(data_.get() + offset, len);
 }
 

@@ -6,6 +6,10 @@
  * through the simulated network, reduced at a peer, and verified at the
  * host without deep copies — mirroring the zero-copy RDMA data path of the
  * real system.
+ *
+ * Sharing is safe under one ownership rule (DESIGN.md): a buffer handed
+ * into the data path is never mutated by its sender afterwards, and code
+ * mutates in place only a buffer it allocated or holds alone (unique()).
  */
 
 #ifndef DRAID_EC_BUFFER_H
@@ -49,10 +53,17 @@ class Buffer
     Buffer clone() const;
 
     /**
-     * A view-copy of bytes [offset, offset+len). Allocates; views are not
-     * needed at simulation scale. @pre offset+len <= size()
+     * Bytes [offset, offset+len). The whole range shares this buffer's
+     * storage; any shorter range is an independent copy, so a sub-range
+     * never pins a larger parent. @pre offset+len <= size()
      */
     Buffer slice(std::size_t offset, std::size_t len) const;
+
+    /**
+     * True when this handle is the only one to its storage, so its owner
+     * may mutate it in place without another holder seeing the change.
+     */
+    bool unique() const { return data_.use_count() == 1; }
 
     /** Byte-wise equality (both empty counts as equal). */
     bool contentEquals(const Buffer &other) const;

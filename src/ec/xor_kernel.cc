@@ -3,31 +3,23 @@
 #include <cassert>
 #include <cstring>
 
+#ifdef __SSE2__
+#include <emmintrin.h>
+#define DRAID_XOR_SSE2 1
+#endif
+
 namespace draid::ec {
 
-void
-xorInto(std::uint8_t *dst, const std::uint8_t *src, std::size_t len)
-{
-    std::size_t i = 0;
-    // Word-wise with 4x unrolling; memcpy keeps this free of alignment UB
-    // and compiles to plain loads/stores.
-    for (; i + 32 <= len; i += 32) {
-        std::uint64_t d[4], s[4];
-        std::memcpy(d, dst + i, 32);
-        std::memcpy(s, src + i, 32);
-        d[0] ^= s[0];
-        d[1] ^= s[1];
-        d[2] ^= s[2];
-        d[3] ^= s[3];
-        std::memcpy(dst + i, d, 32);
-    }
-    for (; i < len; ++i)
-        dst[i] ^= src[i];
-}
+namespace detail {
 
+namespace {
+
+// Word-wise with 4x unrolling; memcpy keeps this free of alignment UB and
+// compiles to plain loads/stores. Every load of a step precedes its store,
+// so dst may equal a (the in-place form).
 void
-xorBlocks(std::uint8_t *dst, const std::uint8_t *a, const std::uint8_t *b,
-          std::size_t len)
+portableBlocks(std::uint8_t *dst, const std::uint8_t *a, const std::uint8_t *b,
+               std::size_t len)
 {
     std::size_t i = 0;
     for (; i + 32 <= len; i += 32) {
@@ -42,6 +34,83 @@ xorBlocks(std::uint8_t *dst, const std::uint8_t *a, const std::uint8_t *b,
     }
     for (; i < len; ++i)
         dst[i] = a[i] ^ b[i];
+}
+
+const XorKernels kPortable{"portable", portableBlocks};
+
+#ifdef DRAID_XOR_SSE2
+/** @p lanes consecutive 16-byte blocks at byte @p i, loads before stores. */
+template <std::size_t lanes>
+inline void
+sse2Step(std::uint8_t *dst, const std::uint8_t *a, const std::uint8_t *b,
+         std::size_t i)
+{
+    __m128i v[lanes];
+    for (std::size_t l = 0; l < lanes; ++l) {
+        const std::size_t at = i + 16 * l;
+        v[l] = _mm_xor_si128(
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(a + at)),
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(b + at)));
+    }
+    for (std::size_t l = 0; l < lanes; ++l)
+        _mm_storeu_si128(reinterpret_cast<__m128i *>(dst + i + 16 * l), v[l]);
+}
+
+// 64 bytes per step, then 16, then the tail shorter than 16 bytes through
+// the portable body.
+void
+sse2Blocks(std::uint8_t *dst, const std::uint8_t *a, const std::uint8_t *b,
+           std::size_t len)
+{
+    std::size_t i = 0;
+    for (; i + 64 <= len; i += 64)
+        sse2Step<4>(dst, a, b, i);
+    for (; i + 16 <= len; i += 16)
+        sse2Step<1>(dst, a, b, i);
+    portableBlocks(dst + i, a + i, b + i, len - i);
+}
+
+const XorKernels kSse2{"sse2", sse2Blocks};
+constexpr auto kSelectedBlocks = sse2Blocks;
+const XorKernels &kSelected = kSse2;
+#else
+constexpr auto kSelectedBlocks = portableBlocks;
+const XorKernels &kSelected = kPortable;
+#endif
+
+} // namespace
+
+const XorKernels &
+portableXorKernels()
+{
+    return kPortable;
+}
+
+const XorKernels &
+selectedXorKernels()
+{
+    return kSelected;
+}
+
+} // namespace detail
+
+void
+xorInto(std::uint8_t *dst, const std::uint8_t *src, std::size_t len)
+{
+    detail::kSelectedBlocks(dst, dst, src, len);
+}
+
+void
+xorBlocks(std::uint8_t *dst, const std::uint8_t *a, const std::uint8_t *b,
+          std::size_t len)
+{
+    detail::kSelectedBlocks(dst, a, b, len);
+}
+
+const char *
+xorKernelName()
+{
+    return detail::selectedXorKernels().name;
 }
 
 void

@@ -3,8 +3,10 @@
  * XOR kernels — the RAID-5 parity primitive.
  *
  * These are the software counterparts of the ISA-L routines the paper uses
- * (§8). They operate on raw pointers in 64-bit words with 4x unrolling;
- * the simulated CPU cost of running them is modeled separately by
+ * (§8). On x86-64 they run an SSE2 body, 64 bytes per step as four
+ * unaligned 16-byte lanes; SSE2 is baseline there, so the body is chosen
+ * at compile time. Other targets run the portable body of 64-bit words.
+ * The simulated CPU cost of running them is modeled separately by
  * sim::CpuCore with a calibrated bytes/sec rate.
  */
 
@@ -25,6 +27,9 @@ void xorInto(std::uint8_t *dst, const std::uint8_t *src, std::size_t len);
 void xorBlocks(std::uint8_t *dst, const std::uint8_t *a,
                const std::uint8_t *b, std::size_t len);
 
+/** Name of the body xorInto and xorBlocks run: "sse2" or "portable". */
+const char *xorKernelName();
+
 /**
  * Buffer overloads. Lengths must match; asserts in debug builds.
  * @{
@@ -32,6 +37,27 @@ void xorBlocks(std::uint8_t *dst, const std::uint8_t *a,
 void xorInto(Buffer &dst, const Buffer &src);
 Buffer xorOf(const Buffer &a, const Buffer &b);
 /** @} */
+
+namespace detail {
+
+/**
+ * One XOR body (internal to src/ec and its tests): dst = a ^ b, where dst
+ * may equal a; xorInto is the dst == a form.
+ */
+struct XorKernels
+{
+    const char *name;
+    void (*blocks)(std::uint8_t *dst, const std::uint8_t *a,
+                   const std::uint8_t *b, std::size_t len);
+};
+
+/** The portable scalar body; runs on every CPU. */
+const XorKernels &portableXorKernels();
+
+/** The body this build runs: SSE2 on x86-64, else portable. */
+const XorKernels &selectedXorKernels();
+
+} // namespace detail
 
 } // namespace draid::ec
 

@@ -307,6 +307,25 @@ TEST(BaselineFailure, TimeoutFailsOverToDegraded)
     EXPECT_TRUE(got.contentEquals(data));
 }
 
+TEST(BaselineFailure, FailedReadHandsBackZeros)
+{
+    // A stripe-wide read where every chunk but the down target's lands:
+    // the error completion must not expose the bytes that did arrive.
+    BaselineRig rig(Kind::kSpdk, RaidLevel::kRaid5);
+    const auto &g = rig.raidDev->geometry();
+    ec::Buffer pre(g.stripeDataSize());
+    pre.fillPattern(16);
+    ASSERT_TRUE(writeSync(rig.sim(), *rig.raidDev, 0, pre));
+
+    rig.cluster->failTarget(g.dataDevice(0, 0));
+    bool ok = true;
+    ec::Buffer got = readSync(rig.sim(), *rig.raidDev, 0,
+                              static_cast<std::uint32_t>(pre.size()), &ok);
+    EXPECT_FALSE(ok);
+    ec::Buffer zeros(pre.size());
+    EXPECT_TRUE(got.contentEquals(zeros));
+}
+
 TEST(BaselineFailure, RetriedDegradedWriteKeepsFailedChunkBytes)
 {
     // The host-centric twin of the dRAID case: the targeted parity update

@@ -48,6 +48,28 @@ TEST(Buffer, SliceExtractsRange)
         EXPECT_EQ(s[i], i + 3);
 }
 
+TEST(Buffer, WholeRangeSliceSharesStorage)
+{
+    Buffer a(16);
+    EXPECT_TRUE(a.unique());
+    Buffer s = a.slice(0, a.size());
+    EXPECT_EQ(s.data(), a.data());
+    EXPECT_FALSE(a.unique());
+    EXPECT_FALSE(s.unique());
+}
+
+TEST(Buffer, SubRangeSliceIsIndependent)
+{
+    Buffer a(16);
+    a.fill(0x33);
+    Buffer s = a.slice(0, 15);
+    EXPECT_TRUE(a.unique());
+    EXPECT_TRUE(s.unique());
+    s.fill(0xcc);
+    for (std::size_t i = 0; i < a.size(); ++i)
+        EXPECT_EQ(a[i], 0x33);
+}
+
 TEST(Buffer, ContentEquals)
 {
     Buffer a(8), b(8), c(9);

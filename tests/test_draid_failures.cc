@@ -207,6 +207,25 @@ TEST(DraidFailures, ReadOfDownTargetTimesOutWithError)
     EXPECT_TRUE(ok2);
 }
 
+TEST(DraidFailures, FailedReadHandsBackZeros)
+{
+    // A stripe-wide read where every chunk but the down target's lands:
+    // the error completion must not expose the bytes that did arrive.
+    DraidRig rig(6, opts());
+    const auto &g = rig.host().geometry();
+    ec::Buffer pre(g.stripeDataSize());
+    pre.fillPattern(12);
+    ASSERT_TRUE(writeSync(rig.sim(), rig.host(), 0, pre));
+
+    rig.cluster->failTarget(0);
+    bool ok = true;
+    ec::Buffer got = readSync(rig.sim(), rig.host(), 0,
+                              static_cast<std::uint32_t>(pre.size()), &ok);
+    EXPECT_FALSE(ok);
+    ec::Buffer zeros(pre.size());
+    EXPECT_TRUE(got.contentEquals(zeros));
+}
+
 TEST(DraidFailures, DeadlinesDisarmOnSuccess)
 {
     DraidRig rig(6, opts());

@@ -112,6 +112,22 @@ TEST(ReduceEngine, FirstAbsorbDoesNotAliasCallerBuffer)
         EXPECT_EQ(a[i], 0x5a);
 }
 
+TEST(ReduceEngine, FirstAbsorbAdoptsMovedSoleOwner)
+{
+    ReduceSession s;
+    Buffer a(32);
+    a.fill(0x5a);
+    const std::uint8_t *storage = a.data();
+    ReduceEngine::absorbNoCount(s, 8, std::move(a));
+    EXPECT_EQ(s.acc.data(), storage);
+    Buffer b(32);
+    b.fill(0x0f);
+    ReduceEngine::absorbNoCount(s, 8, b);
+    EXPECT_EQ(s.acc.data(), storage);
+    for (std::size_t i = 0; i < s.acc.size(); ++i)
+        EXPECT_EQ(s.acc[i], 0x55);
+}
+
 TEST(ReduceEngine, ExactlyCoveredWindowIsTheAccumulator)
 {
     ReduceSession s;

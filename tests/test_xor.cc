@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "ec/buffer.h"
@@ -45,6 +46,107 @@ TEST_P(XorSizes, XorBlocksMatchesReference)
 INSTANTIATE_TEST_SUITE_P(Sizes, XorSizes,
                          ::testing::Values(0, 1, 7, 31, 32, 33, 63, 64, 100,
                                            4096, 65537));
+
+namespace {
+
+using draid::ec::detail::XorKernels;
+
+std::uint8_t
+byteOf(std::size_t i, unsigned salt)
+{
+    return static_cast<std::uint8_t>(i * 29 + salt * 71 + 7);
+}
+
+/**
+ * 0-200 bytes (every mix of 64-byte steps, 16-byte steps and tail) and
+ * 4096 + 1..63 (a page plus every tail).
+ */
+std::vector<std::size_t>
+kernelLengths()
+{
+    std::vector<std::size_t> lens;
+    for (std::size_t n = 0; n <= 200; ++n)
+        lens.push_back(n);
+    for (std::size_t n = 1; n < 64; ++n)
+        lens.push_back(4096 + n);
+    return lens;
+}
+
+} // namespace
+
+class XorKernelBody : public ::testing::TestWithParam<bool>
+{
+  protected:
+    const XorKernels &body() const
+    {
+        return GetParam() ? draid::ec::detail::portableXorKernels()
+                          : draid::ec::detail::selectedXorKernels();
+    }
+};
+
+TEST_P(XorKernelBody, MisalignedRangesTouchOnlyTheirBytes)
+{
+    // dst, a and b each start at their own offset from a 64-byte guard;
+    // bytes outside [dst, dst + len) and both inputs must stay as they were.
+    constexpr std::size_t kGuard = 64;
+    struct Offsets
+    {
+        std::size_t dst, a, b;
+    };
+    const Offsets offsets[] = {{0, 0, 0}, {1, 2, 3}, {15, 0, 9}, {7, 13, 1}};
+    const XorKernels &k = body();
+    int mismatches = 0;
+    for (const std::size_t len : kernelLengths()) {
+        const std::size_t size = len + 2 * kGuard + 16;
+        const unsigned a_salt = 2 + static_cast<unsigned>(len);
+        std::vector<std::uint8_t> dst(size), a(size), b(size);
+        for (const Offsets &o : offsets) {
+            for (std::size_t i = 0; i < size; ++i) {
+                dst[i] = byteOf(i, 1);
+                a[i] = byteOf(i, a_salt);
+                b[i] = byteOf(i, 3);
+            }
+            std::uint8_t *d = dst.data() + kGuard + o.dst;
+            const std::uint8_t *pa = a.data() + kGuard + o.a;
+            const std::uint8_t *pb = b.data() + kGuard + o.b;
+            const auto expect = [&](std::size_t i, bool into) {
+                const std::size_t at = kGuard + o.dst;
+                if (i < at || i >= at + len)
+                    return byteOf(i, 1);
+                const std::uint8_t lhs = into ? byteOf(i, 1) : pa[i - at];
+                return static_cast<std::uint8_t>(lhs ^ pb[i - at]);
+            };
+
+            k.blocks(d, pa, pb, len);
+            for (std::size_t i = 0; i < size; ++i)
+                mismatches += dst[i] != expect(i, false);
+            for (std::size_t i = 0; i < size; ++i)
+                dst[i] = byteOf(i, 1);
+            k.blocks(d, d, pb, len); // the xorInto form
+            for (std::size_t i = 0; i < size; ++i) {
+                mismatches += dst[i] != expect(i, true);
+                mismatches += a[i] != byteOf(i, a_salt);
+                mismatches += b[i] != byteOf(i, 3);
+            }
+        }
+        ASSERT_EQ(mismatches, 0) << "len=" << len;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Bodies, XorKernelBody, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool> &param) {
+                             return param.param ? std::string("portable")
+                                               : std::string("selected");
+                         });
+
+TEST(Xor, PublicKernelsNameTheSelectedBody)
+{
+    EXPECT_STREQ(xorKernelName(),
+                 draid::ec::detail::selectedXorKernels().name);
+#ifdef __SSE2__
+    EXPECT_STREQ(xorKernelName(), "sse2");
+#endif
+}
 
 TEST(Xor, SelfInverse)
 {
