@@ -65,17 +65,30 @@ saveSimcoreProfile()
 /** Figure label from the last printFigureHeader, for bench-JSON rows. */
 std::string g_currentFigure;
 
-/** First bench-JSON row truncates the file; later rows append. */
+/** Per JSONL artifact: the first row truncates the file, later rows
+ *  append (exemplars: one reservoir dump per system). */
 bool g_benchJsonStarted = false;
-
-/** Same truncate-then-append pattern for the timeline file. */
 bool g_timelineStarted = false;
-
-/** And for the exemplar JSONL file (one reservoir dump per system). */
 bool g_exemplarsStarted = false;
-
-/** And for the interference JSONL file (one row per tenant mix). */
 bool g_interferenceStarted = false;
+
+/**
+ * Open an artifact for more JSONL rows: the process's first open
+ * truncates it, later ones append. Warns and returns false on failure.
+ */
+bool
+openRows(std::ofstream &os, const std::string &path, bool &started,
+         const char *what)
+{
+    os.open(path, started ? std::ios::app : std::ios::trunc);
+    if (!os) {
+        std::fprintf(stderr, "warning: could not write %s to %s\n", what,
+                     path.c_str());
+        return false;
+    }
+    started = true;
+    return true;
+}
 
 /** Busy-fraction sampling period when telemetry is requested. */
 constexpr sim::Ticks kUtilSampleInterval = sim::Ticks::us(100);
@@ -223,26 +236,32 @@ SystemUnderTest::SystemUnderTest(SystemKind kind, const ArrayConfig &array)
         break;
     }
 
-    // The analyzer and the timeline both consume the retained span
-    // stream, so tracing must be on whenever either was requested.
-    if (!g_telemetry.tracePath.empty() || g_telemetry.analyzer() ||
-        g_telemetry.timeline())
-        cluster_->tracer().setEnabled(true);
-    // Head sampling gates retention only: ids are still minted for every
-    // op and the decision is a pure hash of the id, so turning it on
-    // cannot change simulated output.
-    cluster_->tracer().setSamplePeriod(g_telemetry.traceSamplePeriod);
-    // The exemplar reservoir rides the recording stream (it needs
-    // active(), not enabled()): with the default-on flight recorder it
-    // works even in spans-off runs, and keeps whole chains for tail ops
-    // that sampling would drop from retention.
+    // Spans are retained only for the Chrome export. The fold and the
+    // timeline are sinks bound for the system's whole life, so the tracer
+    // is active (and ids are minted) from construction.
+    telemetry::Tracer &tracer = cluster_->tracer();
+    if (!g_telemetry.tracePath.empty())
+        tracer.setEnabled(true);
+    if (g_telemetry.analyzer()) {
+        fold_ = std::make_unique<telemetry::CriticalPathFold>(&tracer);
+        tracer.bind(fold_.get());
+    }
+    if (g_telemetry.timeline()) {
+        timeline_ = std::make_unique<telemetry::WindowedAggregator>();
+        tracer.bind(timeline_.get());
+    }
+    // Head sampling thins export retention and the fold only; it is a
+    // pure hash of the id, so it cannot change simulated output.
+    tracer.setSamplePeriod(g_telemetry.traceSamplePeriod);
+    // The exemplar reservoir rides whatever keeps the tracer active (the
+    // default-on flight recorder at least), sampled or not.
     if (g_telemetry.exemplarCapture())
         cluster_->telemetry().exemplars().setEnabled(true);
     // Self-time the recording paths only when a profile was asked for;
     // the clock reads stay inside src/telemetry/ and never influence
     // what is recorded.
     if (g_telemetry.profiling())
-        cluster_->tracer().setSelfTiming(true);
+        tracer.setSelfTiming(true);
     if (g_telemetry.any())
         cluster_->startUtilizationSampling(kUtilSampleInterval);
     // Observe-only: attaching the engine profiler cannot perturb event
@@ -276,31 +295,26 @@ SystemUnderTest::~SystemUnderTest()
         !cluster_->telemetry().saveChromeTrace(g_telemetry.tracePath))
         std::fprintf(stderr, "warning: could not write trace to %s\n",
                      g_telemetry.tracePath.c_str());
-    if (!g_telemetry.exemplarsPath.empty()) {
-        std::ofstream os(g_telemetry.exemplarsPath,
-                         g_exemplarsStarted ? std::ios::app
-                                            : std::ios::trunc);
-        if (os) {
-            g_exemplarsStarted = true;
-            telemetry::writeExemplarsJsonl(
-                os, cluster_->telemetry().exemplars());
-        } else {
-            std::fprintf(stderr,
-                         "warning: could not write exemplars to %s\n",
-                         g_telemetry.exemplarsPath.c_str());
-        }
-    }
+    std::ofstream exemplars;
+    if (!g_telemetry.exemplarsPath.empty() &&
+        openRows(exemplars, g_telemetry.exemplarsPath, g_exemplarsStarted,
+                 "exemplars"))
+        telemetry::writeExemplarsJsonl(exemplars,
+                                       cluster_->telemetry().exemplars());
 
-    // A silently truncated trace misleads; one line on stderr when any
-    // retention cap dropped data (the Chrome export carries the same
-    // numbers as trace_truncation metadata).
+    // A silently truncated trace or breakdown misleads; one line on
+    // stderr when any retention cap dropped data (the Chrome export
+    // carries the span and counter numbers as trace_truncation metadata).
     const telemetry::Tracer &tr = cluster_->tracer();
-    if (tr.droppedSpans() > 0 || tr.droppedCounters() > 0)
+    if (tr.droppedSpans() > 0 || tr.droppedCounters() > 0 ||
+        tr.evictedChains() > 0)
         std::fprintf(stderr,
                      "warning: telemetry dropped %llu span(s), %llu "
-                     "counter sample(s) at retention caps\n",
+                     "counter sample(s), %llu pending op chain(s) at "
+                     "retention caps\n",
                      static_cast<unsigned long long>(tr.droppedSpans()),
-                     static_cast<unsigned long long>(tr.droppedCounters()));
+                     static_cast<unsigned long long>(tr.droppedCounters()),
+                     static_cast<unsigned long long>(tr.evictedChains()));
 
     // Fold this system's telemetry self-accounting into the process-wide
     // overhead block (BENCH_simcore.json) and the profiler's label rows.
@@ -370,20 +384,30 @@ SystemUnderTest::reconstructChunk(std::uint64_t stripe, std::uint32_t spare,
 
 namespace {
 
+/** "fig09 dRAID (raid5 c512k w8 io131072 rd1.00 qd32)" */
+std::string
+jobLabel(SystemUnderTest &sut, const workload::FioConfig &fio)
+{
+    char buf[160];
+    std::snprintf(buf, sizeof(buf), "%s %s (%s c%uk w%u io%u rd%.2f qd%d)",
+                  g_currentFigure.empty() ? "bench"
+                                          : g_currentFigure.c_str(),
+                  name(sut.kind()), levelName(sut.array().level),
+                  sut.array().chunkKb, sut.array().width, fio.ioSize,
+                  fio.readRatio, fio.ioDepth);
+    return buf;
+}
+
 /** Human breakdown table, on stderr (figure stdout stays diffable). */
 void
 printBreakdownTable(SystemUnderTest &sut, const workload::FioConfig &fio,
                     const workload::FioResult &result,
                     const telemetry::CriticalPathReport &report)
 {
-    std::fprintf(stderr,
-                 "\n## critical path: %s %s (%s c%uk w%u io%u rd%.2f "
-                 "qd%d, %zu ops, %.1f MB/s)\n",
-                 g_currentFigure.empty() ? "bench" : g_currentFigure.c_str(),
-                 name(sut.kind()), levelName(sut.array().level),
-                 sut.array().chunkKb, sut.array().width, fio.ioSize,
-                 fio.readRatio, fio.ioDepth, report.ops.size(),
-                 result.bandwidthMBps);
+    std::string label = jobLabel(sut, fio);
+    label.pop_back(); // the closing parenthesis
+    std::fprintf(stderr, "\n## critical path: %s, %zu ops, %.1f MB/s)\n",
+                 label.c_str(), report.ops.size(), result.bandwidthMBps);
     std::fprintf(stderr, "## %-8s %10s %10s %10s %8s\n", "phase",
                  "mean(us)", "p50(us)", "p99(us)", "share");
     for (std::size_t p = 0; p < telemetry::kNumPhases; ++p) {
@@ -411,14 +435,10 @@ appendBenchJsonRow(SystemUnderTest &sut, const workload::FioConfig &fio,
                    const telemetry::CriticalPathReport &report,
                    sim::Tick job_start, sim::Tick job_end)
 {
-    std::ofstream os(g_telemetry.benchJsonPath,
-                     g_benchJsonStarted ? std::ios::app : std::ios::trunc);
-    if (!os) {
-        std::fprintf(stderr, "warning: could not write bench JSON to %s\n",
-                     g_telemetry.benchJsonPath.c_str());
+    std::ofstream os;
+    if (!openRows(os, g_telemetry.benchJsonPath, g_benchJsonStarted,
+                  "bench JSON"))
         return;
-    }
-    g_benchJsonStarted = true;
 
     char buf[512];
     os << "{\"figure\":\""
@@ -480,32 +500,20 @@ appendBenchJsonRow(SystemUnderTest &sut, const workload::FioConfig &fio,
         const std::size_t n = std::min<std::size_t>(slow.size(), 5);
         for (std::size_t i = 0; i < n; ++i) {
             const telemetry::ExemplarReservoir::Exemplar &e = *slow[i];
-            const telemetry::CriticalPathReport verdict =
-                telemetry::analyzeCriticalPath(e.chain);
-            const char *dominant =
-                telemetry::phaseName(telemetry::Phase::kQueue);
-            sim::Tick dominantTicks = -1;
-            if (!verdict.ops.empty()) {
-                for (std::size_t p = 0; p < telemetry::kNumPhases; ++p) {
-                    const sim::Tick t = verdict.ops.front().phaseTicks[p];
-                    if (t > dominantTicks) {
-                        dominantTicks = t;
-                        dominant = telemetry::phaseName(
-                            static_cast<telemetry::Phase>(p));
-                    }
-                }
-            }
+            const char *dominant = telemetry::phaseName(
+                telemetry::breakdownOp(e.root, e.chain).dominant());
             if (i)
                 os << ",";
             std::snprintf(buf, sizeof(buf),
                           "{\"trace\":%llu,\"name\":\"%s\","
                           "\"latency_us\":%.3f,\"bytes\":%llu,"
                           "\"spans\":%zu,\"dominant\":\"%s\"}",
-                          static_cast<unsigned long long>(e.traceId),
-                          e.name,
+                          static_cast<unsigned long long>(e.root.traceId),
+                          e.root.name,
                           static_cast<double>(e.latency()) /
                               sim::kMicrosecond,
-                          static_cast<unsigned long long>(e.bytes),
+                          static_cast<unsigned long long>(
+                              e.root.arg("bytes")),
                           e.chain.size(), dominant);
             os << buf;
         }
@@ -514,33 +522,15 @@ appendBenchJsonRow(SystemUnderTest &sut, const workload::FioConfig &fio,
     os << "}\n";
 }
 
-/** "fig09 dRAID (raid5 c512k w8 io131072 rd1.00 qd32)" */
-std::string
-jobLabel(SystemUnderTest &sut, const workload::FioConfig &fio)
-{
-    char buf[160];
-    std::snprintf(buf, sizeof(buf), "%s %s (%s c%uk w%u io%u rd%.2f qd%d)",
-                  g_currentFigure.empty() ? "bench"
-                                          : g_currentFigure.c_str(),
-                  name(sut.kind()), levelName(sut.array().level),
-                  sut.array().chunkKb, sut.array().width, fio.ioSize,
-                  fio.readRatio, fio.ioDepth);
-    return buf;
-}
-
 /** One JSONL timeline row per measured job. */
 void
 appendTimelineRow(SystemUnderTest &sut, const workload::FioConfig &fio,
                   const telemetry::TimelineReport &report)
 {
-    std::ofstream os(g_telemetry.timelinePath,
-                     g_timelineStarted ? std::ios::app : std::ios::trunc);
-    if (!os) {
-        std::fprintf(stderr, "warning: could not write timeline to %s\n",
-                     g_telemetry.timelinePath.c_str());
+    std::ofstream os;
+    if (!openRows(os, g_telemetry.timelinePath, g_timelineStarted,
+                  "timeline"))
         return;
-    }
-    g_timelineStarted = true;
     os << "{\"figure\":\""
        << (g_currentFigure.empty() ? "bench" : g_currentFigure)
        << "\",\"system\":\"" << name(sut.kind()) << "\",\"io_size\":"
@@ -554,16 +544,10 @@ appendTimelineRow(SystemUnderTest &sut, const workload::FioConfig &fio,
 void
 appendInterferenceRow(SystemUnderTest &sut, const std::string &label)
 {
-    std::ofstream os(g_telemetry.interferencePath,
-                     g_interferenceStarted ? std::ios::app
-                                           : std::ios::trunc);
-    if (!os) {
-        std::fprintf(stderr,
-                     "warning: could not write interference row to %s\n",
-                     g_telemetry.interferencePath.c_str());
+    std::ofstream os;
+    if (!openRows(os, g_telemetry.interferencePath, g_interferenceStarted,
+                  "interference row"))
         return;
-    }
-    g_interferenceStarted = true;
     sut.cluster().telemetry().contention().writeJsonRow(os, label,
                                                         g_telemetry.seed);
     os << "\n";
@@ -626,20 +610,15 @@ runFio(SystemUnderTest &sut, const workload::FioConfig &fio, bool preload)
     if (preload)
         preloadSpan(sut, fio.workingSetBytes);
 
-    // Only spans recorded by the measured job feed the analyzer and the
-    // timeline; the preload's full-stripe writes would otherwise skew
-    // the breakdown.
-    const std::size_t span_base =
-        sut.cluster().tracer().spans().size();
+    // Only the measured job feeds the fold and the timeline (the
+    // preload's full-stripe writes would skew the breakdown). Both take
+    // ops as they complete, so the timeline stays exact even when
+    // --trace-sample= skips almost every id.
     const sim::Tick job_start = sim.now().raw();
-
-    // Streaming aggregation: the timeline is fed one op at a time as it
-    // completes (adaptive bin width), not rebuilt from retained spans —
-    // so its windowed stats stay exact even when --trace-sample= retains
-    // almost nothing, and its memory is O(bins), not O(ops).
-    telemetry::WindowedAggregator streamed;
-    if (g_telemetry.timeline())
-        sut.cluster().tracer().bindOpSink(&streamed);
+    if (sut.fold() != nullptr)
+        sut.fold()->reset();
+    if (sut.timeline() != nullptr)
+        *sut.timeline() = telemetry::WindowedAggregator{}; // stays bound
 
     // The harness owns the seed (--seed=): a job must not carry its own,
     // so identical CLI invocations replay identical offset/ratio draws.
@@ -648,31 +627,21 @@ runFio(SystemUnderTest &sut, const workload::FioConfig &fio, bool preload)
     workload::FioJob job(sim, dev, seeded);
     workload::FioResult result = job.run();
 
-    if (g_telemetry.timeline())
-        sut.cluster().tracer().bindOpSink(nullptr);
-
     // Preload-only calls (numOps <= 1) measure nothing worth reporting.
-    if ((g_telemetry.analyzer() || g_telemetry.timeline()) &&
-        fio.numOps > 1) {
-        const auto &all = sut.cluster().tracer().spans();
-        const std::vector<telemetry::TraceSpan> measured(
-            all.begin() + static_cast<std::ptrdiff_t>(
-                              std::min(span_base, all.size())),
-            all.end());
-        if (g_telemetry.analyzer()) {
-            const telemetry::CriticalPathReport report =
-                telemetry::analyzeCriticalPath(measured);
+    if (fio.numOps > 1) {
+        if (sut.fold() != nullptr) {
+            const telemetry::CriticalPathReport report = sut.fold()->report();
             if (g_telemetry.breakdown)
                 printBreakdownTable(sut, fio, result, report);
             if (!g_telemetry.benchJsonPath.empty())
                 appendBenchJsonRow(sut, fio, result, report, job_start,
                                    sim.now().raw() + 1);
         }
-        if (g_telemetry.timeline()) {
+        if (sut.timeline() != nullptr) {
             const telemetry::Telemetry &tel = sut.cluster().telemetry();
             const telemetry::TimelineReport report =
                 telemetry::buildTimeline(
-                    streamed,
+                    *sut.timeline(),
                     tel.journal().snapshotRange(job_start, sim.now().raw() + 1),
                     tel.sampler().samples(), sut.cluster().hostId());
             if (g_telemetry.timelineAscii) {

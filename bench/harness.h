@@ -19,6 +19,11 @@
 #include "core/draid_host.h"
 #include "workload/fio.h"
 
+namespace draid::telemetry {
+class CriticalPathFold;
+class WindowedAggregator;
+} // namespace draid::telemetry
+
 namespace draid::bench {
 
 /** The three systems the paper compares (§9.1). */
@@ -52,13 +57,16 @@ struct ArrayConfig
  *                          workloads never pick their own.
  *   --metrics-json=<path>  save a metrics + utilization snapshot
  *   --trace=<path>         enable per-op tracing, save a Chrome trace
- *   --trace-sample=<n>     deterministic head sampling: retain spans of
- *                          1-in-n trace ids, chosen by a seeded hash of
- *                          the id (never the engine RNG), so the sampled
- *                          set is byte-identical across runs and sampling
- *                          cannot perturb the simulation. 0/1 = keep all.
- *                          Windowed timeline stats stay exact (they are
- *                          fed at op completion, not from retained spans).
+ *   --trace-sample=<n>     deterministic head sampling of 1-in-n trace
+ *                          ids, chosen by a seeded hash of the id (never
+ *                          the engine RNG), so the sampled set is
+ *                          byte-identical across runs and sampling cannot
+ *                          perturb the simulation. 0/1 = keep all. The
+ *                          Chrome trace and the critical-path breakdown
+ *                          (--breakdown, the phases and verdict of
+ *                          --bench-json= rows) cover the sampled ids only;
+ *                          the windowed timeline and the exemplars see
+ *                          every op.
  *   --exemplars=<path>     capture the K slowest ops per 1 ms window —
  *                          with their full span chains — in a bounded
  *                          reservoir and save them as JSONL (one op per
@@ -136,7 +144,7 @@ struct TelemetryOptions
                analyzer() || timeline();
     }
 
-    /** Whether the critical-path analyzer must see the span stream. */
+    /** Whether a critical-path fold reports each measured job. */
     bool analyzer() const
     {
         return breakdown || !benchJsonPath.empty();
@@ -215,10 +223,21 @@ class SystemUnderTest
 
     core::DraidHost *draidHost();
 
+    /**
+     * The span sinks behind each measured job's breakdown and timeline,
+     * bound to the tracer for the system's whole life while the flags ask
+     * for them (nullptr otherwise); runFio() resets them at job start.
+     */
+    telemetry::CriticalPathFold *fold() { return fold_.get(); }
+    telemetry::WindowedAggregator *timeline() { return timeline_.get(); }
+
   private:
     SystemKind kind_;
     ArrayConfig array_;
     cluster::TestbedConfig cfg_;
+    // Declared before cluster_, so the tracer they are bound to goes first.
+    std::unique_ptr<telemetry::CriticalPathFold> fold_;
+    std::unique_ptr<telemetry::WindowedAggregator> timeline_;
     std::unique_ptr<cluster::Cluster> cluster_;
     std::unique_ptr<core::DraidSystem> draid_;
     std::unique_ptr<baselines::SpdkRaid> spdk_;

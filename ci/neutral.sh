@@ -10,7 +10,12 @@
 # leave behind: stdout, the fig17 --timeline-ascii stderr, BENCH_* and
 # TIMELINE_* JSON, Chrome traces (fig09/fig17 with --trace-sample=64, the
 # unsampled fig_qos_interference trace), the fig09 --metrics-json snapshot
-# and --exemplars JSONL. BENCH_simcore.json carries host wall-clock times,
+# and --exemplars JSONL. fig09 and fig17 also run a second time at their
+# default flags, in a directory of their own, so the default BENCH_*,
+# TIMELINE_* and stdout (built from the span sinks with no span store)
+# are compared too; that run's BENCH_simcore.json is not, because its
+# span and counter retention counts move with where spans are kept.
+# BENCH_simcore.json carries host wall-clock times,
 # so it is compared through the same timing-stripped projection as CI's
 # profile-determinism step; telemetry_overhead.retained_bytes is a
 # size-based memory estimate that legitimately moves with record layout,
@@ -61,6 +66,14 @@ build() { # <source-dir> <build-dir>
     cmake --build "$2" -j "$jobs" --target "${benches[@]}" >/dev/null
 }
 
+default_run() { # <binary> <figure tag>, from inside an out-dir
+    mkdir default
+    (cd default && "$1" --seed=1 --strict-flags > "../default_stdout_$2.txt")
+    mv "default/BENCH_$2.json" "default_BENCH_$2.json"
+    mv "default/TIMELINE_$2.json" "default_TIMELINE_$2.json"
+    rm -rf default
+}
+
 run() { # <build-dir> <out-dir>
     local bin=$1/bench
     mkdir -p "$2"
@@ -72,11 +85,13 @@ run() { # <build-dir> <out-dir>
                 "$bin/$b" --seed=1 --strict-flags --trace-sample=64 \
                     --trace=trace_fig09.json \
                     --metrics-json=metrics_fig09.json \
-                    --exemplars=exemplars_fig09.jsonl > stdout_fig09.txt ;;
+                    --exemplars=exemplars_fig09.jsonl > stdout_fig09.txt
+                default_run "$bin/$b" fig09 ;;
               fig17_reconstruction)
                 "$bin/$b" --seed=1 --strict-flags --trace-sample=64 \
                     --trace=trace_fig17.json --timeline-ascii \
-                    > stdout_fig17.txt 2> ascii_fig17.txt ;;
+                    > stdout_fig17.txt 2> ascii_fig17.txt
+                default_run "$bin/$b" fig17 ;;
               fig_qos_interference)
                 "$bin/$b" --seed=1 --strict-flags --trace=trace_qos.json \
                     > stdout_qos.txt ;;

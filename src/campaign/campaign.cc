@@ -94,7 +94,7 @@ runTrial(const CampaignConfig &cfg, ScenarioClass cls, std::uint32_t trial,
     // Windowed SLO series over the measured part of the trial only (the
     // sink is fed at op completion; preload stays out of the windows).
     telemetry::WindowedAggregator agg;
-    cluster.tracer().bindOpSink(&agg);
+    cluster.tracer().bind(&agg);
     const sim::Tick measuredStart = sim.now().raw();
 
     // --- generate + arm the fault schedule ---
@@ -239,6 +239,7 @@ runTrial(const CampaignConfig &cfg, ScenarioClass cls, std::uint32_t trial,
                                                     sim.now().raw() + 1);
     const telemetry::TimelineReport timeline =
         telemetry::buildTimeline(agg, events, {}, cluster.hostId());
+    cluster.tracer().unbind(&agg);
     for (const telemetry::TimelineWindow &w : timeline.windows) {
         if (w.ops > 0 && w.p99Us > cfg.sloP99Us)
             r.degradedSloTicks += timeline.windowTicks;

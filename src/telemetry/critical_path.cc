@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
+#include <iterator>
 #include <string_view>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -12,13 +13,6 @@
 namespace draid::telemetry {
 
 namespace {
-
-/** Ticks are nanoseconds; summaries report microseconds. */
-double
-toUs(sim::Tick t)
-{
-    return static_cast<double>(t) / static_cast<double>(sim::kMicrosecond);
-}
 
 /** A clamped resource span inside one op's window. */
 struct Interval
@@ -35,114 +29,68 @@ struct Interval
 sim::Tick
 longestChain(std::vector<Interval> ivs)
 {
-    if (ivs.empty())
-        return 0;
     std::sort(ivs.begin(), ivs.end(),
               [](const Interval &a, const Interval &b) {
                   return a.end < b.end;
               });
-    const std::size_t n = ivs.size();
-    std::vector<sim::Tick> dp(n + 1, 0);
-    std::vector<sim::Tick> ends(n);
-    for (std::size_t i = 0; i < n; ++i)
-        ends[i] = ivs[i].end;
-    for (std::size_t i = 0; i < n; ++i) {
-        // Last interval ending at or before this one's start.
-        const auto it = std::upper_bound(ends.begin(),
-                                         ends.begin() +
-                                             static_cast<std::ptrdiff_t>(i),
-                                         ivs[i].start);
-        const std::size_t p =
-            static_cast<std::size_t>(it - ends.begin());
-        dp[i + 1] = std::max(dp[i],
-                             dp[p] + (ivs[i].end - ivs[i].start));
+    // best[i]: the longest chain among the first i intervals by end.
+    std::vector<sim::Tick> best{0};
+    for (std::size_t i = 0; i < ivs.size(); ++i) {
+        // Intervals ending at or before this one's start.
+        const auto first = ivs.begin();
+        const auto p = std::upper_bound(
+                           first, first + static_cast<std::ptrdiff_t>(i),
+                           ivs[i].start,
+                           [](sim::Tick t, const Interval &iv) {
+                               return t < iv.end;
+                           }) -
+                       first;
+        best.push_back(std::max(best[i], best[static_cast<std::size_t>(p)] +
+                                             (ivs[i].end - ivs[i].start)));
     }
-    return dp[n];
+    return best.back();
 }
 
-/** Exact partition of [start, end) across phases by boundary sweep. */
+/**
+ * Exact partition of [start, end) across phases by boundary sweep: between
+ * consecutive span boundaries, the highest phase with a covering span owns
+ * the elementary interval (kQueue when none covers it).
+ */
 void
 partition(sim::Tick start, sim::Tick end, const std::vector<Interval> &ivs,
           std::array<sim::Tick, kNumPhases> &out)
 {
-    std::vector<sim::Tick> bounds;
-    bounds.reserve(2 * ivs.size() + 2);
-    bounds.push_back(start);
-    bounds.push_back(end);
+    // (tick, phase, +1 where a span starts / -1 where it ends)
+    std::vector<std::tuple<sim::Tick, std::size_t, int>> edges;
+    edges.reserve(2 * ivs.size());
     for (const Interval &iv : ivs) {
-        bounds.push_back(iv.start);
-        bounds.push_back(iv.end);
+        const auto p = static_cast<std::size_t>(iv.phase);
+        edges.emplace_back(iv.start, p, 1);
+        edges.emplace_back(iv.end, p, -1);
     }
-    std::sort(bounds.begin(), bounds.end());
-    bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+    std::sort(edges.begin(), edges.end());
 
-    for (std::size_t i = 0; i + 1 < bounds.size(); ++i) {
-        const sim::Tick lo = bounds[i];
-        const sim::Tick hi = bounds[i + 1];
-        Phase best = Phase::kQueue;
-        for (const Interval &iv : ivs) {
-            if (iv.start <= lo && iv.end >= hi && iv.phase > best)
-                best = iv.phase;
-        }
-        out[static_cast<std::size_t>(best)] += hi - lo;
+    std::array<int, kNumPhases> covering{};
+    sim::Tick at = start;
+    auto chargeUntil = [&](sim::Tick tick) {
+        std::size_t best = kNumPhases - 1;
+        while (best > 0 && covering[best] == 0)
+            --best;
+        out[best] += tick - at;
+        at = tick;
+    };
+    for (const auto &[tick, phase, delta] : edges) {
+        chargeUntil(tick);
+        covering[phase] += delta;
     }
-}
-
-/** Union length of a set of intervals (resource busy time). */
-sim::Tick
-unionLength(std::vector<std::pair<sim::Tick, sim::Tick>> ivs)
-{
-    if (ivs.empty())
-        return 0;
-    std::sort(ivs.begin(), ivs.end());
-    sim::Tick total = 0;
-    sim::Tick curLo = ivs.front().first;
-    sim::Tick curHi = ivs.front().second;
-    for (std::size_t i = 1; i < ivs.size(); ++i) {
-        if (ivs[i].first > curHi) {
-            total += curHi - curLo;
-            curLo = ivs[i].first;
-            curHi = ivs[i].second;
-        } else {
-            curHi = std::max(curHi, ivs[i].second);
-        }
-    }
-    total += curHi - curLo;
-    return total;
+    chargeUntil(end);
 }
 
 /** Lanes that model an occupiable resource (verdict candidates). */
-bool
-isResourceLane(std::string_view lane)
-{
-    return lane == "nic.tx" || lane == "nic.rx" || lane == "cpu" ||
-           lane == "ssd";
-}
+constexpr const char *kResourceLanes[] = {"nic.tx", "nic.rx", "cpu", "ssd"};
+constexpr std::size_t kNumResourceLanes = std::size(kResourceLanes);
 
-} // namespace
-
-const char *
-phaseName(Phase p)
-{
-    switch (p) {
-    case Phase::kQueue:
-        return "queue";
-    case Phase::kLockWait:
-        return "lock";
-    case Phase::kFabric:
-        return "fabric";
-    case Phase::kNic:
-        return "nic";
-    case Phase::kCpu:
-        return "cpu";
-    case Phase::kReduce:
-        return "reduce";
-    case Phase::kSsd:
-        return "ssd";
-    }
-    return "?";
-}
-
+/** Classify one span's phase; kQueue if the lane carries no phase. */
 Phase
 classifySpan(const TraceSpan &span)
 {
@@ -163,83 +111,115 @@ classifySpan(const TraceSpan &span)
     return Phase::kQueue;
 }
 
-CriticalPathReport
-analyzeCriticalPath(const std::vector<TraceSpan> &spans)
+} // namespace
+
+const char *
+phaseName(Phase p)
 {
-    CriticalPathReport report;
+    static constexpr const char *kNames[kNumPhases] = {
+        "queue", "lock", "fabric", "nic", "cpu", "reduce", "ssd"};
+    return kNames[static_cast<std::size_t>(p)];
+}
 
-    // Index the stream: roots in completion order, children by trace id.
-    std::vector<const TraceSpan *> roots;
-    std::unordered_map<std::uint64_t, std::vector<const TraceSpan *>>
-        children;
-    for (const TraceSpan &s : spans) {
-        if (std::string_view(s.lane) == "op") {
-            roots.push_back(&s);
-        } else if (s.traceId != 0) {
-            children[s.traceId].push_back(&s);
-        }
+OpBreakdown
+breakdownOp(const TraceSpan &root, const std::vector<TraceSpan> &chain)
+{
+    OpBreakdown op{.traceId = root.traceId,
+                   .name = root.name,
+                   .start = root.start,
+                   .end = root.end};
+    std::vector<Interval> ivs;
+    for (const TraceSpan &c : chain) {
+        const Phase p = classifySpan(c);
+        if (p == Phase::kQueue)
+            continue; // the root, "event", "rebuild": no phase lane
+        const sim::Tick lo = std::max(c.start, op.start);
+        const sim::Tick hi = std::min(c.end, op.end);
+        if (hi > lo)
+            ivs.push_back(Interval{lo, hi, p});
+    }
+    partition(op.start, op.end, ivs, op.phaseTicks);
+    op.chainTicks = longestChain(std::move(ivs));
+    return op;
+}
+
+void
+CriticalPathFold::onOpComplete(const TraceSpan &root,
+                               const std::vector<TraceSpan> &chain)
+{
+    if (sampler_ != nullptr && !sampler_->sampled(root.traceId))
+        return;
+    const bool first = folded_.ops.empty();
+    folded_.windowStart =
+        first ? root.start : std::min(folded_.windowStart, root.start);
+    folded_.windowEnd =
+        first ? root.end : std::max(folded_.windowEnd, root.end);
+    folded_.ops.push_back(breakdownOp(root, chain));
+}
+
+void
+CriticalPathFold::onSpan(const TraceSpan &span)
+{
+    const auto k = static_cast<std::size_t>(
+        std::find(std::begin(kResourceLanes), std::end(kResourceLanes),
+                  std::string_view(span.lane)) -
+        std::begin(kResourceLanes));
+    if (k == kNumResourceLanes ||
+        (sampler_ != nullptr && !sampler_->sampled(span.traceId)))
+        return;
+    spanWindow_ = Run{std::min(spanWindow_.start, span.start),
+                      std::max(spanWindow_.end, span.end)};
+
+    const std::size_t idx = span.node * kNumResourceLanes + k;
+    if (idx >= lanes_.size())
+        lanes_.resize(idx + 1);
+    Lane &lane = lanes_[idx];
+    assert((!lane.seen || span.start >= lane.open.start) &&
+           "resource spans out of start order");
+    if (lane.seen && span.start <= lane.open.end) {
+        lane.open.end = std::max(lane.open.end, span.end);
+        return;
+    }
+    // Start order: no later span can reach back into the closed run.
+    if (lane.seen)
+        lane.pending.push_back(lane.open);
+    lane.seen = true;
+    lane.open = Run{span.start, span.end};
+    while (!folded_.ops.empty() && !lane.pending.empty() &&
+           lane.pending.front().start >= folded_.windowStart &&
+           lane.pending.front().end <= folded_.windowEnd) {
+        lane.settled += lane.pending.front().end - lane.pending.front().start;
+        lane.pending.pop_front();
+    }
+}
+
+CriticalPathReport
+CriticalPathFold::report() const
+{
+    CriticalPathReport report = folded_;
+    if (report.ops.empty() && !lanes_.empty()) {
+        report.windowStart = spanWindow_.start;
+        report.windowEnd = spanWindow_.end;
     }
 
-    // --- per-op exact breakdown + longest chain ---
-    report.ops.reserve(roots.size());
-    for (const TraceSpan *root : roots) {
-        OpBreakdown op;
-        op.traceId = root->traceId;
-        op.name = root->name;
-        op.start = root->start;
-        op.end = root->end;
-
-        std::vector<Interval> ivs;
-        const auto it = children.find(root->traceId);
-        if (it != children.end()) {
-            for (const TraceSpan *c : it->second) {
-                const Phase p = classifySpan(*c);
-                if (p == Phase::kQueue)
-                    continue; // "event", "rebuild": no phase lane
-                const sim::Tick lo = std::max(c->start, op.start);
-                const sim::Tick hi = std::min(c->end, op.end);
-                if (hi > lo)
-                    ivs.push_back(Interval{lo, hi, p});
-            }
-        }
-
-        partition(op.start, op.end, ivs, op.phaseTicks);
-        op.chainTicks = longestChain(std::move(ivs));
-        report.ops.push_back(std::move(op));
-    }
-
-    // --- run window ---
-    bool haveWindow = false;
-    for (const OpBreakdown &op : report.ops) {
-        if (!haveWindow) {
-            report.windowStart = op.start;
-            report.windowEnd = op.end;
-            haveWindow = true;
-        } else {
-            report.windowStart = std::min(report.windowStart, op.start);
-            report.windowEnd = std::max(report.windowEnd, op.end);
-        }
-    }
-
-    // --- per-phase aggregates ---
+    // --- per-phase aggregates (ticks are ns; summaries report us) ---
+    auto toUs = [](sim::Tick t) {
+        return static_cast<double>(t) / static_cast<double>(sim::kMicrosecond);
+    };
     std::uint64_t grand = 0;
-    std::array<std::vector<sim::Tick>, kNumPhases> samples;
-    for (const OpBreakdown &op : report.ops) {
-        for (std::size_t p = 0; p < kNumPhases; ++p)
-            samples[p].push_back(op.phaseTicks[p]);
-    }
-    for (std::size_t p = 0; p < kNumPhases; ++p) {
+    for (std::size_t p = 0; p < kNumPhases && !report.ops.empty(); ++p) {
+        std::vector<sim::Tick> ticks;
+        for (const OpBreakdown &op : report.ops)
+            ticks.push_back(op.phaseTicks[p]);
         PhaseSummary &ps = report.phases[p];
-        for (sim::Tick t : samples[p])
+        for (sim::Tick t : ticks)
             ps.totalTicks += static_cast<std::uint64_t>(t);
         grand += ps.totalTicks;
-        if (!samples[p].empty()) {
-            ps.meanUs = toUs(static_cast<sim::Tick>(ps.totalTicks)) /
-                        static_cast<double>(samples[p].size());
-            std::sort(samples[p].begin(), samples[p].end());
-            ps.p50Us = toUs(sim::nearestRank(samples[p], 50.0));
-            ps.p99Us = toUs(sim::nearestRank(samples[p], 99.0));
-        }
+        ps.meanUs = toUs(static_cast<sim::Tick>(ps.totalTicks)) /
+                    static_cast<double>(ticks.size());
+        std::sort(ticks.begin(), ticks.end());
+        ps.p50Us = toUs(sim::nearestRank(ticks, 50.0));
+        ps.p99Us = toUs(sim::nearestRank(ticks, 99.0));
     }
     if (grand > 0) {
         for (PhaseSummary &ps : report.phases)
@@ -249,58 +229,63 @@ analyzeCriticalPath(const std::vector<TraceSpan> &spans)
 
     // --- resource busy fractions over the run window ---
     // Every resource span counts, including ones from rootless traces
-    // (rebuild traffic competes for the same NICs and SSDs). Spans are
-    // clamped to the window; union-merged so overlap cannot overcount.
-    std::map<std::pair<sim::NodeId, std::string>,
-             std::vector<std::pair<sim::Tick, sim::Tick>>>
-        byResource;
-    sim::Tick spanLo = 0, spanHi = 0;
-    bool haveSpanWindow = false;
-    for (const TraceSpan &s : spans) {
-        if (!isResourceLane(s.lane))
+    // (rebuild traffic competes for the same NICs and SSDs). A lane's
+    // runs are disjoint, so clamping each to the window and summing is
+    // the union.
+    const sim::Tick from = report.windowStart;
+    const sim::Tick to = report.windowEnd;
+    auto clamped = [from, to](const Run &r) {
+        return std::max<sim::Tick>(std::min(r.end, to) -
+                                       std::max(r.start, from),
+                                   0);
+    };
+    for (std::size_t idx = 0; idx < lanes_.size(); ++idx) {
+        const Lane &lane = lanes_[idx];
+        if (!lane.seen)
             continue;
-        if (!haveSpanWindow) {
-            spanLo = s.start;
-            spanHi = s.end;
-            haveSpanWindow = true;
-        } else {
-            spanLo = std::min(spanLo, s.start);
-            spanHi = std::max(spanHi, s.end);
-        }
-        byResource[{s.node, std::string(s.lane)}].push_back(
-            {s.start, s.end});
-    }
-    if (!haveWindow && haveSpanWindow) {
-        report.windowStart = spanLo;
-        report.windowEnd = spanHi;
-    }
-    const sim::Tick window = report.windowEnd - report.windowStart;
-    for (auto &[key, ivs] : byResource) {
-        for (auto &iv : ivs) {
-            iv.first = std::max(iv.first, report.windowStart);
-            iv.second = std::min(iv.second, report.windowEnd);
-            if (iv.second < iv.first)
-                iv.second = iv.first;
-        }
         ResourceBusy rb;
-        rb.node = key.first;
-        rb.lane = key.second;
-        rb.busyTicks = unionLength(std::move(ivs));
-        rb.busyFraction = window > 0 ? static_cast<double>(rb.busyTicks) /
-                                           static_cast<double>(window)
-                                     : 0.0;
+        rb.node = static_cast<sim::NodeId>(idx / kNumResourceLanes);
+        rb.lane = kResourceLanes[idx % kNumResourceLanes];
+        rb.busyTicks = lane.settled + clamped(lane.open);
+        for (const Run &run : lane.pending)
+            rb.busyTicks += clamped(run);
+        rb.busyFraction = to > from ? static_cast<double>(rb.busyTicks) /
+                                          static_cast<double>(to - from)
+                                    : 0.0;
         report.resources.push_back(std::move(rb));
     }
+    // Busiest first; ties by node, then lane.
     std::sort(report.resources.begin(), report.resources.end(),
               [](const ResourceBusy &a, const ResourceBusy &b) {
-                  if (a.busyTicks != b.busyTicks)
-                      return a.busyTicks > b.busyTicks;
-                  if (a.node != b.node)
-                      return a.node < b.node;
-                  return a.lane < b.lane;
+                  return std::tie(b.busyTicks, a.node, a.lane) <
+                         std::tie(a.busyTicks, b.node, b.lane);
               });
-
     return report;
+}
+
+CriticalPathReport
+analyzeCriticalPath(const std::vector<TraceSpan> &spans)
+{
+    // A root sees every span of its id wherever it sits in the vector,
+    // and each lane's spans are folded in start order.
+    std::unordered_map<std::uint64_t, std::vector<TraceSpan>> chains;
+    for (const TraceSpan &s : spans) {
+        if (s.traceId != 0)
+            chains[s.traceId].push_back(s);
+    }
+    CriticalPathFold fold;
+    for (const TraceSpan &s : spans) {
+        if (std::string_view(s.lane) == "op")
+            fold.onOpComplete(s, chains[s.traceId]);
+    }
+    std::vector<TraceSpan> byStart = spans;
+    std::stable_sort(byStart.begin(), byStart.end(),
+                     [](const TraceSpan &a, const TraceSpan &b) {
+                         return a.start < b.start;
+                     });
+    for (const TraceSpan &s : byStart)
+        fold.onSpan(s); // roots are on no resource lane
+    return fold.report();
 }
 
 } // namespace draid::telemetry

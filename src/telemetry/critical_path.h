@@ -17,17 +17,20 @@
  * interval scheduling) — a lower bound on how fast the op could finish if
  * all queueing vanished, and, across the run, the per-(node, resource) busy
  * fraction over the run window, whose maximum is the bottleneck verdict:
- * the resource that bounds throughput.
- *
- * Pure function of recorded spans; never touches the simulator.
+ * the resource that bounds throughput. CriticalPathFold does all of this
+ * as spans arrive, so no span store is needed; it never touches the
+ * simulator.
  */
 
 #ifndef DRAID_TELEMETRY_CRITICAL_PATH_H
 #define DRAID_TELEMETRY_CRITICAL_PATH_H
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -79,6 +82,15 @@ struct OpBreakdown
     {
         return phaseTicks[static_cast<std::size_t>(p)];
     }
+
+    /** The phase with the most ticks; ties go to the lower phase. */
+    Phase
+    dominant() const
+    {
+        return static_cast<Phase>(
+            std::max_element(phaseTicks.begin(), phaseTicks.end()) -
+            phaseTicks.begin());
+    }
 };
 
 /** Aggregate of one phase across every analyzed op. */
@@ -104,7 +116,7 @@ struct ResourceBusy
 /** Everything the analyzer derives from one run's span stream. */
 struct CriticalPathReport
 {
-    // draid-lint: cap(one breakdown per root span; tracer spanCap_ bounds it)
+    // draid-lint: cap(one breakdown per root; the fold resets per job)
     std::vector<OpBreakdown> ops; ///< completion (root-end) order
     std::array<PhaseSummary, kNumPhases> phases{};
 
@@ -126,15 +138,67 @@ struct CriticalPathReport
     }
 };
 
-/**
- * Analyze a span stream (typically Tracer::spans()). Spans without an "op"
- * root (rebuild stripes, orphaned ids) contribute to resource busy but not
- * to per-op breakdowns.
- */
-CriticalPathReport analyzeCriticalPath(const std::vector<TraceSpan> &spans);
+/** Exact breakdown of @p root's window across the phases of the spans
+ *  in @p chain (which may include @p root itself). */
+OpBreakdown breakdownOp(const TraceSpan &root,
+                        const std::vector<TraceSpan> &chain);
 
-/** Classify one span's phase; kQueue if the lane carries no phase. */
-Phase classifySpan(const TraceSpan &span);
+/**
+ * The analyzer as a span sink: each completed op is broken down from its
+ * chain at completion, and each resource span merges into its
+ * (node, lane)'s busy runs. Such a lane is one FIFO resource that records
+ * a span when it commits work, so its spans arrive in start order. A
+ * closed run inside the window seen so far (earliest root start to latest
+ * root end) joins a running total, since the window only grows and
+ * clamping can no longer change it; report() clamps the rest.
+ */
+class CriticalPathFold : public SpanSink
+{
+  public:
+    /** Fold only the ids @p sampler keeps (Tracer::sampled(), the set the
+     *  Chrome export retains); nullptr folds every id. */
+    explicit CriticalPathFold(const Tracer *sampler = nullptr)
+        : sampler_(sampler)
+    {
+        wantsChains_ = true;
+    }
+
+    void onSpan(const TraceSpan &span) override;
+    void onOpComplete(const TraceSpan &root,
+                      const std::vector<TraceSpan> &chain) override;
+
+    /** Everything folded since construction or reset(). Rootless spans
+     *  (rebuild stripes, orphaned ids) count toward resource busy only. */
+    CriticalPathReport report() const;
+    void reset() { *this = CriticalPathFold(sampler_); }
+
+  private:
+    struct Run
+    {
+        sim::Tick start = 0;
+        sim::Tick end = 0;
+    };
+    struct Lane
+    {
+        bool seen = false;
+        Run open; ///< the run later spans may still extend
+        /** Closed runs not yet inside the window, oldest first. */
+        // draid-lint: cap(runs in flight past the latest root end)
+        std::deque<Run> pending;
+        sim::Tick settled = 0; ///< busy ticks of runs inside the window
+    };
+
+    const Tracer *sampler_;
+    CriticalPathReport folded_; ///< the ops and their window so far
+    /** The window when no root was folded (empty until a span is). */
+    Run spanWindow_{std::numeric_limits<sim::Tick>::max(),
+                    std::numeric_limits<sim::Tick>::min()};
+    // draid-lint: cap(four resource lanes per node; fixed topology)
+    std::vector<Lane> lanes_; ///< index node * 4 + resource lane
+};
+
+/** Replay a span vector (tests) through a CriticalPathFold. */
+CriticalPathReport analyzeCriticalPath(const std::vector<TraceSpan> &spans);
 
 } // namespace draid::telemetry
 

@@ -39,25 +39,20 @@
 
 namespace draid::telemetry {
 
-/** Bounded reservoir of the K slowest ops per tick window. */
-class ExemplarReservoir
+/** Bounded reservoir of the K slowest ops per tick window. As a sink it
+ *  never turns recording on: it rides a stream something else keeps on. */
+class ExemplarReservoir : public SpanSink
 {
   public:
     /** One retained slow op: its root span plus the whole chain. */
     struct Exemplar
     {
-        std::uint64_t traceId = 0;
-        const char *name = ""; ///< root span name, e.g. "draid.read"
-        sim::Tick start = 0;
-        sim::Tick end = 0;
-        std::uint64_t bytes = 0; ///< the root span's "bytes" argument
-        std::uint32_t tenant = 0; ///< owning tenant; 0 = untracked
-        /** Every span recorded under the trace id, in record order; the
-         *  root op span is last. */
+        TraceSpan root; ///< name, window, tenant, "bytes" argument
+        /** The op's spans in record order: sub-spans, root, stragglers. */
         // draid-lint: cap(spans of a single op; bounded op fan-out)
         std::vector<TraceSpan> chain;
 
-        sim::Tick latency() const { return end - start; }
+        sim::Tick latency() const { return root.end - root.start; }
     };
 
     static constexpr sim::Tick kDefaultWindowTicks = sim::kMillisecond;
@@ -68,10 +63,20 @@ class ExemplarReservoir
                                std::size_t per_window = kDefaultPerWindow,
                                std::size_t max_windows = kDefaultMaxWindows);
 
-    /** The reservoir ships disarmed; the tracer skips chain buffering
-     *  entirely while it is off. */
-    bool enabled() const { return enabled_; }
-    void setEnabled(bool on) { enabled_ = on; }
+    /** The reservoir ships disarmed; enabled, it asks for chains. */
+    bool enabled() const { return wantsChains_; }
+    void setEnabled(bool on) { wantsChains_ = on; }
+
+    void onSpan(const TraceSpan &span) override
+    {
+        if (enabled())
+            appendIfHeld(span);
+    }
+    void onOpComplete(const TraceSpan &root,
+                      const std::vector<TraceSpan> &chain) override
+    {
+        offer(root, chain);
+    }
 
     sim::Tick windowTicks() const { return windowTicks_; }
     std::size_t perWindow() const { return perWindow_; }
@@ -79,9 +84,10 @@ class ExemplarReservoir
     /**
      * Offer one completed op. Keeps it (with @p chain) when its window
      * has a free slot or the op is strictly slower than the window's
-     * current fastest exemplar. @return true when retained.
+     * current fastest exemplar. @return true when retained; always false
+     * while disabled or for trace id 0.
      */
-    bool offer(const TraceSpan &root, std::vector<TraceSpan> chain);
+    bool offer(const TraceSpan &root, const std::vector<TraceSpan> &chain);
 
     /**
      * Append a span recorded *after* its op completed (e.g. a straggler
@@ -91,7 +97,7 @@ class ExemplarReservoir
     bool appendIfHeld(const TraceSpan &span);
 
     /** Exemplars currently held. */
-    std::size_t size() const;
+    std::size_t size() const { return held_.size(); }
 
     std::uint64_t offered() const { return offered_; }
     std::uint64_t kept() const { return kept_; }
@@ -123,7 +129,6 @@ class ExemplarReservoir
     sim::Tick windowTicks_;
     std::size_t perWindow_;
     std::size_t maxWindows_;
-    bool enabled_ = false;
     std::uint64_t offered_ = 0;
     std::uint64_t kept_ = 0;
     std::uint64_t evicted_ = 0;
@@ -137,8 +142,8 @@ class ExemplarReservoir
 
 /**
  * One JSON line per exemplar (oldest window first, slowest first within a
- * window): trace id, window, latency, an exact per-phase breakdown of the
- * chain from the critical-path analyzer, and the dominant phase.
+ * window): trace id, window, latency, the exact per-phase breakdown of the
+ * chain (breakdownOp()), and its dominant phase.
  */
 void writeExemplarsJsonl(std::ostream &os, const ExemplarReservoir &res);
 

@@ -111,7 +111,7 @@ FlightRecorder::push(const TraceSpan &rec)
 void
 FlightRecorder::record(const TraceSpan &span)
 {
-    if (enabled_)
+    if (enabled())
         push(span);
 }
 
@@ -119,7 +119,7 @@ void
 FlightRecorder::note(const char *name, std::uint64_t id, sim::NodeId node,
                      sim::Tick tick)
 {
-    if (!enabled_)
+    if (!enabled())
         return;
     push(TraceSpan{.traceId = id,
                    .node = node,
@@ -134,7 +134,7 @@ FlightRecorder::noteAbnormal(const char *name, std::uint64_t id,
                              sim::NodeId node, sim::Tick tick)
 {
     note(name, id, node, tick);
-    if (enabled_ && dumpOnAbnormal_ && abnormalDumps_ < 3) {
+    if (enabled() && dumpOnAbnormal_ && abnormalDumps_ < 3) {
         ++abnormalDumps_;
         std::cerr << "\n=== FLIGHT RECORDER post-mortem (" << name
                   << ") ===\n";
@@ -176,26 +176,11 @@ FlightRecorder::dump(std::ostream &os, std::size_t max_records) const
 void
 FlightRecorder::writeChromeTrace(std::ostream &os) const
 {
-    os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-    bool first = true;
-    for (const TraceSpan &r : snapshot()) {
-        if (!first)
-            os << ",";
-        first = false;
-        char buf[224];
-        std::snprintf(buf, sizeof(buf),
-                      "\n{\"ph\":\"X\",\"name\":\"%s\",\"cat\":\"flight\","
-                      "\"pid\":%u,\"tid\":\"%s\",\"ts\":%.3f,\"dur\":%.3f,"
-                      "\"args\":{\"trace\":%" PRIu64 ",\"tenant\":%u}}",
-                      r.name, r.node, r.lane,
-                      static_cast<double>(r.start) / 1000.0,
-                      static_cast<double>(r.end >= r.start ? r.end - r.start
-                                                           : 0) /
-                          1000.0,
-                      r.traceId, r.tenant);
-        os << buf;
-    }
-    os << "\n]}";
+    Tracer ring;
+    ring.setEnabled(true);
+    for (const TraceSpan &r : snapshot())
+        ring.recordSpan(r);
+    ring.writeChromeTrace(os);
 }
 
 void

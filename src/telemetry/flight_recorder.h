@@ -23,24 +23,25 @@
 #include <vector>
 
 #include "sim/types.h"
-#include "telemetry/span.h"
+#include "telemetry/trace.h"
 
 namespace draid::telemetry {
 
 /** Bounded ring of recent spans, stored as recorded (no heap). */
-class FlightRecorder
+class FlightRecorder : public SpanSink
 {
   public:
     static constexpr std::size_t kDefaultCapacity = 4096;
 
     explicit FlightRecorder(std::size_t capacity = kDefaultCapacity);
-    ~FlightRecorder();
+    ~FlightRecorder() override;
 
     FlightRecorder(const FlightRecorder &) = delete;
     FlightRecorder &operator=(const FlightRecorder &) = delete;
 
-    bool enabled() const { return enabled_; }
-    void setEnabled(bool on) { enabled_ = on; }
+    /** An enabled recorder keeps the tracer active (wantsSpans()). */
+    bool enabled() const { return wantsSpans_; }
+    void setEnabled(bool on) { wantsSpans_ = on; }
 
     std::size_t capacity() const { return ring_.size(); }
     /** Records currently held (== capacity once the ring has wrapped). */
@@ -50,6 +51,9 @@ class FlightRecorder
 
     /** Append one span record. No-op while disabled. */
     void record(const TraceSpan &span);
+
+    /** SpanSink: every span and op root goes into the ring. */
+    void onSpan(const TraceSpan &span) override { record(span); }
 
     /**
      * Append one out-of-band event record (lane "event"): op timeouts,
@@ -85,7 +89,7 @@ class FlightRecorder
      */
     void dump(std::ostream &os, std::size_t max_records = 64) const;
 
-    /** The ring as a minimal Chrome trace_event JSON ("X" events). */
+    /** The ring as Chrome trace_event JSON (Tracer's export format). */
     void writeChromeTrace(std::ostream &os) const;
 
     void clear();
@@ -109,7 +113,6 @@ class FlightRecorder
   private:
     void push(const TraceSpan &rec);
 
-    bool enabled_ = true;
     bool dumpOnAbnormal_ = false;
     int abnormalDumps_ = 0;
     std::uint64_t total_ = 0;

@@ -85,7 +85,7 @@ class Probe
      * A user op of @p bytes finished: observe its latency into
      * @p latency_us (may be nullptr), release its tenant binding into the
      * SLO windows, and record its root "op" span through the tracer's
-     * op-completion path (aggregator sink and exemplar reservoir).
+     * op-completion path (every sink's onOpComplete()).
      */
     void opComplete(std::uint64_t trace, const char *name, sim::Ticks start,
                     sim::Ticks end, std::uint64_t bytes,

@@ -20,6 +20,7 @@
 #include "sim/simulator.h"
 #include "telemetry/event_journal.h"
 #include "telemetry/exemplar.h"
+#include "telemetry/flight_recorder.h"
 #include "telemetry/interference.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -126,8 +127,8 @@ class Telemetry
      */
     Telemetry()
     {
-        tracer_.bindFlightRecorder(&recorder_);
-        tracer_.bindExemplars(&exemplars_);
+        tracer_.bind(&recorder_);
+        tracer_.bind(&exemplars_);
         contention_.bindMetrics(&metrics_);
     }
 

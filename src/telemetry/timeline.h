@@ -79,7 +79,7 @@ struct HealthFlags
 
 /**
  * Bins op completions into tick windows, fed incrementally at op
- * completion (it implements OpCompletionSink), with memory bounded
+ * completion (it is a SpanSink), with memory bounded
  * independent of op count:
  *  - op and byte totals per bin are exact, always;
  *  - each bin's latencies live in a sim::SampleSet capped at
@@ -91,7 +91,7 @@ struct HealthFlags
  * Every decision is a pure function of the fed sequence: no RNG, no
  * clock, byte-identical across runs.
  */
-class WindowedAggregator : public OpCompletionSink
+class WindowedAggregator : public SpanSink
 {
   public:
     /** Retained latency samples per bin before stride decimation. */
@@ -107,8 +107,9 @@ class WindowedAggregator : public OpCompletionSink
     /** Record one completed op. */
     void addOp(sim::Ticks end, sim::Ticks latency, std::uint64_t bytes);
 
-    /** OpCompletionSink: stream one completed root op in. */
-    void onOpComplete(const TraceSpan &root) override
+    /** SpanSink: stream each completed root op in. */
+    void onOpComplete(const TraceSpan &root,
+                      const std::vector<TraceSpan> &) override
     {
         addOp(sim::Ticks{root.end}, sim::Ticks{root.end - root.start},
               root.arg("bytes"));

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <utility>
 
-#include "telemetry/exemplar.h"
 #include "telemetry/metrics.h"
 
 namespace draid::telemetry {
@@ -27,16 +26,8 @@ selfNowNs()
 } // namespace
 
 void
-Tracer::ingestSpan(const TraceSpan &span, bool completion)
+Tracer::retain(const TraceSpan &span)
 {
-    // Sub-spans of in-flight ops are buffered whenever an enabled
-    // reservoir is bound — sampled or not, a tail op must keep its whole
-    // chain. Spans arriving after their op completed extend the exemplar
-    // directly (stragglers of non-kept ops are simply re-stashed and age
-    // out of the bounded pending map).
-    if (!completion && exemplars_ != nullptr && exemplars_->enabled() &&
-        span.traceId != 0 && !exemplars_->appendIfHeld(span))
-        stashPending(span);
     if (!enabled_)
         return;
     if (samplePeriod_ > 1 && !traceSampled(span.traceId, samplePeriod_)) {
@@ -54,9 +45,22 @@ void
 Tracer::recordSpan(const TraceSpan &span)
 {
     const std::uint64_t t0 = selfTiming_ ? selfNowNs() : 0;
-    if (recorder_)
-        recorder_->record(span);
-    ingestSpan(span, /*completion=*/false);
+    for (SpanSink *sink : sinks_)
+        sink->onSpan(span);
+    // Sub-spans of in-flight ops are buffered, sampled or not, so a sink
+    // asking for chains sees each op whole. A straggler that arrives after
+    // its op completed starts a chain that never completes. Ids are minted
+    // in issue order, so the smallest pending id is the oldest op — the
+    // one most likely abandoned (e.g. rebuild stripes, which have no op
+    // completion): it is evicted first.
+    if (span.traceId != 0 && wantsChains()) {
+        pendingChains_[span.traceId].push_back(span);
+        while (pendingChains_.size() > kPendingOpCap) {
+            pendingChains_.erase(pendingChains_.begin());
+            ++evictedChains_;
+        }
+    }
+    retain(span);
     if (selfTiming_) {
         ++spanCost_.calls;
         spanCost_.ns += selfNowNs() - t0;
@@ -67,37 +71,19 @@ void
 Tracer::recordOpCompletion(const TraceSpan &span)
 {
     const std::uint64_t t0 = selfTiming_ ? selfNowNs() : 0;
-    if (recorder_)
-        recorder_->record(span);
-    if (opSink_ != nullptr)
-        opSink_->onOpComplete(span);
-    if (exemplars_ != nullptr && exemplars_->enabled() &&
-        span.traceId != 0) {
-        std::vector<TraceSpan> chain;
-        auto it = pendingChains_.find(span.traceId);
-        if (it != pendingChains_.end()) {
-            chain = std::move(it->second);
-            pendingChains_.erase(it);
-        }
+    std::vector<TraceSpan> chain;
+    if (span.traceId != 0 && wantsChains()) {
+        if (auto pending = pendingChains_.extract(span.traceId))
+            chain = std::move(pending.mapped());
         chain.push_back(span);
-        exemplars_->offer(span, std::move(chain));
     }
-    ingestSpan(span, /*completion=*/true);
+    for (SpanSink *sink : sinks_)
+        sink->onOpComplete(span, chain);
+    retain(span);
     if (selfTiming_) {
         ++opCost_.calls;
         opCost_.ns += selfNowNs() - t0;
     }
-}
-
-void
-Tracer::stashPending(const TraceSpan &span)
-{
-    pendingChains_[span.traceId].push_back(span);
-    // Ids are minted in issue order, so the smallest pending id is the
-    // oldest op — the one most likely already abandoned (e.g. rebuild
-    // stripe ids that never see an op completion).
-    while (pendingChains_.size() > kPendingOpCap)
-        pendingChains_.erase(pendingChains_.begin());
 }
 
 void
@@ -174,6 +160,7 @@ Tracer::clear()
     dropped_ = 0;
     sampledOut_ = 0;
     droppedCounters_ = 0;
+    evictedChains_ = 0;
     counterStride_ = 1;
     spanCost_ = SelfCost{};
     opCost_ = SelfCost{};

@@ -10,10 +10,10 @@
  *
  * Design rules, enforced by construction:
  *  - Zero overhead when off: mint() returns 0 while neither export tracing
- *    nor the flight recorder is active, and every recording call is gated
- *    on a nonzero id, so the fully-dark path costs one predictable branch.
- *  - Observe only, never schedule: recording appends to an in-memory
- *    vector; the tracer holds no Simulator reference and cannot create
+ *    nor a bound sink wants spans, and every recording call is gated on a
+ *    nonzero id, so the fully-dark path costs one predictable branch.
+ *  - Observe only, never schedule: recording hands spans to in-memory
+ *    sinks; the tracer holds no Simulator reference and cannot create
  *    events, so enabling tracing cannot perturb event ordering.
  *
  * Export is Chrome trace_event JSON ("X" complete events + "C" counter
@@ -23,6 +23,7 @@
 #ifndef DRAID_TELEMETRY_TRACE_H
 #define DRAID_TELEMETRY_TRACE_H
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <ostream>
@@ -31,13 +32,10 @@
 #include <vector>
 
 #include "sim/types.h"
-#include "telemetry/flight_recorder.h"
 #include "telemetry/sampling.h"
 #include "telemetry/span.h"
 
 namespace draid::telemetry {
-
-class ExemplarReservoir;
 
 /** One sample of a counter timeline (utilization plots). */
 struct CounterSample
@@ -49,15 +47,40 @@ struct CounterSample
 };
 
 /**
- * Sink notified once per completed user op (root span on the "op" lane).
- * The streaming timeline aggregator implements this so windowed stats see
- * EVERY completion even when sampling drops the op's spans from retention.
+ * A consumer of the span stream, bound with Tracer::bind(). Each bound
+ * sink, in bind order, gets every sub-span and every completed op in
+ * record order. The flight recorder, the exemplar reservoir, the
+ * streaming timeline and the critical-path fold are sinks; the tracer's
+ * own span vector is kept only for the Chrome export.
  */
-class OpCompletionSink
+class SpanSink
 {
   public:
-    virtual ~OpCompletionSink() = default;
-    virtual void onOpComplete(const TraceSpan &root) = 0;
+    virtual ~SpanSink() = default;
+
+    /** One sub-span of an op, or a span of a rootless trace (rebuild). */
+    virtual void onSpan(const TraceSpan &) {}
+
+    /** One completed op: its root span on the "op" lane and, while any
+     *  bound sink wantsChains(), the sub-spans recorded under its id
+     *  before completion, in record order, then @p root; else empty.
+     *  By default the root is one more span. */
+    virtual void onOpComplete(const TraceSpan &root,
+                              const std::vector<TraceSpan> &)
+    {
+        onSpan(root);
+    }
+
+    /** Whether this sink keeps Tracer::active(), so spans get built. */
+    bool wantsSpans() const { return wantsSpans_; }
+
+    /** Whether the tracer must buffer each op's sub-spans for it. */
+    bool wantsChains() const { return wantsChains_; }
+
+  protected:
+    // Flags, not virtual calls: the tracer reads them on every span.
+    bool wantsSpans_ = true;
+    bool wantsChains_ = false;
 };
 
 /** Span sink + trace-id mint. */
@@ -69,13 +92,15 @@ class Tracer
 
     /**
      * Whether recording sites should build spans: export tracing is on OR
-     * an attached flight recorder wants the stream. This is the gate every
-     * recording site checks; enabled() gates retention/export only.
+     * a bound sink wants the stream. This is the gate every recording
+     * site checks; enabled() gates retention for the Chrome export only.
      */
     bool
     active() const
     {
-        return enabled_ || (recorder_ && recorder_->enabled());
+        return enabled_ ||
+               std::any_of(sinks_.begin(), sinks_.end(),
+                           [](const SpanSink *s) { return s->wantsSpans(); });
     }
 
     /** Next per-op trace id; 0 while inactive. Ids start at 1. */
@@ -85,34 +110,18 @@ class Tracer
         return active() ? nextId_++ : 0;
     }
 
-    /**
-     * Append one span. Always mirrored into the attached flight recorder's
-     * ring; retained for export only while enabled(), the trace id is
-     * sampled, and the span cap is not hit.
-     */
+    /** Deliver one span to every bound sink; retained for export only
+     *  while enabled(), the id is sampled and the span cap is not hit. */
     void recordSpan(const TraceSpan &span);
 
-    /**
-     * Append the root "op" span of a completed user op. Beyond the normal
-     * recordSpan() path this (in order): notifies the bound
-     * OpCompletionSink, offers the op — with its buffered sub-span chain —
-     * to the bound exemplar reservoir, then retains the span like any
-     * other. Probe::opComplete() calls this instead of recordSpan() for
-     * the root span.
-     */
+    /** As recordSpan() for the root "op" span of a completed user op,
+     *  which the sinks get through onOpComplete() with its chain. */
     void recordOpCompletion(const TraceSpan &span);
 
-    /** Streaming consumer of op completions (nullptr detaches). */
-    void bindOpSink(OpCompletionSink *sink) { opSink_ = sink; }
-
-    /** Tail-exemplar reservoir fed at op completion (nullptr detaches).
-     *  While the reservoir is enabled the tracer buffers every traced
-     *  sub-span per op so a kept exemplar carries its whole chain. */
-    void bindExemplars(ExemplarReservoir *reservoir)
-    {
-        exemplars_ = reservoir;
-    }
-    ExemplarReservoir *exemplars() const { return exemplars_; }
+    /** Attach @p sink to the span stream (after the ones already bound). */
+    void bind(SpanSink *sink) { sinks_.push_back(sink); }
+    /** Detach @p sink; a no-op when it is not bound. */
+    void unbind(SpanSink *sink) { std::erase(sinks_, sink); }
 
     /**
      * Deterministic head sampling: retain spans of 1-in-@p period trace
@@ -135,13 +144,6 @@ class Tracer
     /** Spans skipped by the sampling decision (not an overflow drop). */
     std::uint64_t sampledOutSpans() const { return sampledOut_; }
 
-    /** Attach a flight recorder that shadows every recorded span. */
-    void bindFlightRecorder(FlightRecorder *recorder)
-    {
-        recorder_ = recorder;
-    }
-    FlightRecorder *flightRecorder() const { return recorder_; }
-
     /** Append one counter sample (utilization timelines). */
     void recordCounter(sim::NodeId node, std::string name, sim::Tick tick,
                        double value);
@@ -156,6 +158,9 @@ class Tracer
     }
     std::uint64_t droppedSpans() const { return dropped_; }
     std::uint64_t droppedCounters() const { return droppedCounters_; }
+    /** Op chains evicted at the pending-op cap (truncated if the op
+     *  later completes). */
+    std::uint64_t evictedChains() const { return evictedChains_; }
 
     /**
      * Bound on retained spans; further spans are counted but dropped so a
@@ -194,8 +199,8 @@ class Tracer
     const SelfCost &opCost() const { return opCost_; }
     const SelfCost &counterCost() const { return counterCost_; }
 
-    /** Approximate heap bytes retained (spans + counters + pending
-     *  exemplar chains; size-based, so deterministic across runs). */
+    /** Approximate heap bytes retained (spans + counters + pending op
+     *  chains; size-based, so deterministic across runs). */
     std::uint64_t retainedBytes() const;
 
     /** Emit the whole trace as Chrome trace_event JSON. */
@@ -205,16 +210,19 @@ class Tracer
     void clear();
 
   private:
-    /** Shared retention path; @p completion marks a root op span (already
-     *  routed through sink/reservoir, so no pending-chain stash). */
-    void ingestSpan(const TraceSpan &span, bool completion);
-    /** Buffer a sub-span until its op completes (exemplar chains). */
-    void stashPending(const TraceSpan &span);
+    /** Whether any bound sink asks for per-op chains. */
+    bool
+    wantsChains() const
+    {
+        return std::any_of(sinks_.begin(), sinks_.end(),
+                           [](const SpanSink *s) { return s->wantsChains(); });
+    }
+    /** Retention for the Chrome export (enabled, sampled, under cap). */
+    void retain(const TraceSpan &span);
     /** Halve retained counter resolution (stride doubling). */
     void decimateCounters();
 
     bool enabled_ = false;
-    FlightRecorder *recorder_ = nullptr;
     std::uint64_t nextId_ = 1;
     std::size_t spanCap_ = 4'000'000;
     std::uint64_t dropped_ = 0;
@@ -223,12 +231,13 @@ class Tracer
     std::size_t counterCap_ = 262'144;
     std::uint64_t counterStride_ = 1;
     std::uint64_t droppedCounters_ = 0;
+    std::uint64_t evictedChains_ = 0;
     bool selfTiming_ = false;
     SelfCost spanCost_;
     SelfCost opCost_;
     SelfCost counterCost_;
-    OpCompletionSink *opSink_ = nullptr;
-    ExemplarReservoir *exemplars_ = nullptr;
+    // draid-lint: cap(one entry per bound consumer; code-defined set)
+    std::vector<SpanSink *> sinks_;
     // draid-lint: cap(spanCap_; recording stops at the cap)
     std::vector<TraceSpan> spans_;
     // draid-lint: cap(counterCap_; stride decimation past the cap)
@@ -237,8 +246,8 @@ class Tracer
     std::map<std::pair<sim::NodeId, std::string>, std::uint64_t>
         // draid-lint: cap(one entry per (node, series); code-defined set)
         counterSeq_;
-    /** In-flight sub-span chains keyed by trace id, kept only while an
-     *  enabled reservoir is bound; bounded by kPendingOpCap (oldest —
+    /** In-flight sub-span chains keyed by trace id, kept only while a
+     *  bound sink wantsChains(); bounded by kPendingOpCap (oldest —
      *  smallest id — evicted first). */
     // draid-lint: cap(kPendingOpCap; oldest evicted)
     std::map<std::uint64_t, std::vector<TraceSpan>> pendingChains_;

@@ -9,10 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
+#include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/reconstruct.h"
 #include "draid_test_util.h"
 #include "telemetry/critical_path.h"
 #include "telemetry/flight_recorder.h"
@@ -20,6 +24,7 @@
 namespace draid {
 namespace {
 
+using telemetry::CriticalPathFold;
 using telemetry::CriticalPathReport;
 using telemetry::FlightRecorder;
 using telemetry::Phase;
@@ -152,6 +157,195 @@ TEST(CriticalPath, RootlessSpansFeedResourcesButNotOps)
     EXPECT_EQ(report.bottleneck().busyTicks, 600);
 }
 
+TEST(CriticalPath, DominantPhaseTiesGoToTheLowerPhase)
+{
+    telemetry::OpBreakdown op;
+    EXPECT_EQ(op.dominant(), Phase::kQueue); // all zero: the first phase
+    op.phaseTicks[static_cast<std::size_t>(Phase::kNic)] = 50;
+    op.phaseTicks[static_cast<std::size_t>(Phase::kSsd)] = 50;
+    EXPECT_EQ(op.dominant(), Phase::kNic);
+    op.phaseTicks[static_cast<std::size_t>(Phase::kQueue)] = 50;
+    EXPECT_EQ(op.dominant(), Phase::kQueue);
+    op.phaseTicks[static_cast<std::size_t>(Phase::kSsd)] = 51;
+    EXPECT_EQ(op.dominant(), Phase::kSsd);
+}
+
+// ---------------------------------------------------------------------------
+// The live fold: same report as a replay of the retained spans
+// ---------------------------------------------------------------------------
+
+void
+expectSameReport(const CriticalPathReport &live,
+                 const CriticalPathReport &replay)
+{
+    ASSERT_EQ(live.ops.size(), replay.ops.size());
+    for (std::size_t i = 0; i < live.ops.size(); ++i) {
+        const telemetry::OpBreakdown &a = live.ops[i];
+        const telemetry::OpBreakdown &b = replay.ops[i];
+        EXPECT_EQ(a.traceId, b.traceId);
+        EXPECT_EQ(a.name, b.name);
+        EXPECT_EQ(a.start, b.start);
+        EXPECT_EQ(a.end, b.end);
+        EXPECT_EQ(a.phaseTicks, b.phaseTicks) << "trace " << a.traceId;
+        EXPECT_EQ(a.chainTicks, b.chainTicks) << "trace " << a.traceId;
+    }
+    for (std::size_t p = 0; p < telemetry::kNumPhases; ++p) {
+        EXPECT_EQ(live.phases[p].totalTicks, replay.phases[p].totalTicks);
+        EXPECT_EQ(live.phases[p].meanUs, replay.phases[p].meanUs);
+        EXPECT_EQ(live.phases[p].p50Us, replay.phases[p].p50Us);
+        EXPECT_EQ(live.phases[p].p99Us, replay.phases[p].p99Us);
+        EXPECT_EQ(live.phases[p].share, replay.phases[p].share);
+    }
+    EXPECT_EQ(live.windowStart, replay.windowStart);
+    EXPECT_EQ(live.windowEnd, replay.windowEnd);
+    ASSERT_EQ(live.resources.size(), replay.resources.size());
+    for (std::size_t i = 0; i < live.resources.size(); ++i) {
+        EXPECT_EQ(live.resources[i].node, replay.resources[i].node);
+        EXPECT_EQ(live.resources[i].lane, replay.resources[i].lane);
+        EXPECT_EQ(live.resources[i].busyTicks,
+                  replay.resources[i].busyTicks);
+        EXPECT_EQ(live.resources[i].busyFraction,
+                  replay.resources[i].busyFraction);
+    }
+}
+
+TEST(CriticalPathFold, MergesTouchingRunsAndClampsStraddlersToTheWindow)
+{
+    // Roots make the window [100, 1000]. On node 3's SSD: a run that
+    // straddles the window start, a touching span, a gap, two
+    // overlapping spans, a run straddling the window end and one past
+    // it. Node 5's SSD closes a run inside the window and one straddling
+    // its end while the window is complete. Node 4's NIC is busy only
+    // before the window.
+    std::vector<TraceSpan> spans;
+    spans.push_back(span(9, 3, "ssd", "ssd.read", 50, 150));
+    spans.push_back(span(9, 3, "ssd", "ssd.read", 150, 200));
+    spans.push_back(span(9, 4, "nic.tx", "xfer", 0, 50));
+    spans.push_back(span(9, 3, "ssd", "ssd.read", 300, 400));
+    spans.push_back(span(1, 0, "op", "draid.read", 100, 600));
+    spans.push_back(span(9, 3, "ssd", "ssd.read", 500, 700));
+    spans.push_back(span(9, 3, "ssd", "ssd.read", 650, 800));
+    spans.push_back(span(2, 0, "op", "draid.read", 400, 1000));
+    spans.push_back(span(8, 5, "ssd", "ssd.write", 150, 250));
+    spans.push_back(span(8, 5, "ssd", "ssd.write", 550, 1100));
+    spans.push_back(span(8, 5, "ssd", "ssd.write", 1150, 1200));
+    spans.push_back(span(9, 3, "ssd", "ssd.read", 900, 1200));
+    spans.push_back(span(9, 3, "ssd", "ssd.read", 1300, 1400));
+
+    CriticalPathFold fold;
+    for (const TraceSpan &s : spans) {
+        if (std::string_view(s.lane) == "op")
+            fold.onOpComplete(s, {});
+        else
+            fold.onSpan(s);
+    }
+    const CriticalPathReport report = fold.report();
+    EXPECT_EQ(report.windowStart, 100);
+    EXPECT_EQ(report.windowEnd, 1000);
+    ASSERT_EQ(report.resources.size(), 3u);
+    // [100, 200) + [300, 400) + [500, 800) + [900, 1000).
+    EXPECT_EQ(report.bottleneck().node, 3u);
+    EXPECT_EQ(report.bottleneck().lane, "ssd");
+    EXPECT_EQ(report.bottleneck().busyTicks, 600);
+    EXPECT_DOUBLE_EQ(report.bottleneck().busyFraction, 600.0 / 900.0);
+    // [150, 250) + [550, 1000).
+    EXPECT_EQ(report.resources[1].node, 5u);
+    EXPECT_EQ(report.resources[1].busyTicks, 550);
+    EXPECT_EQ(report.resources[2].node, 4u);
+    EXPECT_EQ(report.resources[2].busyTicks, 0);
+    expectSameReport(report, telemetry::analyzeCriticalPath(spans));
+
+    // reset() forgets everything folded.
+    fold.reset();
+    const CriticalPathReport empty = fold.report();
+    EXPECT_TRUE(empty.ops.empty());
+    EXPECT_FALSE(empty.hasVerdict());
+}
+
+TEST(CriticalPathFold, LiveFoldMatchesReplayOfRetainedSpans)
+{
+    for (const std::uint64_t period : {1u, 4u}) {
+        SCOPED_TRACE(period);
+        // 5+1 RAID-5 members plus a spare target for the rebuild stripe.
+        DraidRig rig(7, fourPlusOneOptions(), 6);
+        telemetry::Tracer &tracer = rig.cluster->tracer();
+        tracer.setEnabled(true);
+        tracer.setSamplePeriod(period);
+        CriticalPathFold fold(&tracer);
+        tracer.bind(&fold);
+
+        ec::Buffer big(320 * 1024);
+        big.fillPattern(3);
+        ASSERT_TRUE(writeSync(rig.sim(), rig.host(), 0, big));
+        int outstanding = 0;
+        for (int i = 0; i < 16; ++i) {
+            ++outstanding;
+            const std::uint64_t off =
+                static_cast<std::uint64_t>(i % 8) * 24 * 1024;
+            auto done = [&](blockdev::IoStatus st) {
+                EXPECT_EQ(st, blockdev::IoStatus::kOk);
+                if (--outstanding == 0)
+                    rig.sim().stop();
+            };
+            if (i % 2 == 0) {
+                ec::Buffer b(16 * 1024);
+                b.fillPattern(static_cast<std::uint8_t>(20 + i));
+                rig.host().write(off, std::move(b), done);
+            } else {
+                rig.host().read(off, 32 * 1024,
+                                [done](blockdev::IoStatus st, ec::Buffer) {
+                                    done(st);
+                                });
+            }
+        }
+        while (outstanding > 0 && rig.sim().pendingEvents() > 0)
+            rig.sim().run();
+        ASSERT_EQ(outstanding, 0);
+
+        // Degraded reads, then one rebuild stripe: spans, but no root.
+        rig.host().markFailed(rig.host().geometry().dataDevice(0, 0));
+        bool ok = false;
+        readSync(rig.sim(), rig.host(), 0, 64 * 1024, &ok);
+        ASSERT_TRUE(ok);
+        core::RebuildJob job(
+            rig.sim(),
+            [&](std::uint64_t stripe, std::function<void(bool)> done) {
+                rig.host().reconstructChunk(stripe, 6, std::move(done));
+            },
+            1, rig.host().geometry().chunkSize());
+        job.attach(rig.cluster->probe(rig.cluster->hostId()));
+        bool rebuilt = false;
+        job.start([&](bool r) {
+            rebuilt = r;
+            rig.sim().stop();
+        });
+        while (!job.finished() && rig.sim().pendingEvents() > 0)
+            rig.sim().run();
+        ASSERT_TRUE(rebuilt);
+        readSync(rig.sim(), rig.host(), 96 * 1024, 64 * 1024, &ok);
+        ASSERT_TRUE(ok);
+        tracer.unbind(&fold);
+
+        const std::vector<TraceSpan> &spans = tracer.spans();
+        std::set<std::uint64_t> roots;
+        std::set<std::uint64_t> ids;
+        for (const TraceSpan &s : spans)
+            (std::string_view(s.lane) == "op" ? roots : ids)
+                .insert(s.traceId);
+        const CriticalPathReport live = fold.report();
+        if (period == 1) {
+            EXPECT_GE(live.ops.size(), 19u);
+            bool rootless = false;
+            for (std::uint64_t id : ids)
+                rootless = rootless || roots.count(id) == 0;
+            EXPECT_TRUE(rootless);
+        }
+        EXPECT_FALSE(live.ops.empty());
+        EXPECT_TRUE(live.hasVerdict());
+        expectSameReport(live, telemetry::analyzeCriticalPath(spans));
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Real traffic: the partition is exact for every op
 // ---------------------------------------------------------------------------
@@ -273,7 +467,7 @@ TEST(FlightRecorder, MirrorsSpansEvenWhenExportTracingIsDark)
 {
     telemetry::Tracer tracer;
     FlightRecorder fr(16);
-    tracer.bindFlightRecorder(&fr);
+    tracer.bind(&fr);
 
     // Export tracing off, recorder on: recording sites stay active...
     EXPECT_FALSE(tracer.enabled());

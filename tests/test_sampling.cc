@@ -124,8 +124,8 @@ TEST(ExemplarReservoir, KeepsKSlowestPerWindowWithStableTies)
     ASSERT_EQ(kept.size(), 2u);
     EXPECT_EQ(kept[0]->latency(), 200);
     EXPECT_EQ(kept[1]->latency(), 200);
-    EXPECT_EQ(kept[0]->traceId, 2u); // equal latency: smaller id first
-    EXPECT_EQ(kept[1]->traceId, 4u);
+    EXPECT_EQ(kept[0]->root.traceId, 2u); // equal latency: smaller id first
+    EXPECT_EQ(kept[1]->root.traceId, 4u);
 
     // A third 200-tick op cannot displace either incumbent (strictly
     // slower only), keeping the set order-independent under ties.
@@ -166,18 +166,20 @@ TEST(ExemplarReservoir, ChainsRideOfferAndStragglersAppend)
 
     const auto kept = res.all();
     ASSERT_EQ(kept.size(), 1u);
-    EXPECT_EQ(kept[0]->bytes, 4096u);
+    EXPECT_EQ(kept[0]->root.arg("bytes"), 4096u);
     EXPECT_EQ(kept[0]->chain.size(), 3u);
     EXPECT_GT(res.retainedBytes(), 0u);
 }
 
 TEST(Tracer, OpCompletionFeedsSinkAndReservoirWithFullChains)
 {
-    struct CountingSink : telemetry::OpCompletionSink
+    struct CountingSink : telemetry::SpanSink
     {
         std::uint64_t ops = 0;
         std::uint64_t bytes = 0;
-        void onOpComplete(const telemetry::TraceSpan &root) override
+        void onSpan(const telemetry::TraceSpan &) override {}
+        void onOpComplete(const telemetry::TraceSpan &root,
+                          const std::vector<telemetry::TraceSpan> &) override
         {
             ++ops;
             bytes += root.arg("bytes");
@@ -187,9 +189,9 @@ TEST(Tracer, OpCompletionFeedsSinkAndReservoirWithFullChains)
     telemetry::Tracer t;
     telemetry::ExemplarReservoir res(1000, 4, 4);
     res.setEnabled(true);
-    t.bindExemplars(&res);
+    t.bind(&res);
     CountingSink sink;
-    t.bindOpSink(&sink);
+    t.bind(&sink);
     t.setEnabled(true);
     t.setSamplePeriod(1'000'000); // skim (almost) everything
 
@@ -212,6 +214,31 @@ TEST(Tracer, OpCompletionFeedsSinkAndReservoirWithFullChains)
     if (!t.sampled(id)) {
         EXPECT_TRUE(t.spans().empty());
     }
+}
+
+TEST(Tracer, EvictedPendingChainsAreCounted)
+{
+    // Sub-spans of ops that never complete fill the bounded pending map;
+    // past its 1024-op cap the oldest chains are evicted and counted.
+    telemetry::Tracer t;
+    telemetry::ExemplarReservoir res;
+    t.bind(&res);
+    telemetry::TraceSpan sub = opSpan(0, 0, 10);
+    sub.lane = "ssd";
+    for (std::uint64_t id = 1; id <= 1024; ++id) {
+        sub.traceId = id;
+        t.recordSpan(sub);
+    }
+    EXPECT_EQ(t.evictedChains(), 0u); // disarmed: nothing buffered
+
+    res.setEnabled(true);
+    for (std::uint64_t id = 1; id <= 1030; ++id) {
+        sub.traceId = id;
+        t.recordSpan(sub);
+    }
+    EXPECT_EQ(t.evictedChains(), 6u);
+    t.clear();
+    EXPECT_EQ(t.evictedChains(), 0u);
 }
 
 // --- streaming aggregation ----------------------------------------------

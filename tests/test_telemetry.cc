@@ -231,7 +231,7 @@ TEST(Tracer, FlightRecorderMirrorsPastSpanCap)
 {
     telemetry::Tracer t;
     telemetry::FlightRecorder fr(8);
-    t.bindFlightRecorder(&fr);
+    t.bind(&fr);
     t.setEnabled(true);
     t.setSpanCap(2);
     for (int i = 0; i < 6; ++i) {

@@ -156,7 +156,7 @@ TEST(WindowedAggregator, SpanIngestionUsesOpLaneOnly)
 {
     telemetry::WindowedAggregator agg;
     telemetry::Tracer tracer;
-    tracer.bindOpSink(&agg);
+    tracer.bind(&agg);
     telemetry::TraceSpan op;
     op.lane = "op";
     op.name = "draid.read";
@@ -407,7 +407,7 @@ TEST(TimelineDeterminism, JournalAndTimelineDoNotPerturbTicks)
         telemetry::WindowedAggregator agg;
         if (instrumented) {
             rig.cluster->tracer().setEnabled(true);
-            rig.cluster->tracer().bindOpSink(&agg);
+            rig.cluster->tracer().bind(&agg);
             rig.cluster->startUtilizationSampling(sim::Ticks::us(20));
         } else {
             tel.journal().setEnabled(false);
@@ -452,7 +452,7 @@ TEST(TimelineDeterminism, JournalAndTimelineDoNotPerturbTicks)
         if (instrumented) {
             // Post-processing is pure: it runs after the ticks were
             // sampled and touches no simulator state.
-            rig.cluster->tracer().bindOpSink(nullptr);
+            rig.cluster->tracer().unbind(&agg);
             const auto report = telemetry::buildTimeline(
                 agg, tel.journal().snapshot(), tel.sampler().samples(),
                 rig.cluster->hostId());
