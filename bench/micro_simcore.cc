@@ -7,10 +7,14 @@
  * attribution numbers against:
  *
  *  - micro.noop  : N independent no-op events, pre-scheduled in same-tick
- *                  groups so the heap is deep and batches are wide — the
- *                  push/pop + drain cost of a loaded heap.
+ *                  groups in increasing tick order. Each lands at the
+ *                  engine's FIFO lane tail, so this is the append + drain
+ *                  cost fixed-delay timers (per-op deadlines) pay.
+ *  - micro.heap  : the same events scheduled in decreasing tick order, so
+ *                  all but the first tick's group go through the heap —
+ *                  the push/pop + drain cost of a loaded heap.
  *  - micro.chain : N chained events, each scheduling its successor — the
- *                  near-empty-heap latency path every continuation
+ *                  near-empty-queue latency path every continuation
  *                  callback in the real simulation pays.
  *
  * All timing comes from telemetry::SimProfiler; this file never reads the
@@ -41,18 +45,23 @@ struct Options
 /** Group size for the same-tick batches of the no-op pump. */
 constexpr std::uint64_t kBatchWidth = 64;
 
+/**
+ * Pre-schedule @p events no-op events, kBatchWidth to a tick, so the
+ * queue holds all of them at its deepest and every tick exercises the
+ * same-tick drain. @p descending picks decreasing tick order (the heap
+ * path) over increasing order (the lane path).
+ */
 void
-runNoopPump(draid::telemetry::SimProfiler &profiler, std::uint64_t events)
+runNoopPump(draid::telemetry::SimProfiler &profiler, std::uint64_t events,
+            bool descending, const char *label)
 {
     draid::sim::Simulator sim;
     profiler.attach(sim);
-    // Pre-schedule everything so the heap holds `events` entries at its
-    // deepest; kBatchWidth events share each tick to exercise the
-    // same-tick drain.
     for (std::uint64_t i = 0; i < events; ++i) {
+        const std::uint64_t slot = descending ? events - 1 - i : i;
         const draid::sim::Tick when =
-            static_cast<draid::sim::Tick>(i / kBatchWidth);
-        sim.scheduleAt(draid::sim::Ticks{when}, "micro.noop", []() {});
+            static_cast<draid::sim::Tick>(slot / kBatchWidth);
+        sim.scheduleAt(draid::sim::Ticks{when}, label, []() {});
     }
     sim.run();
 }
@@ -63,7 +72,7 @@ runChainPump(draid::telemetry::SimProfiler &profiler, std::uint64_t events)
     draid::sim::Simulator sim;
     profiler.attach(sim);
     std::uint64_t remaining = events;
-    // Self-rescheduling chain: exactly one event in the heap at a time.
+    // Self-rescheduling chain: exactly one event queued at a time.
     std::function<void()> step = [&]() {
         if (--remaining > 0)
             sim.schedule(draid::sim::Ticks{1}, "micro.chain", step);
@@ -104,7 +113,8 @@ main(int argc, char **argv)
         opts.events = 1;
 
     draid::telemetry::SimProfiler profiler;
-    runNoopPump(profiler, opts.events);
+    runNoopPump(profiler, opts.events, false, "micro.noop");
+    runNoopPump(profiler, opts.events, true, "micro.heap");
     runChainPump(profiler, opts.events);
 
     const draid::telemetry::SimProfiler::Report report = profiler.report();

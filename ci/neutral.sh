@@ -24,10 +24,11 @@
 # Benches: fig09_normal_read fig17_reconstruction fig_qos_interference
 # campaign_durability (the default is these four), the degraded-path
 # figures fig15_degraded_read_io_size fig18_degraded_write
-# fig28_r6_degraded_read fig30_r6_degraded_write, and the store-heavy
-# table1_overheads fig10_write_io_size fig20_objstore_normal (stdout,
-# BENCH_* JSON and the timing-stripped BENCH_simcore.json). Exit 0 when
-# neutral.
+# fig28_r6_degraded_read fig30_r6_degraded_write, the store-heavy
+# table1_overheads fig10_write_io_size fig20_objstore_normal, and the
+# timer-heavy fig14_latency_throughput fig19_minikv_ycsb, whose per-op
+# deadlines keep the most events pending (stdout, BENCH_* JSON and the
+# timing-stripped BENCH_simcore.json). Exit 0 when neutral.
 set -euo pipefail
 
 usage="usage: ci/neutral.sh <base-ref> [bench ...]"
@@ -44,7 +45,7 @@ for b in "${benches[@]}"; do
       campaign_durability|fig15_degraded_read_io_size|\
       fig18_degraded_write|fig28_r6_degraded_read|\
       fig30_r6_degraded_write|table1_overheads|fig10_write_io_size|\
-      fig20_objstore_normal) ;;
+      fig20_objstore_normal|fig14_latency_throughput|fig19_minikv_ycsb) ;;
       *) echo "neutral: unknown bench '$b'" >&2; echo "$usage" >&2; exit 2 ;;
     esac
 done
@@ -100,7 +101,8 @@ run() { # <build-dir> <out-dir>
                     > stdout_campaign.txt ;;
               fig15_degraded_read_io_size|fig18_degraded_write|\
               fig28_r6_degraded_read|fig30_r6_degraded_write|\
-              table1_overheads|fig10_write_io_size|fig20_objstore_normal)
+              table1_overheads|fig10_write_io_size|fig20_objstore_normal|\
+              fig14_latency_throughput|fig19_minikv_ycsb)
                 "$bin/$b" --seed=1 --strict-flags \
                     --profile=BENCH_simcore.json > "stdout_$b.txt" ;;
             esac

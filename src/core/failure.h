@@ -54,7 +54,7 @@ class DeadlineTable
     sim::Simulator &sim_;
     // id -> generation; a scheduled event only fires its callback when the
     // generation it captured is still current.
-    // draid-lint: cap(one generation per device id; fixed topology)
+    // draid-lint: cap(one entry per in-flight op; host queue depth)
     std::unordered_map<std::uint64_t, std::uint64_t> armed_;
     std::uint64_t nextGen_ = 1;
     std::uint64_t expired_ = 0;

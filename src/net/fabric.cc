@@ -46,19 +46,25 @@ Fabric::transferPair(sim::NodeId src, sim::NodeId dst, std::uint64_t bytes,
     const sim::Ticks delay = delayFor(src, dst);
 
     // Both port directions are charged the full transfer; completion waits
-    // for the later of the two (cut-through forwarding).
-    auto remaining = std::make_shared<int>(2);
-    auto joint = [this, remaining, delay, src, trace,
-                  done = std::move(done)]() mutable {
-        if (--*remaining != 0)
+    // for the later of the two (cut-through forwarding). The two pipe
+    // callbacks share one join state, so `done` (for send(), the whole
+    // Message) is moved through and never copied.
+    struct Join
+    {
+        int remaining;
+        sim::EventFn done;
+    };
+    auto join = std::make_shared<Join>(Join{2, std::move(done)});
+    auto arrive = [this, join, delay, src, trace]() {
+        if (--join->remaining != 0)
             return;
         probe_.at(src).untaggedSpan(trace, "fabric", "fabric.prop",
                                     sim_.now().raw(),
                                     (sim_.now() + delay).raw());
-        sim_.schedule(delay, "fabric.prop", std::move(done));
+        sim_.schedule(delay, "fabric.prop", std::move(join->done));
     };
-    sp.nic->tx().transfer(bytes, trace, joint);
-    dp.nic->rx().transfer(bytes, trace, joint);
+    sp.nic->tx().transfer(bytes, trace, arrive);
+    dp.nic->rx().transfer(bytes, trace, std::move(arrive));
 }
 
 void

@@ -1,5 +1,6 @@
 #include "sim/simulator.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -29,23 +30,47 @@ void
 Simulator::scheduleAt(Ticks when, const char *label, EventFn fn)
 {
     assert(when >= now_);
-    heap_.push_back(Event{when, seq_++, label, std::move(fn)});
-    std::push_heap(heap_.begin(), heap_.end(), EventOrder{});
+    if (lane_.empty() || lane_.back().when <= when) {
+        lane_.push_back(Event{when, seq_++, label, std::move(fn)});
+    } else {
+        heap_.push_back(Event{when, seq_++, label, std::move(fn)});
+        std::push_heap(heap_.begin(), heap_.end(), EventOrder{});
+    }
     if (engineObserver_)
         engineObserver_->onSchedule(when, label, pendingEvents());
+}
+
+Ticks
+Simulator::nextWhen() const
+{
+    if (lane_.empty())
+        return heap_.front().when;
+    if (heap_.empty())
+        return lane_.front().when;
+    return std::min(heap_.front().when, lane_.front().when);
 }
 
 void
 Simulator::drainTick(Ticks when)
 {
-    const std::size_t heap_before = heap_.size();
+    const std::size_t queued_before = queuedEvents();
+    // The lane's events at a tick precede the heap's in seq order: a heap
+    // event at `when` was pushed while the lane's tail was later than
+    // `when`, and that tail stays queued past this tick, so no event
+    // scheduled after it can join the lane at `when`.
+    while (!lane_.empty() && lane_.front().when == when) {
+        batch_.push_back(std::move(lane_.front()));
+        lane_.pop_front();
+    }
+    assert(batch_.empty() || heap_.empty() || heap_.front().when != when ||
+           batch_.back().seq < heap_.front().seq);
     while (!heap_.empty() && heap_.front().when == when) {
         std::pop_heap(heap_.begin(), heap_.end(), EventOrder{});
         batch_.push_back(std::move(heap_.back()));
         heap_.pop_back();
     }
     if (engineObserver_)
-        engineObserver_->onBatchDrain(when, batch_.size(), heap_before);
+        engineObserver_->onBatchDrain(when, batch_.size(), queued_before);
 }
 
 void
@@ -86,9 +111,9 @@ Simulator::run()
         if (batchPos_ >= batch_.size()) {
             batch_.clear();
             batchPos_ = 0;
-            if (heap_.empty())
+            if (queuedEvents() == 0)
                 break;
-            advanceTo(heap_.front().when);
+            advanceTo(nextWhen());
             drainTick(now_);
         }
         execute(batch_[batchPos_++]);
@@ -110,9 +135,9 @@ Simulator::runUntil(Ticks deadline)
         if (batchPos_ >= batch_.size()) {
             batch_.clear();
             batchPos_ = 0;
-            if (heap_.empty() || heap_.front().when > deadline)
+            if (queuedEvents() == 0 || nextWhen() > deadline)
                 break;
-            advanceTo(heap_.front().when);
+            advanceTo(nextWhen());
             drainTick(now_);
         } else if (now_ > deadline) {
             // Batch left over from a stop() at a tick past this deadline

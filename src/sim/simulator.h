@@ -4,8 +4,11 @@
  *
  * The simulator is single-threaded and fully deterministic: events that are
  * scheduled for the same tick fire in scheduling order (FIFO tie-break by a
- * monotonically increasing sequence number). There is deliberately no access
- * to wall-clock time anywhere in the simulation; host-time measurement of
+ * monotonically increasing sequence number). Pending events sit in a
+ * binary heap or in a FIFO lane beside it; the lane takes every event that
+ * is not earlier than its tail, so fixed-delay timers (per-op deadlines)
+ * skip the heap. There is deliberately no access to wall-clock time
+ * anywhere in the simulation; host-time measurement of
  * the engine itself happens through the observe-only EngineObserver hook,
  * whose implementations live in src/telemetry/ (the only directory the
  * draid-lint wall-clock rule exempts).
@@ -20,6 +23,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <vector>
 
@@ -136,10 +140,10 @@ class Simulator
     /** Number of events executed so far (for tests and sanity checks). */
     std::uint64_t eventsExecuted() const { return executed_; }
 
-    /** Number of events currently pending (heap + undrained batch rest). */
+    /** Number of events currently pending (heap + lane + undrained batch). */
     std::size_t pendingEvents() const
     {
-        return heap_.size() + (batch_.size() - batchPos_);
+        return queuedEvents() + (batch_.size() - batchPos_);
     }
 
     /**
@@ -184,11 +188,21 @@ class Simulator
         }
     };
 
+    /** Events in the heap and the lane (not yet drained to batch_). */
+    std::size_t queuedEvents() const
+    {
+        return heap_.size() + lane_.size();
+    }
+
+    /** Tick of the earliest queued event. @pre queuedEvents() > 0 */
+    Ticks nextWhen() const;
+
     /**
-     * Move every event at tick @p when from the heap into batch_ (in FIFO
-     * seq order). Draining through pop_heap + vector::back lets the event
-     * move out legally — no const_cast out of a priority_queue top — and
-     * amortizes per-event pop cost across the same-tick batch.
+     * Move every event at tick @p when from the lane, then the heap, into
+     * batch_ (in FIFO seq order). Draining through pop_heap +
+     * vector::back lets the event move out legally — no const_cast out of
+     * a priority_queue top — and amortizes per-event pop cost across the
+     * same-tick batch.
      */
     void drainTick(Ticks when);
 
@@ -200,6 +214,15 @@ class Simulator
 
     // draid-lint: cap(pending events; drained to batch_ every tick)
     std::vector<Event> heap_; ///< binary min-heap under EventOrder
+    /**
+     * FIFO lane: events appended in nondecreasing `when` (and so in
+     * increasing (when, seq) order). An event earlier than the tail goes
+     * to heap_ instead, so the lane front is always the lane's minimum
+     * and the next event is the smaller of the heap top and the lane
+     * front.
+     */
+    // draid-lint: cap(pending events; drained to batch_ every tick)
+    std::deque<Event> lane_;
     // draid-lint: cap(same-tick batch; cleared before every drain)
     std::vector<Event> batch_; ///< current same-tick batch, FIFO order
     std::size_t batchPos_ = 0; ///< next unexecuted event in batch_

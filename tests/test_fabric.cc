@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "net/fabric.h"
@@ -21,10 +22,14 @@ class Recorder : public Endpoint
     void
     onMessage(const Message &msg) override
     {
+        if (messages.empty())
+            firstSgList = msg.capsule.sgList.data();
         messages.push_back(msg);
     }
 
     std::vector<Message> messages;
+    /** SGE storage of the first message as delivered (not the copy kept). */
+    const proto::Sge *firstSgList = nullptr;
 };
 
 struct Rig
@@ -167,6 +172,44 @@ TEST(Fabric, PayloadHandleTravelsWithCapsule)
     rig.sim.run();
     ASSERT_EQ(rig.epB.messages.size(), 1u);
     EXPECT_TRUE(rig.epB.messages[0].payload.contentEquals(payload));
+}
+
+TEST(Fabric, CompletionIsMovedThroughNotCopied)
+{
+    // Both NIC-pipe callbacks of a transfer share one join state, so the
+    // completion closure is never copied and runs exactly once.
+    struct CopyCounter
+    {
+        int *copies;
+        int *runs;
+        CopyCounter(int *c, int *r) : copies(c), runs(r) {}
+        CopyCounter(const CopyCounter &o) : copies(o.copies), runs(o.runs)
+        {
+            ++*copies;
+        }
+        CopyCounter(CopyCounter &&) = default;
+        void operator()() const { ++*runs; }
+    };
+    Rig rig;
+    int copies = 0;
+    int runs = 0;
+    EventFn done = CopyCounter{&copies, &runs};
+    rig.fabric.rdmaWrite(0, 1, 4096, std::move(done));
+    rig.sim.run();
+    EXPECT_EQ(copies, 0);
+    EXPECT_EQ(runs, 1);
+
+    // send(): the completion owns the Message. A copy would deep-copy the
+    // capsule's SGE vector, so the delivered vector must be the one that
+    // was sent.
+    proto::Capsule c;
+    c.sgList = {proto::Sge{4096, 512}, proto::Sge{8192, 512}};
+    const proto::Sge *sent = c.sgList.data();
+    rig.fabric.send(Message{0, 1, std::move(c), {}});
+    rig.sim.run();
+    ASSERT_EQ(rig.epB.messages.size(), 1u);
+    EXPECT_EQ(rig.fabric.messagesDelivered(), 1u);
+    EXPECT_EQ(rig.epB.firstSgList, sent);
 }
 
 TEST(RdmaQp, CountsTraffic)

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
+#include "sim/rng.h"
 #include "sim/simulator.h"
 
 using namespace draid::sim;
@@ -274,6 +277,104 @@ TEST(Simulator, LabeledOverloadsDoNotChangeSemantics)
     EXPECT_EQ(plainTicks, taggedTicks);
     EXPECT_EQ(plain.now().raw(), tagged.now().raw());
     EXPECT_EQ(plain.eventsExecuted(), tagged.eventsExecuted());
+}
+
+TEST(Simulator, HeapAndLaneEventsAtOneTickFireInSchedulingOrder)
+{
+    // The lane takes every event not earlier than its tail: the first two
+    // tick-100 events and the tick-300 one go there; the later tick-100
+    // and tick-200 events are earlier than the tail and go to the heap.
+    // At tick 100 both hold events, and the drain must merge them in
+    // scheduling order before the same-tick event the batch schedules.
+    Simulator sim;
+    std::vector<int> order;
+    const auto at = [&](Tick when, int id) {
+        sim.scheduleAt(Ticks{when}, [&order, id]() { order.push_back(id); });
+    };
+    at(100, 0);
+    at(100, 1);
+    at(300, 2);
+    at(100, 3);
+    at(200, 4);
+    at(100, 5);
+    sim.scheduleAt(Ticks{100}, [&]() {
+        order.push_back(6);
+        sim.schedule(Ticks::zero(), [&order]() { order.push_back(7); });
+    });
+    EXPECT_EQ(sim.pendingEvents(), 7u);
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 3, 5, 6, 7, 4, 2}));
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+}
+
+TEST(Simulator, SeededScheduleFiresInWhenSeqOrder)
+{
+    // Differential check of the heap + lane engine against the reference
+    // order: every event fires exactly once, at its tick, and the whole
+    // firing sequence is sorted by (when, scheduling order). The mix
+    // covers fixed long-delay timers (per-op deadlines), far-future
+    // one-off events that hold up the lane tail, zero-delay and same-tick
+    // events, events scheduled from callbacks, stop() and runUntil()
+    // resumption; eventsExecuted() + pendingEvents() must equal the
+    // events scheduled so far at every callback and every resumption.
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        Simulator sim;
+        Rng rng(seed);
+        std::vector<Tick> scheduledAt; // event id (= seq) -> tick
+        std::vector<std::pair<Tick, std::uint64_t>> fired;
+        std::uint64_t budget = 4000;
+        std::function<void(std::uint64_t)> body;
+        const auto add = [&](Tick when) {
+            const std::uint64_t id = scheduledAt.size();
+            scheduledAt.push_back(when);
+            auto fn = [&body, id]() { body(id); };
+            if (rng.nextBool(0.5))
+                sim.scheduleAt(Ticks{when}, "diff", std::move(fn));
+            else
+                sim.schedule(Ticks{when - sim.now().raw()}, std::move(fn));
+        };
+        const auto conserved = [&]() {
+            return sim.eventsExecuted() + sim.pendingEvents() ==
+                   scheduledAt.size();
+        };
+        body = [&](std::uint64_t id) {
+            fired.emplace_back(sim.now().raw(), id);
+            EXPECT_TRUE(conserved());
+            if (rng.nextBool(0.02))
+                sim.stop();
+            const Tick now = sim.now().raw();
+            for (std::uint64_t n = rng.nextBounded(4); n > 0 && budget > 0;
+                 --n, --budget) {
+                switch (rng.nextBounded(5)) {
+                case 0: add(now + 50'000); break;   // fixed deadline
+                case 1: add(now + 5'000'000 +       // far-future one-off
+                            static_cast<Tick>(rng.nextBounded(1000))); break;
+                case 2: add(now); break;            // zero delay
+                case 3: add(now + rng.nextRange(1, 200)); break;
+                default: add((now / 100 + 1) * 100); // shared tick
+                }
+            }
+        };
+        for (int i = 0; i < 64; ++i)
+            add(rng.nextRange(0, 1000));
+        while (sim.pendingEvents() > 0) {
+            EXPECT_TRUE(conserved());
+            if (rng.nextBool(0.5))
+                sim.run();
+            else
+                sim.runUntil(sim.now() +
+                             Ticks{rng.nextRange(0, 20'000)});
+        }
+        ASSERT_EQ(fired.size(), scheduledAt.size()) << "seed " << seed;
+        for (std::size_t i = 0; i < fired.size(); ++i) {
+            EXPECT_EQ(fired[i].first, scheduledAt[fired[i].second]);
+            if (i > 0) {
+                ASSERT_LT(fired[i - 1], fired[i])
+                    << "seed " << seed << " at " << i;
+            }
+        }
+        EXPECT_EQ(sim.eventsExecuted(), scheduledAt.size());
+    }
 }
 
 TEST(SimulatorTime, ConversionHelpers)
