@@ -6,8 +6,7 @@
 namespace draid::ec {
 
 Buffer::Buffer(std::size_t size)
-    : data_(new std::uint8_t[size](), std::default_delete<std::uint8_t[]>()),
-      size_(size)
+    : data_(std::make_shared<std::uint8_t[]>(size)), size_(size)
 {
 }
 
@@ -21,7 +20,7 @@ Buffer
 Buffer::forOverwrite(std::size_t size)
 {
     Buffer b;
-    b.data_.reset(new std::uint8_t[size]);
+    b.data_ = std::make_shared_for_overwrite<std::uint8_t[]>(size);
     b.size_ = size;
     return b;
 }

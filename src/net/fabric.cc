@@ -1,7 +1,6 @@
 #include "net/fabric.h"
 
 #include <cassert>
-#include <memory>
 #include <utility>
 
 namespace draid::net {
@@ -45,26 +44,33 @@ Fabric::transferPair(sim::NodeId src, sim::NodeId dst, std::uint64_t bytes,
     auto &dp = ports_.at(dst);
     const sim::Ticks delay = delayFor(src, dst);
 
+    const std::uint32_t slot =
+        hops_.acquire(Hop{2, delay, src, trace, std::move(done)});
     // Both port directions are charged the full transfer; completion waits
-    // for the later of the two (cut-through forwarding). The two pipe
-    // callbacks share one join state, so `done` (for send(), the whole
-    // Message) is moved through and never copied.
-    struct Join
-    {
-        int remaining;
-        sim::EventFn done;
-    };
-    auto join = std::make_shared<Join>(Join{2, std::move(done)});
-    auto arrive = [this, join, delay, src, trace]() {
-        if (--join->remaining != 0)
-            return;
-        probe_.at(src).untaggedSpan(trace, "fabric", "fabric.prop",
+    // for the later of the two (cut-through forwarding).
+    const auto leg = [this, slot]() { legDone(slot); };
+    sp.nic->tx().transfer(bytes, trace, leg);
+    dp.nic->rx().transfer(bytes, trace, leg);
+}
+
+void
+Fabric::legDone(std::uint32_t slot)
+{
+    Hop &hop = hops_[slot];
+    if (--hop.remaining != 0)
+        return;
+    probe_.at(hop.src).untaggedSpan(hop.trace, "fabric", "fabric.prop",
                                     sim_.now().raw(),
-                                    (sim_.now() + delay).raw());
-        sim_.schedule(delay, "fabric.prop", std::move(join->done));
-    };
-    sp.nic->tx().transfer(bytes, trace, arrive);
-    dp.nic->rx().transfer(bytes, trace, std::move(arrive));
+                                    (sim_.now() + hop.delay).raw());
+    sim_.schedule(hop.delay, "fabric.prop", [this, slot]() { hopDone(slot); });
+}
+
+void
+Fabric::hopDone(std::uint32_t slot)
+{
+    const sim::EventFn done = std::exchange(hops_[slot].done, nullptr);
+    hops_.release(slot);
+    done();
 }
 
 void

@@ -28,6 +28,7 @@
 #include "net/nic.h"
 #include "proto/capsule.h"
 #include "sim/simulator.h"
+#include "sim/slot_pool.h"
 #include "sim/types.h"
 #include "telemetry/probe.h"
 
@@ -132,9 +133,34 @@ class Fabric
         sim::Ticks extraDelay;
     };
 
+    /**
+     * One transfer in flight: its tx and rx legs join here, then the
+     * propagation delay runs and @c done fires. The NIC-pipe callbacks
+     * and the propagation event capture only (this, slot index), which
+     * std::function stores inline; `done` (for send(), the whole Message)
+     * is moved in once and never copied.
+     */
+    struct Hop
+    {
+        int remaining; ///< legs still in their pipes
+        sim::Ticks delay;
+        sim::NodeId src;
+        std::uint64_t trace;
+        sim::EventFn done; ///< emptied when the hop completes
+    };
+
     /** Parallel-occupancy transfer src.tx || dst.rx, then done. */
     void transferPair(sim::NodeId src, sim::NodeId dst, std::uint64_t bytes,
                       std::uint64_t trace, sim::EventFn done);
+
+    /**
+     * One leg of hop @p slot left its pipe; the later one starts the
+     * propagation delay.
+     */
+    void legDone(std::uint32_t slot);
+
+    /** Propagation of hop @p slot ended: free the slot, then run done. */
+    void hopDone(std::uint32_t slot);
 
     sim::Ticks delayFor(sim::NodeId a, sim::NodeId b) const;
 
@@ -145,6 +171,11 @@ class Fabric
     std::unordered_map<sim::NodeId, Port> ports_;
     // draid-lint: cap(subset of registered nodes; fixed topology)
     std::unordered_set<sim::NodeId> down_;
+    /**
+     * Join state of every transfer in flight, owned here so that hops
+     * still pending when the fabric is destroyed release their `done`.
+     */
+    sim::SlotPool<Hop> hops_;
     std::uint64_t delivered_ = 0;
     std::uint64_t dropped_ = 0;
 };

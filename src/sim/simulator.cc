@@ -30,11 +30,12 @@ void
 Simulator::scheduleAt(Ticks when, const char *label, EventFn fn)
 {
     assert(when >= now_);
+    const Key key{when, seq_++, slab_.acquire(Slot{label, std::move(fn)})};
     if (lane_.empty() || lane_.back().when <= when) {
-        lane_.push_back(Event{when, seq_++, label, std::move(fn)});
+        lane_.push_back(key);
     } else {
-        heap_.push_back(Event{when, seq_++, label, std::move(fn)});
-        std::push_heap(heap_.begin(), heap_.end(), EventOrder{});
+        heap_.push_back(key);
+        std::push_heap(heap_.begin(), heap_.end(), KeyOrder{});
     }
     if (engineObserver_)
         engineObserver_->onSchedule(when, label, pendingEvents());
@@ -59,14 +60,14 @@ Simulator::drainTick(Ticks when)
     // `when`, and that tail stays queued past this tick, so no event
     // scheduled after it can join the lane at `when`.
     while (!lane_.empty() && lane_.front().when == when) {
-        batch_.push_back(std::move(lane_.front()));
+        batch_.push_back(lane_.front());
         lane_.pop_front();
     }
     assert(batch_.empty() || heap_.empty() || heap_.front().when != when ||
            batch_.back().seq < heap_.front().seq);
     while (!heap_.empty() && heap_.front().when == when) {
-        std::pop_heap(heap_.begin(), heap_.end(), EventOrder{});
-        batch_.push_back(std::move(heap_.back()));
+        std::pop_heap(heap_.begin(), heap_.end(), KeyOrder{});
+        batch_.push_back(heap_.back());
         heap_.pop_back();
     }
     if (engineObserver_)
@@ -74,19 +75,20 @@ Simulator::drainTick(Ticks when)
 }
 
 void
-Simulator::execute(Event &ev)
+Simulator::execute(const Key &key)
 {
     ++executed_;
+    Slot &slot = slab_[key.slot];
+    const char *label = slot.label;
+    const EventFn fn = std::exchange(slot.fn, nullptr);
+    slab_.release(key.slot);
     if (engineObserver_) {
-        engineObserver_->onEventStart(now_, ev.label);
-        ev.fn();
+        engineObserver_->onEventStart(now_, label);
+        fn();
         engineObserver_->onEventEnd();
     } else {
-        ev.fn();
+        fn();
     }
-    // Release the closure eagerly: the batch slot stays alive until the
-    // whole batch retires, and closures can pin buffers.
-    ev.fn = nullptr;
 }
 
 void

@@ -7,8 +7,10 @@
  * monotonically increasing sequence number). Pending events sit in a
  * binary heap or in a FIFO lane beside it; the lane takes every event that
  * is not earlier than its tail, so fixed-delay timers (per-op deadlines)
- * skip the heap. There is deliberately no access to wall-clock time
- * anywhere in the simulation; host-time measurement of
+ * skip the heap. Heap and lane hold only 24-byte (when, seq, slot) keys;
+ * each event's label and closure stay put in a slab slot, recycled through
+ * a free list, until the event fires. There is deliberately no access to
+ * wall-clock time anywhere in the simulation; host-time measurement of
  * the engine itself happens through the observe-only EngineObserver hook,
  * whose implementations live in src/telemetry/ (the only directory the
  * draid-lint wall-clock rule exempts).
@@ -27,6 +29,7 @@
 #include <functional>
 #include <vector>
 
+#include "sim/slot_pool.h"
 #include "sim/types.h"
 
 namespace draid::sim {
@@ -169,23 +172,33 @@ class Simulator
     }
 
   private:
-    struct Event
+    /**
+     * What the heap, the lane and the batch order: firing order is
+     * (when, seq); @c slot names the event's entry in slab_.
+     */
+    struct Key
     {
         Ticks when;
         std::uint64_t seq;
-        const char *label; ///< static attribution tag; may be nullptr
-        EventFn fn;
+        std::uint32_t slot;
     };
 
-    struct EventOrder
+    struct KeyOrder
     {
         bool
-        operator()(const Event &a, const Event &b) const
+        operator()(const Key &a, const Key &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
             return a.seq > b.seq;
         }
+    };
+
+    /** An event's payload; it stays in place while its key moves. */
+    struct Slot
+    {
+        const char *label; ///< static attribution tag; may be nullptr
+        EventFn fn;        ///< emptied when the event fires
     };
 
     /** Events in the heap and the lane (not yet drained to batch_). */
@@ -198,33 +211,37 @@ class Simulator
     Ticks nextWhen() const;
 
     /**
-     * Move every event at tick @p when from the lane, then the heap, into
-     * batch_ (in FIFO seq order). Draining through pop_heap +
-     * vector::back lets the event move out legally — no const_cast out of
-     * a priority_queue top — and amortizes per-event pop cost across the
-     * same-tick batch.
+     * Move the key of every event at tick @p when from the lane, then the
+     * heap, into batch_ (in FIFO seq order), amortizing per-event pop cost
+     * across the same-tick batch.
      */
     void drainTick(Ticks when);
 
-    /** Execute one drained event, bracketing it with the observer hooks. */
-    void execute(Event &ev);
+    /**
+     * Execute one drained event, bracketing it with the observer hooks.
+     * The closure leaves its slot, and the slot returns to the free list,
+     * before the call, so the callback may schedule (and reuse the slot)
+     * freely and whatever the closure holds is released when it returns.
+     */
+    void execute(const Key &key);
 
     /** Advance the clock to @p when, firing the clock observer. */
     void advanceTo(Ticks when);
 
     // draid-lint: cap(pending events; drained to batch_ every tick)
-    std::vector<Event> heap_; ///< binary min-heap under EventOrder
+    std::vector<Key> heap_; ///< binary min-heap under KeyOrder
     /**
-     * FIFO lane: events appended in nondecreasing `when` (and so in
+     * FIFO lane: keys appended in nondecreasing `when` (and so in
      * increasing (when, seq) order). An event earlier than the tail goes
      * to heap_ instead, so the lane front is always the lane's minimum
      * and the next event is the smaller of the heap top and the lane
      * front.
      */
     // draid-lint: cap(pending events; drained to batch_ every tick)
-    std::deque<Event> lane_;
+    std::deque<Key> lane_;
+    SlotPool<Slot> slab_; ///< label and closure of every pending event
     // draid-lint: cap(same-tick batch; cleared before every drain)
-    std::vector<Event> batch_; ///< current same-tick batch, FIFO order
+    std::vector<Key> batch_; ///< current same-tick batch, FIFO order
     std::size_t batchPos_ = 0; ///< next unexecuted event in batch_
     std::function<void(Ticks)> clockObserver_;
     EngineObserver *engineObserver_ = nullptr;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -210,6 +211,29 @@ TEST(Fabric, CompletionIsMovedThroughNotCopied)
     ASSERT_EQ(rig.epB.messages.size(), 1u);
     EXPECT_EQ(rig.fabric.messagesDelivered(), 1u);
     EXPECT_EQ(rig.epB.firstSgList, sent);
+}
+
+TEST(Fabric, InFlightCompletionsAreReleasedWithTheCluster)
+{
+    // The fabric owns the join state of every transfer in flight, so the
+    // completions of transfers still in a NIC pipe or in propagation when
+    // the cluster goes away are destroyed with it, not leaked.
+    auto sentinel = std::make_shared<int>(0);
+    ec::Buffer payload(64);
+    {
+        Rig rig;
+        rig.fabric.rdmaWrite(0, 1, 4096, [token = sentinel] {});
+        rig.fabric.send(Message{0, 1, proto::Capsule{}, payload});
+        // At 1 GB/s the 4 KB write leaves both pipes at 4,096 ns and
+        // delivers 1,500 ns later: stop in between.
+        rig.sim.runUntil(Ticks{4200});
+        rig.fabric.rdmaWrite(0, 1, 1 << 20, [token = sentinel] {});
+        EXPECT_EQ(sentinel.use_count(), 3);
+        EXPECT_FALSE(payload.unique());
+        EXPECT_EQ(rig.epB.messages.size(), 0u);
+    }
+    EXPECT_EQ(sentinel.use_count(), 1);
+    EXPECT_TRUE(payload.unique());
 }
 
 TEST(RdmaQp, CountsTraffic)

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -307,6 +308,43 @@ TEST(Simulator, HeapAndLaneEventsAtOneTickFireInSchedulingOrder)
     EXPECT_EQ(sim.pendingEvents(), 0u);
 }
 
+TEST(Simulator, FiredHeapClosureIsReleasedBeforeTheNextEvent)
+{
+    // The tick-300 event holds the lane tail, so the tick-100 events go
+    // to the heap. A fired closure must not outlive its call: the next
+    // event of the same batch, and of a later batch, sees the sentinel
+    // it captured already released.
+    Simulator sim;
+    auto sentinel = std::make_shared<int>(0);
+    std::vector<long> seen;
+    const auto check = [&]() { seen.push_back(sentinel.use_count()); };
+    sim.scheduleAt(Ticks{300}, [] {});
+    sim.scheduleAt(Ticks{100}, [token = sentinel] {});
+    sim.scheduleAt(Ticks{100}, check);
+    sim.scheduleAt(Ticks{150}, check);
+    EXPECT_EQ(sentinel.use_count(), 2);
+    sim.run();
+    EXPECT_EQ(seen, (std::vector<long>{1, 1}));
+}
+
+TEST(Simulator, DestroyingPendingEventsReleasesTheirClosures)
+{
+    // Events still pending when the simulator goes away, in the lane, in
+    // the heap and left in a stopped batch, are destroyed with it.
+    auto sentinel = std::make_shared<int>(0);
+    {
+        Simulator sim;
+        sim.scheduleAt(Ticks{10}, [&sim] { sim.stop(); });
+        sim.scheduleAt(Ticks{10}, [token = sentinel] {}); // batch leftover
+        sim.scheduleAt(Ticks{500}, [token = sentinel] {}); // lane
+        sim.scheduleAt(Ticks{200}, [token = sentinel] {}); // heap
+        sim.run();
+        EXPECT_EQ(sim.pendingEvents(), 3u);
+        EXPECT_EQ(sentinel.use_count(), 4);
+    }
+    EXPECT_EQ(sentinel.use_count(), 1);
+}
+
 TEST(Simulator, SeededScheduleFiresInWhenSeqOrder)
 {
     // Differential check of the heap + lane engine against the reference
@@ -317,17 +355,26 @@ TEST(Simulator, SeededScheduleFiresInWhenSeqOrder)
     // events, events scheduled from callbacks, stop() and runUntil()
     // resumption; eventsExecuted() + pendingEvents() must equal the
     // events scheduled so far at every callback and every resumption.
+    // Callbacks also schedule descending bursts (heap pushes earlier
+    // than the lane tail) while fired events free their slots, so every
+    // closure carries a token: a reused slot must run the closure it was
+    // given, and a fired closure must be released by the next event.
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         Simulator sim;
         Rng rng(seed);
         std::vector<Tick> scheduledAt; // event id (= seq) -> tick
         std::vector<std::pair<Tick, std::uint64_t>> fired;
+        std::vector<std::weak_ptr<const std::uint64_t>> tokens; // by id
         std::uint64_t budget = 4000;
-        std::function<void(std::uint64_t)> body;
+        std::function<void(std::uint64_t, std::uint64_t)> body;
         const auto add = [&](Tick when) {
             const std::uint64_t id = scheduledAt.size();
             scheduledAt.push_back(when);
-            auto fn = [&body, id]() { body(id); };
+            auto token = std::make_shared<const std::uint64_t>(id);
+            tokens.push_back(token);
+            auto fn = [&body, id, token = std::move(token)]() {
+                body(id, *token);
+            };
             if (rng.nextBool(0.5))
                 sim.scheduleAt(Ticks{when}, "diff", std::move(fn));
             else
@@ -337,7 +384,11 @@ TEST(Simulator, SeededScheduleFiresInWhenSeqOrder)
             return sim.eventsExecuted() + sim.pendingEvents() ==
                    scheduledAt.size();
         };
-        body = [&](std::uint64_t id) {
+        body = [&](std::uint64_t id, std::uint64_t token) {
+            EXPECT_EQ(token, id);
+            if (!fired.empty()) {
+                EXPECT_TRUE(tokens[fired.back().second].expired());
+            }
             fired.emplace_back(sim.now().raw(), id);
             EXPECT_TRUE(conserved());
             if (rng.nextBool(0.02))
@@ -345,12 +396,16 @@ TEST(Simulator, SeededScheduleFiresInWhenSeqOrder)
             const Tick now = sim.now().raw();
             for (std::uint64_t n = rng.nextBounded(4); n > 0 && budget > 0;
                  --n, --budget) {
-                switch (rng.nextBounded(5)) {
+                switch (rng.nextBounded(6)) {
                 case 0: add(now + 50'000); break;   // fixed deadline
                 case 1: add(now + 5'000'000 +       // far-future one-off
                             static_cast<Tick>(rng.nextBounded(1000))); break;
                 case 2: add(now); break;            // zero delay
                 case 3: add(now + rng.nextRange(1, 200)); break;
+                case 4:                             // descending burst
+                    for (Tick d = 40; d > 0 && budget > 1; d -= 10, --budget)
+                        add(now + d);
+                    break;
                 default: add((now / 100 + 1) * 100); // shared tick
                 }
             }
@@ -366,6 +421,8 @@ TEST(Simulator, SeededScheduleFiresInWhenSeqOrder)
                              Ticks{rng.nextRange(0, 20'000)});
         }
         ASSERT_EQ(fired.size(), scheduledAt.size()) << "seed " << seed;
+        for (const auto &token : tokens)
+            EXPECT_TRUE(token.expired());
         for (std::size_t i = 0; i < fired.size(); ++i) {
             EXPECT_EQ(fired[i].first, scheduledAt[fired[i].second]);
             if (i > 0) {
