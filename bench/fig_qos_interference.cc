@@ -52,7 +52,6 @@ main(int argc, char **argv)
     bench::TelemetryOptions defaults;
     defaults.interferencePath = "BENCH_interference.json";
     defaults.benchLabel = "fig_qos_interference";
-    defaults.tenants = 2;
     bench::initTelemetry(argc, argv, defaults);
 
     bench::ArrayConfig array;

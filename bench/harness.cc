@@ -36,30 +36,20 @@ telemetry::SimProfiler g_simProfiler;
  */
 telemetry::SimProfiler::TelemetryOverhead g_telemetryOverhead;
 
-/** atexit hook: write/render the engine-profile report once per process. */
+/** atexit hook: write the engine-profile report once per process. */
 void
 saveSimcoreProfile()
 {
     const telemetry::SimProfiler::Report report = g_simProfiler.report();
-    if (!g_telemetry.profilePath.empty()) {
-        std::ofstream os(g_telemetry.profilePath, std::ios::trunc);
-        if (os)
-            telemetry::SimProfiler::writeJson(os, report,
-                                              g_telemetry.benchLabel,
-                                              g_telemetry.seed,
-                                              &g_telemetryOverhead);
-        else
-            std::fprintf(stderr,
-                         "warning: could not write engine profile to %s\n",
-                         g_telemetry.profilePath.c_str());
-    }
-    if (g_telemetry.profileAscii) {
-        std::ostringstream ss;
-        telemetry::SimProfiler::renderAscii(ss, report,
-                                            g_telemetry.benchLabel);
-        std::fputs(ss.str().c_str(), stderr);
-        std::fflush(stderr);
-    }
+    std::ofstream os(g_telemetry.profilePath, std::ios::trunc);
+    if (os)
+        telemetry::SimProfiler::writeJson(os, report, g_telemetry.benchLabel,
+                                          g_telemetry.seed,
+                                          &g_telemetryOverhead);
+    else
+        std::fprintf(stderr,
+                     "warning: could not write engine profile to %s\n",
+                     g_telemetry.profilePath.c_str());
 }
 
 /** Figure label from the last printFigureHeader, for bench-JSON rows. */
@@ -136,14 +126,8 @@ parseTelemetryOptions(int argc, char **argv, const TelemetryOptions &defaults)
             opts.flightRecorder = false;
         else if (arg.rfind("--profile=", 0) == 0)
             opts.profilePath = arg.substr(10);
-        else if (arg == "--profile-ascii")
-            opts.profileAscii = true;
-        else if (arg == "--no-profile") {
+        else if (arg == "--no-profile")
             opts.profilePath.clear();
-            opts.profileAscii = false;
-        } else if (arg.rfind("--tenants=", 0) == 0)
-            opts.tenants = static_cast<std::uint32_t>(
-                std::strtoul(arg.c_str() + 10, nullptr, 10));
         else if (arg.rfind("--interference=", 0) == 0)
             opts.interferencePath = arg.substr(15);
         else if (arg == "--strict-flags")
@@ -155,8 +139,8 @@ parseTelemetryOptions(int argc, char **argv, const TelemetryOptions &defaults)
                          "--exemplars= --bench-json= "
                          "--timeline= --timeline-ascii "
                          "--breakdown --no-flight-recorder "
-                         "--profile= --profile-ascii --no-profile "
-                         "--tenants= --interference= --strict-flags)\n",
+                         "--profile= --no-profile "
+                         "--interference= --strict-flags)\n",
                          opts.strictFlags ? "error" : "warning",
                          arg.c_str());
             if (opts.strictFlags)
@@ -303,17 +287,15 @@ SystemUnderTest::~SystemUnderTest()
                                        cluster_->telemetry().exemplars());
 
     // A silently truncated trace or breakdown misleads; one line on
-    // stderr when any retention cap dropped data (the Chrome export
-    // carries the span and counter numbers as trace_truncation metadata).
+    // stderr when a retention cap dropped spans (the Chrome export carries
+    // the numbers as trace_truncation metadata). A sampler round merge
+    // halves counter resolution but truncates nothing, so it stays quiet.
     const telemetry::Tracer &tr = cluster_->tracer();
-    if (tr.droppedSpans() > 0 || tr.droppedCounters() > 0 ||
-        tr.evictedChains() > 0)
+    if (tr.droppedSpans() > 0 || tr.evictedChains() > 0)
         std::fprintf(stderr,
                      "warning: telemetry dropped %llu span(s), %llu "
-                     "counter sample(s), %llu pending op chain(s) at "
-                     "retention caps\n",
+                     "pending op chain(s) at retention caps\n",
                      static_cast<unsigned long long>(tr.droppedSpans()),
-                     static_cast<unsigned long long>(tr.droppedCounters()),
                      static_cast<unsigned long long>(tr.evictedChains()));
 
     // Fold this system's telemetry self-accounting into the process-wide
@@ -325,8 +307,8 @@ SystemUnderTest::~SystemUnderTest()
     g_telemetryOverhead.spansRetained += tr.spans().size();
     g_telemetryOverhead.spansDropped += tr.droppedSpans();
     g_telemetryOverhead.spansSampledOut += tr.sampledOutSpans();
-    g_telemetryOverhead.countersRetained += tr.counterSamples().size();
-    g_telemetryOverhead.countersDropped += tr.droppedCounters();
+    g_telemetryOverhead.countersRetained += tel.sampler().rounds().samples();
+    g_telemetryOverhead.countersDropped += tel.sampler().droppedSamples();
     g_telemetryOverhead.exemplars += tel.exemplars().size();
     g_telemetryOverhead.samplePeriod = tr.samplePeriod();
     if (g_telemetry.profiling()) {
@@ -643,7 +625,7 @@ runFio(SystemUnderTest &sut, const workload::FioConfig &fio, bool preload)
                 telemetry::buildTimeline(
                     *sut.timeline(),
                     tel.journal().snapshotRange(job_start, sim.now().raw() + 1),
-                    tel.sampler().samples(), sut.cluster().hostId());
+                    tel.sampler().rounds(), sut.cluster().hostId());
             if (g_telemetry.timelineAscii) {
                 std::ostringstream ss;
                 ss << "\n";

@@ -94,16 +94,13 @@ struct ArrayConfig
  *                          host wall-clock attribution (events/sec,
  *                          heap stats, per-label costs) at process exit.
  *                          fig09/fig17 default to BENCH_simcore.json.
- *   --profile-ascii        render the end-of-run attribution report as an
- *                          ASCII table on stderr (implies profiling)
  *   --no-profile           drop the binary's default profile path; used
  *                          by the CI proof that profiling on vs off
  *                          leaves simulated output byte-identical
- *   --tenants=<n>          arm per-tenant contention attribution for up
- *                          to n tenants (runTenantFio() names them); also
- *                          armed implicitly by --interference=
- *   --interference=<path>  append one JSON row per measured multi-tenant
- *                          job: tenant table, victim x aggressor x
+ *   --interference=<path>  arm per-tenant contention attribution and
+ *                          append one JSON row per measured multi-tenant
+ *                          job (runTenantFio() names the tenants and arms
+ *                          the tracker itself): tenant table, victim x aggressor x
  *                          resource blame matrix (exact ns, sums to the
  *                          measured queue-wait), windowed per-tenant SLO
  *                          series with burn-rate flags
@@ -130,9 +127,6 @@ struct TelemetryOptions
     bool timelineAscii = false;
     bool breakdown = false;
     bool flightRecorder = true;
-    bool profileAscii = false;
-    /** --tenants=: expected tenant count (0 = attribution off). */
-    std::uint32_t tenants = 0;
     /** --interference=: JSONL path for the per-job attribution rows. */
     std::string interferencePath;
     /** --strict-flags: unknown flags are fatal. */
@@ -159,7 +153,7 @@ struct TelemetryOptions
     /** Whether the engine profiler observes this process's simulators. */
     bool profiling() const
     {
-        return profileAscii || !profilePath.empty();
+        return !profilePath.empty();
     }
 
     /** Whether the tail-exemplar reservoir captures slow ops: requested
@@ -172,7 +166,7 @@ struct TelemetryOptions
     /** Whether per-tenant contention attribution is armed. */
     bool interference() const
     {
-        return tenants >= 2 || !interferencePath.empty();
+        return !interferencePath.empty();
     }
 };
 

@@ -19,7 +19,8 @@
 # so it is compared through the same timing-stripped projection as CI's
 # profile-determinism step; telemetry_overhead.retained_bytes is a
 # size-based memory estimate that legitimately moves with record layout,
-# so its two values are printed instead of compared.
+# so its two values are printed instead of compared. A row that differs
+# is listed key by key (path: base -> head).
 #
 # Benches: fig09_normal_read fig17_reconstruction fig_qos_interference
 # campaign_durability (the default is these four), the degraded-path
@@ -161,6 +162,22 @@ def stripped(path):
         rows.append(r)
     return rows, retained
 
+def diffs(a, b, path):
+    """Yield (key path, base value, head value) for every leaf that differs."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for k in sorted(set(a) | set(b), key=str):
+            yield from diffs(a.get(k, "<absent>"), b.get(k, "<absent>"),
+                             f"{path}.{k}")
+    elif (isinstance(a, list) and isinstance(b, list) and
+          all(isinstance(x, dict) and "label" in x for x in a + b)):
+        yield from diffs({x["label"]: x for x in a},
+                         {x["label"]: x for x in b}, path)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from diffs(x, y, f"{path}[{i}]")
+    elif a != b:
+        yield path, a, b
+
 base_dir, head_dir = sys.argv[1], sys.argv[2]
 ok = True
 for name in sorted(os.listdir(base_dir)):
@@ -172,6 +189,8 @@ for name in sorted(os.listdir(base_dir)):
     ok = ok and same
     print(f"  {'same' if same else 'DIFF'}  {name} (timing-stripped); "
           f"retained_bytes {ra} -> {rb}")
+    for path, x, y in diffs(a, b, "rows"):
+        print(f"        {path}: {x} -> {y}")
 sys.exit(0 if ok else 1)
 EOF
 

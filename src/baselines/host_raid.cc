@@ -127,8 +127,7 @@ HostCentricRaid::write(std::uint64_t offset, ec::Buffer data,
                        blockdev::WriteCallback cb)
 {
     assert(offset + data.size() <= sizeBytes());
-    const std::uint64_t trace = probe_.mint();
-    cluster_.telemetry().contention().noteOpStart(trace);
+    const std::uint64_t trace = probe_.mintOp();
     const sim::Ticks op_start = cluster_.sim().now();
     const std::uint64_t op_bytes = data.size();
     auto wrapped = [this, cb, trace, op_start,
@@ -812,8 +811,7 @@ HostCentricRaid::read(std::uint64_t offset, std::uint32_t length,
 {
     assert(offset + length <= sizeBytes());
     ++counters_.normalReads;
-    const std::uint64_t trace = probe_.mint();
-    cluster_.telemetry().contention().noteOpStart(trace);
+    const std::uint64_t trace = probe_.mintOp();
     const sim::Ticks op_start = cluster_.sim().now();
     auto groups = geom_.mapByStripe(offset, length);
     // Every successful read overwrites all of `out`; a failed one hands

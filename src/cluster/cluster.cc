@@ -51,7 +51,7 @@ Cluster::instrumentNode(Node &node)
     // owns, built from the node's probe. Every FIFO resource registers
     // with the contention tracker up front; the hooks stay one
     // predictable branch until the harness enables the tracker
-    // (--tenants= / --interference=).
+    // (--interference=, or runTenantFio()).
     const telemetry::Probe p = probe(id);
     telemetry::ContentionTracker &ct = telemetry_.contention();
     using RK = telemetry::ContentionTracker::ResourceKind;

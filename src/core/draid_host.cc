@@ -271,9 +271,7 @@ DraidHost::write(std::uint64_t offset, ec::Buffer data,
                  blockdev::WriteCallback cb)
 {
     assert(offset + data.size() <= sizeBytes());
-    const std::uint64_t trace = probe_.mint();
-    if (telemetry::ContentionTracker *ct = probe_.contention())
-        ct->noteOpStart(trace);
+    const std::uint64_t trace = probe_.mintOp();
     const sim::Ticks op_start = cluster_.sim().now();
     const std::uint64_t op_bytes = data.size();
     auto plans = planner_.plan(offset, data.size());
@@ -757,15 +755,14 @@ DraidHost::retryStripe(std::shared_ptr<StripeWrite> sw)
                 merged();
             continue;
         }
-        readChunk(stripe, idx, [this, g, idx, merged, sw](bool ok,
-                                                          ec::Buffer data) {
+        readChunk(stripe, idx, [this, g, idx, merged](bool ok,
+                                                      ec::Buffer data) {
             if (!ok) {
                 g->ok = false;
                 g->chunks[idx] = ec::Buffer(geom_.chunkSize());
             } else {
                 g->chunks[idx] = std::move(data);
             }
-            (void)sw;
             if (--g->remaining == 0)
                 merged();
         }, sw->traceId);
@@ -803,9 +800,7 @@ DraidHost::read(std::uint64_t offset, std::uint32_t length,
 {
     assert(offset + length <= sizeBytes());
     ++counters_.normalReads;
-    const std::uint64_t trace = probe_.mint();
-    if (telemetry::ContentionTracker *ct = probe_.contention())
-        ct->noteOpStart(trace);
+    const std::uint64_t trace = probe_.mintOp();
     const sim::Ticks op_start = cluster_.sim().now();
     auto groups = geom_.mapByStripe(offset, length);
     // Every successful read overwrites all of `out`; a failed one hands
@@ -904,13 +899,6 @@ DraidHost::degradedStripeRead(std::uint64_t stripe,
     if (bwAware_ && reducer < reconTxAttributed_.size())
         reconTxAttributed_[reducer] += recon_len;
 
-    // Expected completions: the reducer plus every chunk we also read.
-    std::set<std::uint8_t> subs{kReducerSub};
-    for (const auto &g : extents) {
-        if (g.extent.dataIdx != fidx)
-            subs.insert(static_cast<std::uint8_t>(g.extent.dataIdx));
-    }
-
     // Deliver payloads into the user buffer as they land.
     auto extents_shared =
         std::make_shared<std::vector<raid::PlacedExtent>>(std::move(extents));
@@ -946,6 +934,7 @@ DraidHost::registerAndBroadcastReconstruction(
     std::function<void(bool)> done, proto::Subtype base_subtype,
     std::uint64_t trace)
 {
+    // Expected completions: the reducer plus every chunk we also read.
     std::set<std::uint8_t> subs{kReducerSub};
     for (const auto &g : extents) {
         if (g.extent.dataIdx != fidx)

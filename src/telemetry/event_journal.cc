@@ -1,8 +1,5 @@
 #include "telemetry/event_journal.h"
 
-#include <algorithm>
-#include <cassert>
-
 namespace draid::telemetry {
 
 const char *
@@ -30,44 +27,12 @@ eventTypeName(EventType t)
     return "?";
 }
 
-EventJournal::EventJournal(std::size_t capacity)
-    : ring_(std::max<std::size_t>(capacity, 1))
-{
-}
-
-std::size_t
-EventJournal::size() const
-{
-    return std::min<std::uint64_t>(total_, ring_.size());
-}
-
 void
 EventJournal::record(EventType type, sim::NodeId node, sim::Tick tick,
                      std::uint64_t a, std::uint64_t b)
 {
-    if (!enabled_)
-        return;
-    Event &e = ring_[next_];
-    e.type = type;
-    e.node = node;
-    e.tick = tick;
-    e.a = a;
-    e.b = b;
-    next_ = (next_ + 1) % ring_.size();
-    ++total_;
-}
-
-std::vector<EventJournal::Event>
-EventJournal::snapshot() const
-{
-    std::vector<Event> out;
-    const std::size_t n = size();
-    out.reserve(n);
-    // Oldest record: the write cursor once the ring has wrapped, else 0.
-    const std::size_t first = total_ > ring_.size() ? next_ : 0;
-    for (std::size_t i = 0; i < n; ++i)
-        out.push_back(ring_[(first + i) % ring_.size()]);
-    return out;
+    if (enabled_)
+        ring_.push(Event{type, node, tick, a, b});
 }
 
 std::vector<EventJournal::Event>
@@ -89,13 +54,6 @@ EventJournal::writeJsonl(std::ostream &os) const
            << eventTypeName(e.type) << "\",\"node\":" << e.node
            << ",\"a\":" << e.a << ",\"b\":" << e.b << "}\n";
     }
-}
-
-void
-EventJournal::clear()
-{
-    next_ = 0;
-    total_ = 0;
 }
 
 } // namespace draid::telemetry

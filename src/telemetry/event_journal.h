@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "sim/types.h"
+#include "telemetry/ring.h"
 
 namespace draid::telemetry {
 
@@ -75,7 +76,10 @@ class EventJournal
 
     static constexpr std::size_t kDefaultCapacity = 8192;
 
-    explicit EventJournal(std::size_t capacity = kDefaultCapacity);
+    explicit EventJournal(std::size_t capacity = kDefaultCapacity)
+        : ring_(capacity)
+    {
+    }
 
     /**
      * The journal ships enabled: events are orders of magnitude rarer
@@ -86,18 +90,18 @@ class EventJournal
     bool enabled() const { return enabled_; }
     void setEnabled(bool on) { enabled_ = on; }
 
-    std::size_t capacity() const { return ring_.size(); }
+    std::size_t capacity() const { return ring_.capacity(); }
     /** Records currently held (== capacity once the ring has wrapped). */
-    std::size_t size() const;
+    std::size_t size() const { return ring_.size(); }
     /** Total records ever pushed (size() + overwritten). */
-    std::uint64_t totalRecorded() const { return total_; }
+    std::uint64_t totalRecorded() const { return ring_.total(); }
 
     /** Append one event. No-op while disabled. */
     void record(EventType type, sim::NodeId node, sim::Tick tick,
                 std::uint64_t a = 0, std::uint64_t b = 0);
 
     /** The retained events, oldest first. */
-    std::vector<Event> snapshot() const;
+    std::vector<Event> snapshot() const { return ring_.snapshot(); }
 
     /**
      * The retained events whose tick lies in [from, to), oldest first.
@@ -111,14 +115,11 @@ class EventJournal
      */
     void writeJsonl(std::ostream &os) const;
 
-    void clear();
+    void clear() { ring_.clear(); }
 
   private:
     bool enabled_ = true;
-    // draid-lint: cap(capacity ctor arg; ring overwrite, never grows)
-    std::vector<Event> ring_;
-    std::size_t next_ = 0;    ///< slot the next record lands in
-    std::uint64_t total_ = 0; ///< records ever pushed
+    Ring<Event> ring_;
 };
 
 } // namespace draid::telemetry

@@ -82,8 +82,7 @@ onTerminate()
 
 } // namespace
 
-FlightRecorder::FlightRecorder(std::size_t capacity)
-    : ring_(std::max<std::size_t>(capacity, 1))
+FlightRecorder::FlightRecorder(std::size_t capacity) : ring_(capacity)
 {
     liveRecorders().push_back(this);
 }
@@ -94,39 +93,18 @@ FlightRecorder::~FlightRecorder()
     live.erase(std::remove(live.begin(), live.end(), this), live.end());
 }
 
-std::size_t
-FlightRecorder::size() const
-{
-    return static_cast<std::size_t>(
-        std::min<std::uint64_t>(total_, ring_.size()));
-}
-
-void
-FlightRecorder::push(const TraceSpan &rec)
-{
-    ring_[total_ % ring_.size()] = rec;
-    ++total_;
-}
-
-void
-FlightRecorder::record(const TraceSpan &span)
-{
-    if (enabled())
-        push(span);
-}
-
 void
 FlightRecorder::note(const char *name, std::uint64_t id, sim::NodeId node,
                      sim::Tick tick)
 {
     if (!enabled())
         return;
-    push(TraceSpan{.traceId = id,
-                   .node = node,
-                   .lane = "event",
-                   .name = name,
-                   .start = tick,
-                   .end = tick});
+    ring_.push(TraceSpan{.traceId = id,
+                         .node = node,
+                         .lane = "event",
+                         .name = name,
+                         .start = tick,
+                         .end = tick});
 }
 
 void
@@ -143,24 +121,13 @@ FlightRecorder::noteAbnormal(const char *name, std::uint64_t id,
     }
 }
 
-std::vector<TraceSpan>
-FlightRecorder::snapshot() const
-{
-    std::vector<TraceSpan> out;
-    const std::size_t n = size();
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        out.push_back(ring_[(total_ - n + i) % ring_.size()]);
-    return out;
-}
-
 void
 FlightRecorder::dump(std::ostream &os, std::size_t max_records) const
 {
     const auto records = snapshot();
     const std::size_t n = std::min(records.size(), max_records);
     os << "flight recorder: " << records.size() << " records held, "
-       << total_ << " total; last " << n << ":\n";
+       << ring_.total() << " total; last " << n << ":\n";
     char line[160];
     for (std::size_t i = records.size() - n; i < records.size(); ++i) {
         const TraceSpan &r = records[i];
@@ -186,7 +153,7 @@ FlightRecorder::writeChromeTrace(std::ostream &os) const
 void
 FlightRecorder::clear()
 {
-    total_ = 0;
+    ring_.clear();
     abnormalDumps_ = 0;
 }
 

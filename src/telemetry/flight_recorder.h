@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "sim/types.h"
+#include "telemetry/ring.h"
 #include "telemetry/trace.h"
 
 namespace draid::telemetry {
@@ -43,14 +44,19 @@ class FlightRecorder : public SpanSink
     bool enabled() const { return wantsSpans_; }
     void setEnabled(bool on) { wantsSpans_ = on; }
 
-    std::size_t capacity() const { return ring_.size(); }
+    std::size_t capacity() const { return ring_.capacity(); }
     /** Records currently held (== capacity once the ring has wrapped). */
-    std::size_t size() const;
+    std::size_t size() const { return ring_.size(); }
     /** Total records ever pushed (size() + overwritten). */
-    std::uint64_t totalRecorded() const { return total_; }
+    std::uint64_t totalRecorded() const { return ring_.total(); }
 
     /** Append one span record. No-op while disabled. */
-    void record(const TraceSpan &span);
+    void
+    record(const TraceSpan &span)
+    {
+        if (enabled())
+            ring_.push(span);
+    }
 
     /** SpanSink: every span and op root goes into the ring. */
     void onSpan(const TraceSpan &span) override { record(span); }
@@ -81,7 +87,7 @@ class FlightRecorder : public SpanSink
     bool dumpOnAbnormal() const { return dumpOnAbnormal_; }
 
     /** The retained records, oldest first. */
-    std::vector<TraceSpan> snapshot() const;
+    std::vector<TraceSpan> snapshot() const { return ring_.snapshot(); }
 
     /**
      * Human-readable post-mortem: the last @p max_records records, oldest
@@ -111,13 +117,9 @@ class FlightRecorder : public SpanSink
     static void setCrashTracePath(std::string path);
 
   private:
-    void push(const TraceSpan &rec);
-
     bool dumpOnAbnormal_ = false;
     int abnormalDumps_ = 0;
-    std::uint64_t total_ = 0;
-    // draid-lint: cap(capacity ctor arg; ring overwrite, never grows)
-    std::vector<TraceSpan> ring_;
+    Ring<TraceSpan> ring_;
 };
 
 } // namespace draid::telemetry

@@ -10,6 +10,15 @@ Probe::mint() const
     return telemetry_ != nullptr ? telemetry_->tracer().mint() : 0;
 }
 
+std::uint64_t
+Probe::mintOp() const
+{
+    const std::uint64_t trace = mint();
+    if (ContentionTracker *ct = contention())
+        ct->noteOpStart(trace);
+    return trace;
+}
+
 ContentionTracker *
 Probe::contention() const
 {

@@ -56,6 +56,10 @@ class Probe
     /** A fresh trace id; 0 while dark or while the tracer is inactive. */
     std::uint64_t mint() const;
 
+    /** mint() for a user op at an array entry point: the id is also bound
+     *  to the contention tracker's current tenant. */
+    std::uint64_t mintOp() const;
+
     /** The contention tracker while attached and enabled, else nullptr. */
     ContentionTracker *contention() const;
 

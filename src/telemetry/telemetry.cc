@@ -5,14 +5,16 @@
 #include <fstream>
 #include <utility>
 
+#include "sim/stats.h"
+
 namespace draid::telemetry {
 
 void
 UtilizationSampler::addSource(sim::NodeId node, std::string name,
                               std::function<sim::Ticks()> busy)
 {
-    sources_.push_back(
-        Source{node, std::move(name), std::move(busy), sim::Ticks::zero()});
+    store_.sources.push_back({node, std::move(name)});
+    meters_.push_back(Meter{std::move(busy), sim::Ticks::zero()});
 }
 
 void
@@ -24,15 +26,16 @@ UtilizationSampler::start(sim::Simulator &sim, sim::Ticks interval,
     lastEmit_ = sim.now();
     nextSample_ = sim.now() + interval;
     tracer_ = tracer;
-    for (auto &src : sources_)
-        src.lastBusy = src.busy();
+    for (Meter &m : meters_)
+        m.lastBusy = m.busy();
     sim.setClockObserver([this](sim::Ticks now) { onClockAdvance(now); });
 }
 
 void
 UtilizationSampler::onClockAdvance(sim::Ticks now)
 {
-    if (interval_ <= sim::Ticks::zero() || now < nextSample_)
+    if (meters_.empty() || interval_ <= sim::Ticks::zero() ||
+        now < nextSample_)
         return;
     // One sample per advance, stamped at the greatest interval boundary
     // <= now, covering the whole window since the previous emission. The
@@ -43,68 +46,60 @@ UtilizationSampler::onClockAdvance(sim::Ticks now)
     if (emitStride_ > 1 && (rounds_ - 1) % emitStride_ != 0) {
         // Skipped boundary: no emission, but the window since lastEmit_
         // keeps accumulating, so the next emitted round covers it.
-        droppedSamples_ += sources_.size();
+        droppedSamples_ += meters_.size();
         nextSample_ = boundary + interval_;
         return;
     }
-    if (!sources_.empty() &&
-        samples_.size() + sources_.size() > sampleCap_)
-        mergeSampleRounds();
+    const std::uint64_t t0 = tracer_ ? tracer_->selfClock() : 0;
+    auto &rows = store_.rounds;
+    // Past the cap, merge adjacent rounds (mean value over the doubled
+    // window, stamped at the later boundary; an odd last round passes
+    // through) and skip every 2nd future boundary to match. A cap smaller
+    // than two rounds leaves nothing to halve.
+    if (store_.samples() + meters_.size() > sampleCap_ && rows.size() >= 2) {
+        droppedSamples_ += (rows.size() / 2) * meters_.size();
+        sim::regroup(rows, 2,
+                     [](UtilizationRounds::Round &dst,
+                        const UtilizationRounds::Round &src) {
+                         dst.tick = src.tick;
+                         for (std::size_t i = 0; i < dst.values.size(); ++i)
+                             dst.values[i] =
+                                 (dst.values[i] + src.values[i]) / 2.0;
+                     });
+        emitStride_ *= 2;
+    }
     const sim::Ticks window = boundary - lastEmit_;
-    for (auto &src : sources_) {
-        const sim::Ticks busyNow = src.busy();
+    UtilizationRounds::Round &row =
+        rows[static_cast<std::int64_t>(rows.size())];
+    row.tick = boundary.raw();
+    row.values.reserve(meters_.size());
+    for (Meter &m : meters_) {
+        const sim::Ticks busyNow = m.busy();
         double frac =
             window > sim::Ticks::zero()
-                ? static_cast<double>((busyNow - src.lastBusy).raw()) /
+                ? static_cast<double>((busyNow - m.lastBusy).raw()) /
                       static_cast<double>(window.raw())
                 : 0.0;
         if (frac > 1.0)
             frac = 1.0;
-        src.lastBusy = busyNow;
-        samples_.push_back(Sample{src.node, src.name, boundary.raw(), frac});
-        if (tracer_ && tracer_->enabled())
-            tracer_->recordCounter(src.node, src.name, boundary.raw(), frac);
+        m.lastBusy = busyNow;
+        row.values.push_back(frac);
     }
     lastEmit_ = boundary;
     nextSample_ = boundary + interval_;
-}
-
-void
-UtilizationSampler::mergeSampleRounds()
-{
-    // Samples arrive in whole rounds of sources_.size(); merge adjacent
-    // round pairs (mean value over the doubled window, stamped at the
-    // later boundary) and skip every 2nd future boundary to match.
-    const std::size_t perRound = sources_.size();
-    const std::size_t numRounds = samples_.size() / perRound;
-    if (numRounds < 2)
-        return; // cap smaller than one round: nothing left to halve
-    std::vector<Sample> merged;
-    merged.reserve(samples_.size() / 2 + perRound);
-    std::size_t r = 0;
-    for (; r + 1 < numRounds; r += 2) {
-        for (std::size_t s = 0; s < perRound; ++s) {
-            Sample out = samples_[(r + 1) * perRound + s];
-            out.value =
-                (samples_[r * perRound + s].value + out.value) / 2.0;
-            merged.push_back(std::move(out));
-        }
-        droppedSamples_ += perRound;
-    }
-    for (; r < numRounds; ++r) { // odd trailing round survives as-is
-        for (std::size_t s = 0; s < perRound; ++s)
-            merged.push_back(std::move(samples_[r * perRound + s]));
-    }
-    samples_ = std::move(merged);
-    emitStride_ *= 2;
+    if (tracer_)
+        tracer_->chargeCounters(meters_.size(), t0);
 }
 
 std::uint64_t
 UtilizationSampler::retainedBytes() const
 {
     std::uint64_t bytes = 0;
-    for (const Sample &s : samples_)
-        bytes += sizeof(Sample) + s.name.size();
+    for (const UtilizationRounds::Source &src : store_.sources)
+        bytes += sizeof(src) + src.name.size();
+    for (const auto &[idx, round] : store_.rounds)
+        bytes += sizeof(idx) + sizeof(round) +
+                 round.values.size() * sizeof(double);
     return bytes;
 }
 
@@ -114,37 +109,28 @@ Telemetry::writeMetricsJson(std::ostream &os) const
     os << "{\"metrics\":";
     metrics_.writeJson(os);
     os << ",\"timelines\":[";
-    // Samples are interleaved per window in source order; regroup them into
-    // one series per (node, name), in first-seen order.
-    const auto &samples = sampler_.samples();
-    std::vector<std::pair<sim::NodeId, std::string>> series;
-    for (const auto &s : samples) {
-        auto key = std::make_pair(s.node, s.name);
-        bool seen = false;
-        for (const auto &k : series)
-            seen = seen || k == key;
-        if (!seen)
-            series.push_back(std::move(key));
-    }
-    for (std::size_t i = 0; i < series.size(); ++i) {
-        if (i)
-            os << ",";
-        os << "{\"node\":" << series[i].first << ",\"name\":";
-        writeJsonString(os, series[i].second);
-        os << ",\"samples\":[";
-        bool firstSample = true;
-        for (const auto &s : samples) {
-            if (s.node != series[i].first || s.name != series[i].second)
-                continue;
-            if (!firstSample)
+    // One series per source, in source order; none before the first round.
+    const UtilizationRounds &store = sampler_.rounds();
+    if (!store.rounds.empty()) {
+        for (std::size_t i = 0; i < store.sources.size(); ++i) {
+            if (i)
                 os << ",";
-            firstSample = false;
-            char buf[48];
-            std::snprintf(buf, sizeof(buf), "[%lld,%.4f]",
-                          static_cast<long long>(s.tick), s.value);
-            os << buf;
+            os << "{\"node\":" << store.sources[i].node << ",\"name\":";
+            writeJsonString(os, store.sources[i].name);
+            os << ",\"samples\":[";
+            bool firstSample = true;
+            for (const auto &[idx, round] : store.rounds) {
+                if (!firstSample)
+                    os << ",";
+                firstSample = false;
+                char buf[48];
+                std::snprintf(buf, sizeof(buf), "[%lld,%.4f]",
+                              static_cast<long long>(round.tick),
+                              round.values[i]);
+                os << buf;
+            }
+            os << "]}";
         }
-        os << "]}";
     }
     os << "]}";
 }
@@ -175,7 +161,8 @@ Telemetry::saveChromeTrace(const std::string &path) const
     std::ofstream out(path);
     if (!out)
         return false;
-    tracer_.writeChromeTrace(out);
+    tracer_.writeChromeTrace(out, sampler_.rounds(),
+                             sampler_.droppedSamples());
     out << "\n";
     return static_cast<bool>(out);
 }

@@ -38,14 +38,6 @@ namespace draid::telemetry {
 class UtilizationSampler
 {
   public:
-    struct Sample
-    {
-        sim::NodeId node;
-        std::string name; ///< e.g. "nic.tx.util"
-        sim::Tick tick;
-        double value; ///< busy fraction over the preceding window, [0,1]
-    };
-
     /**
      * Register a busy-tick source. @p busy must return cumulative busy
      * ticks (monotone non-decreasing) and outlive the sampler.
@@ -54,20 +46,22 @@ class UtilizationSampler
                    std::function<sim::Ticks()> busy);
 
     /**
-     * Begin sampling every @p interval ticks. Also mirrors samples into
-     * @p tracer as Chrome "C" counter events when it is enabled.
+     * Begin sampling every @p interval ticks. Each round's host cost is
+     * charged to @p tracer's counterCost() while it self-times.
      */
     void start(sim::Simulator &sim, sim::Ticks interval,
                Tracer *tracer = nullptr);
 
     bool started() const { return interval_ > sim::Ticks::zero(); }
 
-    const std::vector<Sample> &samples() const { return samples_; }
+    /** The one utilization store: the metrics JSON, the timeline and the
+     *  Chrome counter tracks all read it. */
+    const UtilizationRounds &rounds() const { return store_; }
 
     /** Sampler hook, exposed for tests; called by the clock observer. */
     void onClockAdvance(sim::Ticks now);
 
-    /** Default bound on retained samples (all sources together). */
+    /** Default bound on retained samples (rounds x sources). */
     static constexpr std::size_t kDefaultSampleCap = 65'536;
 
     /**
@@ -91,21 +85,16 @@ class UtilizationSampler
     std::uint64_t retainedBytes() const;
 
   private:
-    struct Source
+    /** A source's busy-tick reading, parallel to store_.sources. */
+    struct Meter
     {
-        sim::NodeId node;
-        std::string name;
         std::function<sim::Ticks()> busy;
         sim::Ticks lastBusy;
     };
 
-    /** Merge retained rounds pairwise and double the emit stride. */
-    void mergeSampleRounds();
-
     // draid-lint: cap(one entry per registered resource lane)
-    std::vector<Source> sources_;
-    // draid-lint: cap(sampleCap_; rounds merged pairwise on overflow)
-    std::vector<Sample> samples_;
+    std::vector<Meter> meters_;
+    UtilizationRounds store_;
     sim::Ticks interval_;
     sim::Ticks nextSample_;
     sim::Ticks lastEmit_;
@@ -151,7 +140,7 @@ class Telemetry
 
     /**
      * Approximate heap bytes retained across every telemetry store
-     * (tracer spans/counters/pending chains, exemplars, sampler rounds,
+     * (tracer spans/pending chains, exemplars, sampler rounds,
      * flight-recorder ring, journal ring). Size-based and a pure function
      * of recorded telemetry, so deterministic across runs — this is the
      * retained_bytes figure in the bench JSON's telemetry_overhead block.

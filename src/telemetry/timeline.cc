@@ -117,9 +117,8 @@ WindowedAggregator::retainedBytes() const
 }
 
 std::vector<UtilizationSeries>
-binUtilization(const std::vector<UtilizationSampler::Sample> &samples,
-               sim::Ticks from_ticks, sim::Ticks window_ticks_in,
-               std::size_t num_windows)
+binUtilization(const UtilizationRounds &rounds, sim::Ticks from_ticks,
+               sim::Ticks window_ticks_in, std::size_t num_windows)
 {
     const sim::Tick from = from_ticks.raw();
     const sim::Tick window_ticks = window_ticks_in.raw();
@@ -134,21 +133,28 @@ binUtilization(const std::vector<UtilizationSampler::Sample> &samples,
         std::vector<std::uint32_t> count;
     };
     // Keyed by (node, name); std::map keeps the output ordering stable.
+    // The series open at the first round in range.
     std::map<std::pair<sim::NodeId, std::string>, SeriesAccum> accums;
+    std::vector<SeriesAccum *> bySource;
     const sim::Tick to = from + static_cast<sim::Tick>(num_windows)
         * window_ticks;
-    for (const UtilizationSampler::Sample &s : samples) {
-        if (s.tick < from || s.tick >= to)
+    for (const auto &[r, round] : rounds.rounds) {
+        if (round.tick < from || round.tick >= to)
             continue;
-        SeriesAccum &acc = accums[{s.node, s.name}];
-        if (acc.sum.empty()) {
-            acc.sum.assign(num_windows, 0.0);
-            acc.count.assign(num_windows, 0);
+        if (bySource.empty()) {
+            for (const UtilizationRounds::Source &src : rounds.sources) {
+                SeriesAccum &acc = accums[{src.node, src.name}];
+                acc.sum.assign(num_windows, 0.0);
+                acc.count.assign(num_windows, 0);
+                bySource.push_back(&acc);
+            }
         }
         const auto idx =
-            static_cast<std::size_t>((s.tick - from) / window_ticks);
-        acc.sum[idx] += s.value;
-        acc.count[idx] += 1;
+            static_cast<std::size_t>((round.tick - from) / window_ticks);
+        for (std::size_t i = 0; i < bySource.size(); ++i) {
+            bySource[i]->sum[idx] += round.values[i];
+            bySource[i]->count[idx] += 1;
+        }
     }
 
     std::vector<UtilizationSeries> out;
@@ -233,8 +239,7 @@ detectHealth(const std::vector<TimelineWindow> &windows,
 TimelineReport
 buildTimeline(const WindowedAggregator &agg,
               const std::vector<EventJournal::Event> &events,
-              const std::vector<UtilizationSampler::Sample> &samples,
-              sim::NodeId host_node)
+              const UtilizationRounds &rounds, sim::NodeId host_node)
 {
     TimelineReport report;
     if (agg.opsAdded() == 0)
@@ -252,7 +257,7 @@ buildTimeline(const WindowedAggregator &agg,
         if (e.tick >= report.startTick && e.tick < endTick)
             report.events.push_back(e);
     }
-    report.utilization = binUtilization(samples,
+    report.utilization = binUtilization(rounds,
                                         sim::Ticks{report.startTick},
                                         sim::Ticks{report.windowTicks},
                                         report.windows.size());

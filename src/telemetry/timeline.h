@@ -159,14 +159,14 @@ class WindowedAggregator : public SpanSink
 };
 
 /**
- * Average the sampler's busy-fraction samples per window. Windows with
- * no sample carry the previous window's value (utilization is a
- * continuous quantity; the sampler may tick slower than the timeline).
+ * Average the sampler's busy-fraction rounds per window, one series per
+ * (node, name) in that order. Windows with no sample carry the previous
+ * window's value (utilization is a continuous quantity; the sampler may
+ * tick slower than the timeline).
  */
 std::vector<UtilizationSeries>
-binUtilization(const std::vector<UtilizationSampler::Sample> &samples,
-               sim::Ticks from, sim::Ticks window_ticks,
-               std::size_t num_windows);
+binUtilization(const UtilizationRounds &rounds, sim::Ticks from,
+               sim::Ticks window_ticks, std::size_t num_windows);
 
 /**
  * Flag stalled windows and cross-server utilization imbalance. A window
@@ -201,8 +201,7 @@ struct TimelineReport
  */
 TimelineReport buildTimeline(const WindowedAggregator &agg,
                              const std::vector<EventJournal::Event> &events,
-                             const std::vector<UtilizationSampler::Sample>
-                                 &samples,
+                             const UtilizationRounds &rounds,
                              sim::NodeId host_node);
 
 /** One JSON object (windows + events + utilization + health), no newline. */

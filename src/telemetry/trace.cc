@@ -44,7 +44,7 @@ Tracer::retain(const TraceSpan &span)
 void
 Tracer::recordSpan(const TraceSpan &span)
 {
-    const std::uint64_t t0 = selfTiming_ ? selfNowNs() : 0;
+    const std::uint64_t t0 = selfClock();
     for (SpanSink *sink : sinks_)
         sink->onSpan(span);
     // Sub-spans of in-flight ops are buffered, sampled or not, so a sink
@@ -61,16 +61,13 @@ Tracer::recordSpan(const TraceSpan &span)
         }
     }
     retain(span);
-    if (selfTiming_) {
-        ++spanCost_.calls;
-        spanCost_.ns += selfNowNs() - t0;
-    }
+    charge(spanCost_, 1, t0);
 }
 
 void
 Tracer::recordOpCompletion(const TraceSpan &span)
 {
-    const std::uint64_t t0 = selfTiming_ ? selfNowNs() : 0;
+    const std::uint64_t t0 = selfClock();
     std::vector<TraceSpan> chain;
     if (span.traceId != 0 && wantsChains()) {
         if (auto pending = pendingChains_.extract(span.traceId))
@@ -80,65 +77,28 @@ Tracer::recordOpCompletion(const TraceSpan &span)
     for (SpanSink *sink : sinks_)
         sink->onOpComplete(span, chain);
     retain(span);
-    if (selfTiming_) {
-        ++opCost_.calls;
-        opCost_.ns += selfNowNs() - t0;
-    }
+    charge(opCost_, 1, t0);
+}
+
+std::uint64_t
+Tracer::selfClock() const
+{
+    return selfTiming_ ? selfNowNs() : 0;
 }
 
 void
-Tracer::recordCounter(sim::NodeId node, std::string name, sim::Tick tick,
-                      double value)
+Tracer::charge(SelfCost &cost, std::uint64_t calls, std::uint64_t since)
 {
-    if (!enabled_)
+    if (!selfTiming_)
         return;
-    const std::uint64_t t0 = selfTiming_ ? selfNowNs() : 0;
-    const std::uint64_t seq = counterSeq_[{node, name}]++;
-    bool kept = false;
-    if (seq % counterStride_ == 0) {
-        if (counters_.size() >= counterCap_)
-            decimateCounters();
-        if (counters_.size() < counterCap_) {
-            counters_.push_back(
-                CounterSample{node, std::move(name), tick, value});
-            kept = true;
-        }
-    }
-    if (!kept)
-        ++droppedCounters_;
-    if (selfTiming_) {
-        ++counterCost_.calls;
-        counterCost_.ns += selfNowNs() - t0;
-    }
-}
-
-void
-Tracer::decimateCounters()
-{
-    // Keep every 2nd retained sample per series, preserving each series'
-    // first sample, so the survivors sit at arrival indices that are
-    // multiples of the doubled stride — future seq % stride == 0 keeps
-    // landing on the same lattice.
-    std::map<std::pair<sim::NodeId, std::string>, std::uint64_t> keptIdx;
-    std::vector<CounterSample> survivors;
-    survivors.reserve(counters_.size() / 2 + 1);
-    for (CounterSample &c : counters_) {
-        const std::uint64_t idx = keptIdx[{c.node, c.name}]++;
-        if (idx % 2 == 0)
-            survivors.push_back(std::move(c));
-        else
-            ++droppedCounters_;
-    }
-    counters_ = std::move(survivors);
-    counterStride_ *= 2;
+    cost.calls += calls;
+    cost.ns += selfNowNs() - since;
 }
 
 std::uint64_t
 Tracer::retainedBytes() const
 {
     std::uint64_t bytes = spans_.size() * sizeof(TraceSpan);
-    for (const CounterSample &c : counters_)
-        bytes += sizeof(CounterSample) + c.name.size();
     for (const auto &[id, chain] : pendingChains_)
         bytes += chain.size() * sizeof(TraceSpan);
     return bytes;
@@ -154,14 +114,10 @@ void
 Tracer::clear()
 {
     spans_.clear();
-    counters_.clear();
-    counterSeq_.clear();
     pendingChains_.clear();
     dropped_ = 0;
     sampledOut_ = 0;
-    droppedCounters_ = 0;
     evictedChains_ = 0;
-    counterStride_ = 1;
     spanCost_ = SelfCost{};
     opCost_ = SelfCost{};
     counterCost_ = SelfCost{};
@@ -183,7 +139,8 @@ writeMicros(std::ostream &os, sim::Tick t)
 } // namespace
 
 void
-Tracer::writeChromeTrace(std::ostream &os) const
+Tracer::writeChromeTrace(std::ostream &os, const UtilizationRounds &counters,
+                         std::uint64_t droppedCounters) const
 {
     os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
     bool first = true;
@@ -226,11 +183,11 @@ Tracer::writeChromeTrace(std::ostream &os) const
     // Truncation metadata: an exported trace that silently lost spans is
     // worse than no trace — surface cap drops and the sampling skim so a
     // viewer knows the stream is partial.
-    if (dropped_ > 0 || droppedCounters_ > 0 || sampledOut_ > 0) {
+    if (dropped_ > 0 || droppedCounters > 0 || sampledOut_ > 0) {
         sep();
         os << "{\"ph\":\"M\",\"name\":\"trace_truncation\",\"pid\":0,"
            << "\"tid\":0,\"args\":{\"dropped_spans\":" << dropped_
-           << ",\"dropped_counters\":" << droppedCounters_
+           << ",\"dropped_counters\":" << droppedCounters
            << ",\"sampled_out_spans\":" << sampledOut_
            << ",\"sample_period\":" << samplePeriod_ << "}}";
     }
@@ -259,26 +216,30 @@ Tracer::writeChromeTrace(std::ostream &os) const
         os << "}}";
     }
 
-    for (const auto &c : counters_) {
-        sep();
-        os << "{\"ph\":\"C\",\"name\":";
-        writeJsonString(os, c.name);
-        os << ",\"pid\":" << c.node << ",\"tid\":0,\"ts\":";
-        writeMicros(os, c.tick);
-        os << ",\"args\":{\"value\":";
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.4f", c.value);
-        os << buf << "}}";
+    for (const auto &[idx, round] : counters.rounds) {
+        for (std::size_t i = 0; i < counters.sources.size(); ++i) {
+            const UtilizationRounds::Source &src = counters.sources[i];
+            sep();
+            os << "{\"ph\":\"C\",\"name\":";
+            writeJsonString(os, src.name);
+            os << ",\"pid\":" << src.node << ",\"tid\":0,\"ts\":";
+            writeMicros(os, round.tick);
+            os << ",\"args\":{\"value\":";
+            char buf[32];
+            std::snprintf(buf, sizeof(buf), "%.4f", round.values[i]);
+            os << buf << "}}";
+        }
     }
 
     os << "\n]}";
 }
 
 std::string
-Tracer::toChromeTraceJson() const
+Tracer::toChromeTraceJson(const UtilizationRounds &counters,
+                          std::uint64_t droppedCounters) const
 {
     std::ostringstream oss;
-    writeChromeTrace(oss);
+    writeChromeTrace(oss, counters, droppedCounters);
     return oss.str();
 }
 

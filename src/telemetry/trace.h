@@ -37,13 +37,35 @@
 
 namespace draid::telemetry {
 
-/** One sample of a counter timeline (utilization plots). */
-struct CounterSample
+/**
+ * The utilization sampler's store, which the Chrome export reads as "C"
+ * counter tracks: each source's (node, name) once, and one row per
+ * retained sampling round holding one value per source, in source order.
+ * Rows are keyed by retained round index 0..n-1, so merging adjacent
+ * rows is a sim::regroup by 2.
+ */
+struct UtilizationRounds
 {
-    sim::NodeId node = 0;
-    std::string name; ///< e.g. "nic.tx.util"
-    sim::Tick tick = 0;
-    double value = 0.0;
+    struct Source
+    {
+        sim::NodeId node = 0;
+        std::string name; ///< e.g. "nic.tx.util"
+    };
+    struct Round
+    {
+        sim::Tick tick = 0; ///< the interval boundary closing the round
+        /** Busy fraction over the round's window, [0,1], per source. */
+        // draid-lint: cap(one value per source; fixed topology)
+        std::vector<double> values;
+    };
+
+    // draid-lint: cap(one entry per registered resource lane)
+    std::vector<Source> sources;
+    // draid-lint: cap(the sampler's cap; rounds merged pairwise past it)
+    std::map<std::int64_t, Round> rounds;
+
+    /** Retained samples: rounds x sources. */
+    std::size_t samples() const { return rounds.size() * sources.size(); }
 };
 
 /**
@@ -144,20 +166,11 @@ class Tracer
     /** Spans skipped by the sampling decision (not an overflow drop). */
     std::uint64_t sampledOutSpans() const { return sampledOut_; }
 
-    /** Append one counter sample (utilization timelines). */
-    void recordCounter(sim::NodeId node, std::string name, sim::Tick tick,
-                       double value);
-
     /** Human name for a node ("host0", "node3"), used as process_name. */
     void setNodeName(sim::NodeId node, std::string name);
 
     const std::vector<TraceSpan> &spans() const { return spans_; }
-    const std::vector<CounterSample> &counterSamples() const
-    {
-        return counters_;
-    }
     std::uint64_t droppedSpans() const { return dropped_; }
-    std::uint64_t droppedCounters() const { return droppedCounters_; }
     /** Op chains evicted at the pending-op cap (truncated if the op
      *  later completes). */
     std::uint64_t evictedChains() const { return evictedChains_; }
@@ -167,19 +180,6 @@ class Tracer
      * long bench with tracing on cannot exhaust memory.
      */
     void setSpanCap(std::size_t cap) { spanCap_ = cap; }
-
-    /**
-     * Bound on retained counter samples. Unlike the span cap, hitting it
-     * does not truncate the tail: the retained set is decimated in place
-     * (every 2nd sample per series dropped, stride doubled), so coverage
-     * stays end-to-end at reduced resolution and memory stays O(cap).
-     */
-    void setCounterCap(std::size_t cap)
-    {
-        counterCap_ = cap == 0 ? 1 : cap;
-    }
-    /** Current per-series keep stride (1 until the cap is first hit). */
-    std::uint64_t counterStride() const { return counterStride_; }
 
     /**
      * Host-clock self-timing of the recording paths, for the
@@ -197,15 +197,34 @@ class Tracer
     };
     const SelfCost &spanCost() const { return spanCost_; }
     const SelfCost &opCost() const { return opCost_; }
+    /** The utilization sampler's rounds, charged by chargeCounters(). */
     const SelfCost &counterCost() const { return counterCost_; }
 
-    /** Approximate heap bytes retained (spans + counters + pending op
-     *  chains; size-based, so deterministic across runs). */
+    /** Self-timing stamp opening a recording path (0 when off). */
+    std::uint64_t selfClock() const;
+    /** Charge @p samples counter samples, recorded since the selfClock()
+     *  stamp @p since, to counterCost(); a no-op when self-timing is off. */
+    void
+    chargeCounters(std::uint64_t samples, std::uint64_t since)
+    {
+        charge(counterCost_, samples, since);
+    }
+
+    /** Approximate heap bytes retained (spans + pending op chains;
+     *  size-based, so deterministic across runs). */
     std::uint64_t retainedBytes() const;
 
-    /** Emit the whole trace as Chrome trace_event JSON. */
-    void writeChromeTrace(std::ostream &os) const;
-    std::string toChromeTraceJson() const;
+    /**
+     * Emit the whole trace as Chrome trace_event JSON, with @p counters
+     * as "C" counter tracks (round-major, in source order) and
+     * @p droppedCounters, the samples the sampler merged away, in the
+     * truncation metadata.
+     */
+    void writeChromeTrace(std::ostream &os,
+                          const UtilizationRounds &counters = {},
+                          std::uint64_t droppedCounters = 0) const;
+    std::string toChromeTraceJson(const UtilizationRounds &counters = {},
+                                  std::uint64_t droppedCounters = 0) const;
 
     void clear();
 
@@ -219,8 +238,8 @@ class Tracer
     }
     /** Retention for the Chrome export (enabled, sampled, under cap). */
     void retain(const TraceSpan &span);
-    /** Halve retained counter resolution (stride doubling). */
-    void decimateCounters();
+    /** Add @p calls and the host ns since @p since to @p cost. */
+    void charge(SelfCost &cost, std::uint64_t calls, std::uint64_t since);
 
     bool enabled_ = false;
     std::uint64_t nextId_ = 1;
@@ -228,9 +247,6 @@ class Tracer
     std::uint64_t dropped_ = 0;
     std::uint64_t sampledOut_ = 0;
     std::uint64_t samplePeriod_ = 1;
-    std::size_t counterCap_ = 262'144;
-    std::uint64_t counterStride_ = 1;
-    std::uint64_t droppedCounters_ = 0;
     std::uint64_t evictedChains_ = 0;
     bool selfTiming_ = false;
     SelfCost spanCost_;
@@ -240,12 +256,6 @@ class Tracer
     std::vector<SpanSink *> sinks_;
     // draid-lint: cap(spanCap_; recording stops at the cap)
     std::vector<TraceSpan> spans_;
-    // draid-lint: cap(counterCap_; stride decimation past the cap)
-    std::vector<CounterSample> counters_;
-    /** Per-series arrival index driving the counter keep stride. */
-    std::map<std::pair<sim::NodeId, std::string>, std::uint64_t>
-        // draid-lint: cap(one entry per (node, series); code-defined set)
-        counterSeq_;
     /** In-flight sub-span chains keyed by trace id, kept only while a
      *  bound sink wantsChains(); bounded by kPendingOpCap (oldest —
      *  smallest id — evicted first). */

@@ -1,10 +1,11 @@
-// Characterization tests for the three bounded latency-sample paths:
-// LatencyRecorder, the adaptive WindowedAggregator and the
-// ContentionTracker's tenant / SLO-window sets. Each test drives its path
-// well past the sample cap (and, for the windowed paths, through several
-// window doublings and merges), then compares the exported result with
-// golden values. The figure benches never reach these caps, so these
-// tests are what pins decimation, merging and ranking byte for byte.
+// Characterization tests for the bounded sample paths: LatencyRecorder,
+// the adaptive WindowedAggregator, the ContentionTracker's tenant /
+// SLO-window sets and the UtilizationSampler's round merging. Each test
+// drives its path well past the sample cap (and, for the windowed paths,
+// through several window doublings and merges), then compares the
+// exported result with golden values. Few figure benches reach these
+// caps, so these tests are what pins decimation, merging and ranking
+// byte for byte.
 //
 // Inputs come from a fixed splitmix64 stream, never from the simulation
 // RNG, so the goldens depend only on the code under test. Long outputs
@@ -133,18 +134,23 @@ TEST(DecimationGolden, AdaptiveAggregatorWidensAndCoalesces)
         {telemetry::EventType::kRebuildStarted, 0, 2'000'000, 8, 0});
     events.push_back(
         {telemetry::EventType::kRebuildCompleted, 0, 7'000'000, 8, 0});
-    std::vector<telemetry::UtilizationSampler::Sample> samples;
+    telemetry::UtilizationRounds rounds;
+    for (sim::NodeId node = 1; node <= 3; ++node)
+        rounds.sources.push_back({node, "ssd.util"});
     for (sim::Tick t = 0; t < 10'000'000; t += 100'000) {
+        telemetry::UtilizationRounds::Round &row =
+            rounds.rounds[static_cast<std::int64_t>(rounds.rounds.size())];
+        row.tick = t;
         for (sim::NodeId node = 1; node <= 3; ++node) {
             const double v = static_cast<double>(
                 splitmix(static_cast<std::uint64_t>(t) + node) % 1000) /
                 1000.0;
-            samples.push_back({node, "ssd.util", t, node == 1 ? v : v / 4});
+            row.values.push_back(node == 1 ? v : v / 4);
         }
     }
     std::ostringstream os;
     telemetry::writeTimelineJson(
-        os, telemetry::buildTimeline(agg, events, samples, 0));
+        os, telemetry::buildTimeline(agg, events, rounds, 0));
     EXPECT_EQ(fnv1a64(os.str()), "4da703fc868f78f9");
 }
 
@@ -184,4 +190,48 @@ TEST(DecimationGolden, ContentionTrackerMergesAndDecimates)
     std::ostringstream os;
     ct.writeJsonRow(os, "golden", 1);
     EXPECT_EQ(fnv1a64(os.str()), "00111bcad2a8c01a");
+}
+
+TEST(DecimationGolden, UtilizationSamplerMergesRounds)
+{
+    // Three sources with hashed busy increments, a 17-sample cap (five
+    // rounds of three) and irregular clock jumps that sometimes cross
+    // several boundaries at once: the sampler merges rounds seven times,
+    // each time with an odd last round that passes through unmerged.
+    sim::Simulator sim;
+    telemetry::Telemetry tel;
+    telemetry::UtilizationSampler &sampler = tel.sampler();
+    sim::Tick busy[3] = {0, 0, 0};
+    for (sim::NodeId node = 1; node <= 3; ++node) {
+        sampler.addSource(node, node == 2 ? "ssd.util" : "nic.tx.util",
+                          [&busy, node] {
+                              return sim::Ticks{busy[node - 1]};
+                          });
+    }
+    sampler.setSampleCap(17);
+    sampler.start(sim, sim::Ticks{1000});
+    sim::Tick now = 0;
+    for (std::uint64_t i = 0; i < 300; ++i) {
+        now += 500 + static_cast<sim::Tick>(splitmix(i) % 2500);
+        for (std::uint64_t s = 0; s < 3; ++s)
+            busy[s] += static_cast<sim::Tick>(splitmix(i * 3 + s + 7) % 1200);
+        sampler.onClockAdvance(sim::Ticks{now});
+    }
+    EXPECT_EQ(sampler.emitStride(), 128u);
+    EXPECT_EQ(sampler.droppedSamples(), 843u);
+
+    std::ostringstream metrics;
+    tel.writeMetricsJson(metrics);
+    EXPECT_EQ(fnv1a64(metrics.str()), "8cc6f080024a8f50");
+
+    std::ostringstream binned;
+    for (const telemetry::UtilizationSeries &s : telemetry::binUtilization(
+             tel.sampler().rounds(), sim::Ticks::zero(),
+             sim::Ticks{now / 8 + 1}, 8)) {
+        binned << s.node << ":" << s.name;
+        for (double v : s.perWindow)
+            binned << "," << std::to_string(v);
+        binned << ";";
+    }
+    EXPECT_EQ(fnv1a64(binned.str()), "1a51ab359517cd25");
 }

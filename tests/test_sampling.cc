@@ -370,12 +370,14 @@ TEST(UtilizationSampler, SampleCapMergesRoundsAndSkipsBoundaries)
         busy = now / 2; // 50% busy
         sampler.onClockAdvance(sim::Ticks{now});
     }
-    EXPECT_LE(sampler.samples().size(), 8u);
+    EXPECT_LE(sampler.rounds().samples(), 8u);
     EXPECT_GT(sampler.emitStride(), 1u);
     EXPECT_GT(sampler.droppedSamples(), 0u);
     // Busy-fraction windows self-correct across skipped boundaries: the
     // retained values still read ~50%.
-    for (const auto &s : sampler.samples())
-        EXPECT_NEAR(s.value, 0.5, 0.01);
+    for (const auto &[idx, round] : sampler.rounds().rounds) {
+        ASSERT_EQ(round.values.size(), 1u);
+        EXPECT_NEAR(round.values[0], 0.5, 0.01);
+    }
     EXPECT_GT(sampler.retainedBytes(), 0u);
 }

@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -205,25 +207,18 @@ TEST(Tracer, ClearResetsDroppedAndNextId)
     telemetry::Tracer t;
     t.setEnabled(true);
     t.setSpanCap(1);
-    t.setCounterCap(1);
     for (int i = 0; i < 3; ++i) {
         telemetry::TraceSpan s;
         s.traceId = t.mint();
         s.name = "x";
         t.recordSpan(std::move(s));
-        t.recordCounter(0, "u", i, 0.5);
     }
     ASSERT_GT(t.droppedSpans(), 0u);
-    ASSERT_GT(t.droppedCounters(), 0u);
-    ASSERT_GT(t.counterStride(), 1u);
 
     t.clear();
     EXPECT_TRUE(t.spans().empty());
-    EXPECT_TRUE(t.counterSamples().empty());
     EXPECT_EQ(t.droppedSpans(), 0u);
-    EXPECT_EQ(t.droppedCounters(), 0u);
     EXPECT_EQ(t.sampledOutSpans(), 0u);
-    EXPECT_EQ(t.counterStride(), 1u);
     EXPECT_EQ(t.mint(), 1u); // id sequence restarts
 }
 
@@ -292,14 +287,82 @@ TEST(Tracer, ChromeTraceJsonIsWellFormed)
     s.end = 2500;
     s.args[0] = {"bytes", 128};
     t.recordSpan(std::move(s));
-    t.recordCounter(1, "nic.tx.util", 2000, 0.75);
+    telemetry::UtilizationRounds counters;
+    counters.sources.push_back({1, "nic.tx.util"});
+    counters.rounds[0] = {2000, {0.75}};
 
-    const std::string json = t.toChromeTraceJson();
+    const std::string json = t.toChromeTraceJson(counters);
     EXPECT_TRUE(JsonChecker(json).valid()) << json;
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("\"host0\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
+}
+
+TEST(Telemetry, ChromeCounterTracksAreTheSamplerRounds)
+{
+    // A small cap forces several round merges while the export is on: the
+    // saved trace's counter tracks must be exactly the sampler's retained
+    // rounds, round-major in source order, and its dropped_counters the
+    // samples the merges and skipped boundaries took away.
+    sim::Simulator sim;
+    telemetry::Telemetry tel;
+    tel.tracer().setEnabled(true);
+    telemetry::UtilizationSampler &sampler = tel.sampler();
+    sim::Tick busy = 0;
+    sampler.addSource(1, "nic.tx.util", [&busy] { return sim::Ticks{busy}; });
+    sampler.addSource(2, "ssd.util",
+                      [&busy] { return sim::Ticks{busy / 3}; });
+    sampler.setSampleCap(8);
+    sampler.start(sim, sim::Ticks{100}, &tel.tracer());
+    for (sim::Tick now = 100; now <= 100 * 64; now += 100) {
+        busy += (now / 100) % 4 * 30;
+        sampler.onClockAdvance(sim::Ticks{now});
+    }
+    ASSERT_GE(sampler.emitStride(), 8u); // three merges at least
+
+    std::vector<std::string> expected;
+    const telemetry::UtilizationRounds &store = sampler.rounds();
+    for (const auto &[idx, round] : store.rounds) {
+        for (std::size_t i = 0; i < store.sources.size(); ++i) {
+            char buf[160];
+            std::snprintf(buf, sizeof buf,
+                          "{\"ph\":\"C\",\"name\":\"%s\",\"pid\":%u,"
+                          "\"tid\":0,\"ts\":%lld.%03lld,"
+                          "\"args\":{\"value\":%.4f}}",
+                          store.sources[i].name.c_str(),
+                          static_cast<unsigned>(store.sources[i].node),
+                          static_cast<long long>(round.tick / 1000),
+                          static_cast<long long>(round.tick % 1000),
+                          round.values[i]);
+            expected.emplace_back(buf);
+        }
+    }
+    ASSERT_EQ(expected.size(), store.samples());
+    ASSERT_GT(expected.size(), 2u);
+
+    const std::string path =
+        ::testing::TempDir() + "draid_counter_tracks.json";
+    ASSERT_TRUE(tel.saveChromeTrace(path));
+    std::ifstream in(path);
+    std::vector<std::string> counters;
+    std::string json;
+    for (std::string line; std::getline(in, line);) {
+        json += line + "\n";
+        if (line.find("\"ph\":\"C\"") == std::string::npos)
+            continue;
+        if (!line.empty() && line.back() == ',')
+            line.pop_back();
+        counters.push_back(line);
+    }
+    std::remove(path.c_str());
+    EXPECT_TRUE(JsonChecker(json).valid()) << json;
+    EXPECT_EQ(counters, expected);
+    ASSERT_GT(sampler.droppedSamples(), 0u);
+    EXPECT_NE(json.find("\"dropped_counters\":" +
+                        std::to_string(sampler.droppedSamples()) + ","),
+              std::string::npos)
+        << json;
 }
 
 TEST(Tracer, ChromeExportStringifiesTypedArgs)
@@ -561,13 +624,17 @@ TEST(TelemetryE2E, UtilizationSamplerCollectsBusyFractions)
     data.fillPattern(5);
     ASSERT_TRUE(writeSync(rig.sim(), rig.host(), 0, data));
 
-    const auto &samples = rig.cluster->telemetry().sampler().samples();
-    ASSERT_FALSE(samples.empty());
+    const telemetry::UtilizationRounds &store =
+        rig.cluster->telemetry().sampler().rounds();
+    ASSERT_FALSE(store.rounds.empty());
     bool saw_busy = false;
-    for (const auto &s : samples) {
-        EXPECT_GE(s.value, 0.0) << s.name;
-        EXPECT_LE(s.value, 1.0 + 1e-9) << s.name;
-        saw_busy |= s.value > 0.0;
+    for (const auto &[idx, round] : store.rounds) {
+        ASSERT_EQ(round.values.size(), store.sources.size());
+        for (std::size_t i = 0; i < round.values.size(); ++i) {
+            EXPECT_GE(round.values[i], 0.0) << store.sources[i].name;
+            EXPECT_LE(round.values[i], 1.0 + 1e-9) << store.sources[i].name;
+            saw_busy |= round.values[i] > 0.0;
+        }
     }
     EXPECT_TRUE(saw_busy);
 }

@@ -62,6 +62,12 @@ TEST(EventJournal, RingWrapsAndKeepsNewestOldestFirst)
     for (std::uint64_t i = 1; i <= 6; ++i) {
         journal.record(telemetry::EventType::kScrubPass, /*node=*/0,
                        /*tick=*/static_cast<sim::Tick>(i * 10), /*a=*/i);
+        if (i == 4) { // exactly full: the write cursor is back at slot 0
+            const auto full = journal.snapshot();
+            ASSERT_EQ(full.size(), 4u);
+            EXPECT_EQ(full.front().a, 1u);
+            EXPECT_EQ(full.back().a, 4u);
+        }
     }
     EXPECT_EQ(journal.size(), 4u);
     EXPECT_EQ(journal.totalRecorded(), 6u);
@@ -181,12 +187,13 @@ TEST(WindowedAggregator, SpanIngestionUsesOpLaneOnly)
 
 TEST(Timeline, UtilizationRebinsAndCarriesForward)
 {
-    std::vector<telemetry::UtilizationSampler::Sample> samples;
+    telemetry::UtilizationRounds rounds;
     // Node 1 "ssd.util": two samples in window 0, none in window 1.
-    samples.push_back({1, "ssd.util", 100, 0.2});
-    samples.push_back({1, "ssd.util", 900, 0.6});
+    rounds.sources.push_back({1, "ssd.util"});
+    rounds.rounds[0] = {100, {0.2}};
+    rounds.rounds[1] = {900, {0.6}};
     const auto series =
-        telemetry::binUtilization(samples, /*from=*/sim::Ticks::zero(),
+        telemetry::binUtilization(rounds, /*from=*/sim::Ticks::zero(),
                                   sim::Ticks{1000}, /*num_windows=*/2);
     ASSERT_EQ(series.size(), 1u);
     EXPECT_EQ(series[0].node, 1);
@@ -454,7 +461,7 @@ TEST(TimelineDeterminism, JournalAndTimelineDoNotPerturbTicks)
             // sampled and touches no simulator state.
             rig.cluster->tracer().unbind(&agg);
             const auto report = telemetry::buildTimeline(
-                agg, tel.journal().snapshot(), tel.sampler().samples(),
+                agg, tel.journal().snapshot(), tel.sampler().rounds(),
                 rig.cluster->hostId());
             EXPECT_FALSE(report.windows.empty());
             std::ostringstream ss;
