@@ -26,10 +26,12 @@
 # campaign_durability (the default is these four), the degraded-path
 # figures fig15_degraded_read_io_size fig18_degraded_write
 # fig28_r6_degraded_read fig30_r6_degraded_write, the store-heavy
-# table1_overheads fig10_write_io_size fig20_objstore_normal, and the
+# table1_overheads fig10_write_io_size fig20_objstore_normal, the
 # timer-heavy fig14_latency_throughput fig19_minikv_ycsb, whose per-op
-# deadlines keep the most events pending (stdout, BENCH_* JSON and the
-# timing-stripped BENCH_simcore.json). Exit 0 when neutral.
+# deadlines keep the most events pending, and the read-path figures
+# fig13_write_read_ratio (mixed reads and writes on all three systems)
+# and fig22_r6_normal_read (stdout, BENCH_* JSON and the timing-stripped
+# BENCH_simcore.json). Exit 0 when neutral.
 set -euo pipefail
 
 usage="usage: ci/neutral.sh <base-ref> [bench ...]"
@@ -46,7 +48,8 @@ for b in "${benches[@]}"; do
       campaign_durability|fig15_degraded_read_io_size|\
       fig18_degraded_write|fig28_r6_degraded_read|\
       fig30_r6_degraded_write|table1_overheads|fig10_write_io_size|\
-      fig20_objstore_normal|fig14_latency_throughput|fig19_minikv_ycsb) ;;
+      fig20_objstore_normal|fig14_latency_throughput|fig19_minikv_ycsb|\
+      fig13_write_read_ratio|fig22_r6_normal_read) ;;
       *) echo "neutral: unknown bench '$b'" >&2; echo "$usage" >&2; exit 2 ;;
     esac
 done
@@ -103,7 +106,8 @@ run() { # <build-dir> <out-dir>
               fig15_degraded_read_io_size|fig18_degraded_write|\
               fig28_r6_degraded_read|fig30_r6_degraded_write|\
               table1_overheads|fig10_write_io_size|fig20_objstore_normal|\
-              fig14_latency_throughput|fig19_minikv_ycsb)
+              fig14_latency_throughput|fig19_minikv_ycsb|\
+              fig13_write_read_ratio|fig22_r6_normal_read)
                 "$bin/$b" --seed=1 --strict-flags \
                     --profile=BENCH_simcore.json > "stdout_$b.txt" ;;
             esac

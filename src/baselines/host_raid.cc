@@ -457,8 +457,16 @@ HostCentricRaid::doRmw(std::shared_ptr<StripeWrite> sw)
         const auto &gf = ec::Gf256::instance();
         for (std::size_t i = 0; i < sw->plan.writes.size(); ++i) {
             const auto &seg = sw->plan.writes[i];
-            ec::Buffer delta =
-                ec::xorOf(ctx->oldSegs[i], sw->segData[i]);
+            // The old data is a fresh read: held alone, it takes the
+            // delta in place.
+            ec::Buffer &old_seg = ctx->oldSegs[i];
+            ec::Buffer delta;
+            if (old_seg.unique()) {
+                ec::xorInto(old_seg, sw->segData[i]);
+                delta = std::move(old_seg);
+            } else {
+                delta = ec::xorOf(old_seg, sw->segData[i]);
+            }
             xor_bytes += 2 * delta.size();
             const std::uint32_t rel = seg.offset - sw->plan.parityOffset;
             if (p_alive)
@@ -811,36 +819,20 @@ HostCentricRaid::read(std::uint64_t offset, std::uint32_t length,
 {
     assert(offset + length <= sizeBytes());
     ++counters_.normalReads;
-    const std::uint64_t trace = probe_.mintOp();
-    const sim::Ticks op_start = cluster_.sim().now();
+    auto join = std::make_shared<blockdev::ReadJoin>();
+    join->cb = std::move(cb);
+    join->trace = probe_.mintOp();
+    join->opStart = cluster_.sim().now();
+    join->span = "raid.read";
+    join->length = length;
     auto groups = geom_.mapByStripe(offset, length);
-    // Every successful read overwrites all of `out`; a failed one hands
-    // back zeros rather than whatever parts happened to land.
-    ec::Buffer out = ec::Buffer::forOverwrite(length);
+    join->pending = static_cast<int>(groups.size());
 
-    auto remaining = std::make_shared<int>(static_cast<int>(groups.size()));
-    auto all_ok = std::make_shared<bool>(true);
-    auto group_done = [this, remaining, all_ok, out, cb, trace, op_start,
-                       length](bool ok) mutable {
-        if (!ok)
-            *all_ok = false;
-        if (--*remaining == 0) {
-            probe_.opComplete(trace, "raid.read", op_start,
-                              cluster_.sim().now(), length, readLatencyUs_);
-            if (!*all_ok)
-                out.fill(0);
-            cb(*all_ok ? blockdev::IoStatus::kOk
-                       : blockdev::IoStatus::kError,
-               out);
-        }
-    };
-
-    auto submit = [this, groups = std::move(groups), out, group_done,
-                   trace]() mutable {
-        for (auto &g : groups) {
-            readStripeGroup(g.stripe, std::move(g.extents), out, group_done,
-                            trace);
-        }
+    const std::uint64_t trace = join->trace;
+    auto submit = [this, groups = std::move(groups),
+                   join = std::move(join)]() mutable {
+        for (auto &g : groups)
+            readStripeGroup(g.stripe, std::move(g.extents), join);
     };
     cluster_.sim().schedule(tuning_.queueDelay, "hostraid.queue",
                             [this, submit, trace]() mutable {
@@ -850,22 +842,19 @@ HostCentricRaid::read(std::uint64_t offset, std::uint32_t length,
 }
 
 void
+HostCentricRaid::settleRead(blockdev::ReadJoin &join, bool ok)
+{
+    join.settle(ok, probe_, cluster_.sim().now(), readLatencyUs_);
+}
+
+void
 HostCentricRaid::readStripeGroup(std::uint64_t stripe,
                                  std::vector<raid::PlacedExtent> extents,
-                                 ec::Buffer out,
-                                 std::function<void(bool)> done,
-                                 std::uint64_t trace)
+                                 std::shared_ptr<blockdev::ReadJoin> join)
 {
-    // The SPDK POC locks the stripe for normal reads (§8); MD does not.
-    if (tuning_.lockReads) {
-        auto inner = std::move(done);
-        done = [this, stripe, inner = std::move(inner)](bool ok) {
-            locks_.release(stripe);
-            inner(ok);
-        };
-    }
-    auto run = [this, stripe, extents = std::move(extents), out,
-                done = std::move(done), trace]() mutable {
+    const std::uint64_t trace = join->trace;
+    auto run = [this, stripe, extents = std::move(extents),
+                join = std::move(join), trace]() mutable {
         const bool has_failed =
             failed_ && std::any_of(extents.begin(), extents.end(),
                                    [this](const raid::PlacedExtent &g) {
@@ -875,36 +864,36 @@ HostCentricRaid::readStripeGroup(std::uint64_t stripe,
                                               *failed_;
                                    });
         if (has_failed) {
-            degradedStripeRead(stripe, std::move(extents), out,
-                               std::move(done), trace);
+            degradedStripeRead(stripe, std::move(extents), std::move(join));
             return;
         }
-        auto remaining =
-            std::make_shared<int>(static_cast<int>(extents.size()));
-        auto all_ok = std::make_shared<bool>(true);
+        // The group settles once per extent instead of once as a whole.
+        join->pending += static_cast<int>(extents.size()) - 1;
         std::uint64_t bytes = 0;
         for (const auto &g : extents)
             bytes += g.extent.length;
-        chargeReadPath(bytes, [this, stripe,
-                               extents = std::move(extents), out,
-                               remaining, all_ok, done, trace]() {
+        chargeReadPath(bytes, [this, stripe, extents = std::move(extents),
+                               join = std::move(join)]() {
+            // The SPDK POC holds the stripe lock (§8) until the group's
+            // last read is in; MD takes none.
+            auto unlocked_after =
+                tuning_.lockReads
+                    ? std::make_shared<std::size_t>(extents.size())
+                    : nullptr;
             for (const auto &g : extents) {
-                const std::uint32_t dev =
-                    geom_.dataDevice(stripe, g.extent.dataIdx);
                 initiator_.readRemote(
-                    dev, geom_.deviceAddress(stripe, g.extent.offset),
+                    geom_.dataDevice(stripe, g.extent.dataIdx),
+                    geom_.deviceAddress(stripe, g.extent.offset),
                     g.extent.length,
-                    [g, out, remaining, all_ok,
-                     done](blockdev::IoStatus st, ec::Buffer d) mutable {
-                        if (st != blockdev::IoStatus::kOk) {
-                            *all_ok = false;
-                        } else {
-                            std::memcpy(out.data() + g.outPos, d.data(),
-                                        d.size());
-                        }
-                        if (--*remaining == 0)
-                            done(*all_ok);
-                    }, trace);
+                    [this, stripe, join, unlocked_after,
+                     pos = g.outPos](blockdev::IoStatus st, ec::Buffer d) {
+                        const bool ok = st == blockdev::IoStatus::kOk;
+                        if (ok)
+                            join->land(pos, std::move(d));
+                        if (unlocked_after && --*unlocked_after == 0)
+                            locks_.release(stripe);
+                        settleRead(*join, ok);
+                    }, join->trace);
             }
         }, trace);
     };
@@ -923,9 +912,7 @@ HostCentricRaid::readStripeGroup(std::uint64_t stripe,
 void
 HostCentricRaid::degradedStripeRead(std::uint64_t stripe,
                                     std::vector<raid::PlacedExtent> extents,
-                                    ec::Buffer out,
-                                    std::function<void(bool)> done,
-                                    std::uint64_t trace)
+                                    std::shared_ptr<blockdev::ReadJoin> join)
 {
     ++counters_.degradedReads;
     const std::uint32_t fidx = geom_.dataIndexOf(stripe, *failed_);
@@ -938,31 +925,34 @@ HostCentricRaid::degradedStripeRead(std::uint64_t stripe,
     const std::uint32_t fo = failed_it->extent.offset;
     const std::uint32_t fl = failed_it->extent.length;
     const std::size_t fpos = failed_it->outPos;
+    const std::uint64_t trace = join->trace;
 
+    // Gathers the recon-range slices to XOR and waits for the survivor
+    // extents too: the group settles once, when all of them are in.
     struct Ctx
     {
         // draid-lint: cap(stripe width; recon-range slices)
         std::vector<ec::Buffer> recon; ///< recon-range slices to XOR
         int remaining = 0;
         bool ok = true;
-        bool release = false;
     };
     auto ctx = std::make_shared<Ctx>();
 
-    auto extents_shared =
-        std::make_shared<std::vector<raid::PlacedExtent>>(std::move(extents));
-
-    auto finish = [this, ctx, out, fpos, fl, trace,
-                   done = std::move(done)]() mutable {
+    // Called from readStripeGroup's run, which holds the SPDK read lock.
+    auto settle = [this, stripe, join](bool ok) {
+        if (tuning_.lockReads)
+            locks_.release(stripe);
+        settleRead(*join, ok);
+    };
+    auto finish = [this, ctx, fpos, fl, trace, join, settle]() {
         if (!ctx->ok) {
-            done(false);
+            settle(false);
             return;
         }
         chargeXor(static_cast<std::uint64_t>(fl) * ctx->recon.size(),
-                  [ctx, out, fpos, done = std::move(done)]() mutable {
-            ec::Buffer rebuilt = ec::Raid5Codec::recover(ctx->recon);
-            std::memcpy(out.data() + fpos, rebuilt.data(), rebuilt.size());
-            done(true);
+                  [ctx, fpos, join, settle]() {
+            join->land(fpos, ec::Raid5Codec::recover(ctx->recon));
+            settle(true);
         }, trace);
     };
 
@@ -972,28 +962,24 @@ HostCentricRaid::degradedStripeRead(std::uint64_t stripe,
     const auto recon_devs = geom_.rebuildSources(stripe, *failed_);
     std::uint64_t total_bytes =
         static_cast<std::uint64_t>(fl) * recon_devs.size();
-    for (const auto &g : *extents_shared) {
-        if (g.extent.dataIdx != fidx)
-            total_bytes += g.extent.length;
-    }
-
     ctx->remaining = static_cast<int>(recon_devs.size());
-    for (const auto &g : *extents_shared) {
-        if (g.extent.dataIdx != fidx)
+    for (const auto &g : extents) {
+        if (g.extent.dataIdx != fidx) {
+            total_bytes += g.extent.length;
             ++ctx->remaining;
+        }
     }
 
     total_bytes = static_cast<std::uint64_t>(
         static_cast<double>(total_bytes) * tuning_.degradedPathFactor);
-    chargeDataPath(total_bytes, [this, ctx, recon_devs, extents_shared,
-                                 stripe, fo, fl, fidx, out, trace,
-                                 finish]() mutable {
+    chargeDataPath(total_bytes, [this, ctx, recon_devs,
+                                 extents = std::move(extents), stripe, fo,
+                                 fl, fidx, join, trace, finish]() {
         const std::uint64_t recon_addr = geom_.deviceAddress(stripe, fo);
         for (const auto dev : recon_devs) {
             initiator_.readRemote(
                 dev, recon_addr, fl,
-                [ctx, finish](blockdev::IoStatus st,
-                              ec::Buffer d) mutable {
+                [ctx, finish](blockdev::IoStatus st, ec::Buffer d) {
                     if (st != blockdev::IoStatus::kOk)
                         ctx->ok = false;
                     else
@@ -1002,7 +988,7 @@ HostCentricRaid::degradedStripeRead(std::uint64_t stripe,
                         finish();
                 }, trace);
         }
-        for (const auto &g : *extents_shared) {
+        for (const auto &g : extents) {
             if (g.extent.dataIdx == fidx)
                 continue;
             const std::uint32_t dev =
@@ -1010,42 +996,17 @@ HostCentricRaid::degradedStripeRead(std::uint64_t stripe,
             initiator_.readRemote(
                 dev, geom_.deviceAddress(stripe, g.extent.offset),
                 g.extent.length,
-                [ctx, g, out, finish](blockdev::IoStatus st,
-                                      ec::Buffer d) mutable {
-                    if (st != blockdev::IoStatus::kOk) {
+                [ctx, join, pos = g.outPos,
+                 finish](blockdev::IoStatus st, ec::Buffer d) {
+                    if (st != blockdev::IoStatus::kOk)
                         ctx->ok = false;
-                    } else {
-                        std::memcpy(out.data() + g.outPos, d.data(),
-                                    d.size());
-                    }
+                    else
+                        join->land(pos, std::move(d));
                     if (--ctx->remaining == 0)
                         finish();
                 }, trace);
         }
     }, trace);
-}
-
-void
-HostCentricRaid::readChunk(std::uint64_t stripe, std::uint32_t data_idx,
-                           std::function<void(bool, ec::Buffer)> cb,
-                           std::uint64_t trace)
-{
-    const std::uint32_t dev = geom_.dataDevice(stripe, data_idx);
-    const std::uint32_t chunk = geom_.chunkSize();
-    const std::uint64_t addr = geom_.deviceAddress(stripe, 0);
-    if (failed_ && dev == *failed_) {
-        ec::Buffer out(chunk);
-        std::vector<raid::PlacedExtent> extents{
-            raid::PlacedExtent{raid::Extent{stripe, data_idx, 0, chunk}, 0}};
-        degradedStripeRead(stripe, std::move(extents), out,
-                           [cb, out](bool ok) { cb(ok, out); }, trace);
-        return;
-    }
-    initiator_.readRemote(dev, addr, chunk,
-                          [cb](blockdev::IoStatus st, ec::Buffer d) {
-                              cb(st == blockdev::IoStatus::kOk,
-                                 std::move(d));
-                          }, trace);
 }
 
 // ---------------------------------------------------------------------------

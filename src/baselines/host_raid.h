@@ -26,6 +26,7 @@
 #include "blockdev/block_device.h"
 #include "blockdev/nvmf_initiator.h"
 #include "blockdev/nvmf_target.h"
+#include "blockdev/read_join.h"
 #include "cluster/cluster.h"
 #include "net/fabric.h"
 #include "raid/stripe_lock.h"
@@ -149,21 +150,21 @@ class HostCentricRaid : public blockdev::BlockDevice, public net::Endpoint
     void retryStripe(std::shared_ptr<StripeWrite> sw);
 
     // --- read path ---
+    // Every read runs through one blockdev::ReadJoin: it owns the
+    // caller's callback and the result, and each stripe group lands its
+    // pieces in it. A group settles once as a whole, and a healthy one
+    // adds a settle per further extent when it issues its reads: whether
+    // a group is degraded is decided only after the queue delay and the
+    // stripe lock, so the count cannot be fixed when the read starts.
     void readStripeGroup(std::uint64_t stripe,
                          std::vector<raid::PlacedExtent> extents,
-                         ec::Buffer out,
-                         std::function<void(bool)> done,
-                         std::uint64_t trace = 0);
+                         std::shared_ptr<blockdev::ReadJoin> join);
     void degradedStripeRead(std::uint64_t stripe,
                             std::vector<raid::PlacedExtent> extents,
-                            ec::Buffer out,
-                            std::function<void(bool)> done,
-                            std::uint64_t trace = 0);
+                            std::shared_ptr<blockdev::ReadJoin> join);
 
-    /** Read a whole data chunk, reconstructing on the host if failed. */
-    void readChunk(std::uint64_t stripe, std::uint32_t data_idx,
-                   std::function<void(bool, ec::Buffer)> cb,
-                   std::uint64_t trace = 0);
+    /** Settle one piece of @p join as this host (probe, read histogram). */
+    void settleRead(blockdev::ReadJoin &join, bool ok);
 
     /** Charge the host data path for moving @p bytes, then run @p fn. */
     void chargeDataPath(std::uint64_t bytes, sim::EventFn fn,

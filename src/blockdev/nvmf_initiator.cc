@@ -80,9 +80,9 @@ NvmfInitiator::tryComplete(const net::Message &msg)
     cluster_.host().cpu().execute(
         cluster_.config().hostCompletionCost, msg.capsule.traceId,
         "host.completion",
-        [p = std::move(p), st, payload = std::move(payload)]() {
+        [p = std::move(p), st, payload = std::move(payload)]() mutable {
             if (p.isRead)
-                p.readCb(st, payload);
+                p.readCb(st, std::move(payload));
             else
                 p.writeCb(st);
         });

@@ -208,7 +208,14 @@ DraidBdev::partialWritePhase2(const proto::Capsule &cmd, sim::NodeId from,
     std::uint64_t xor_bytes = 0;
     switch (cmd.subtype) {
       case proto::Subtype::kRmw:
-        partial = ec::xorOf(old_data, new_data);
+        // The old data is a fresh drive read: held alone, it takes the
+        // delta in place.
+        if (old_data.unique()) {
+            ec::xorInto(old_data, new_data);
+            partial = std::move(old_data);
+        } else {
+            partial = ec::xorOf(old_data, new_data);
+        }
         xor_bytes = partial.size();
         break;
       case proto::Subtype::kRwWrite: {

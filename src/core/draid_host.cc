@@ -800,41 +800,28 @@ DraidHost::read(std::uint64_t offset, std::uint32_t length,
 {
     assert(offset + length <= sizeBytes());
     ++counters_.normalReads;
-    const std::uint64_t trace = probe_.mintOp();
-    const sim::Ticks op_start = cluster_.sim().now();
+    auto join = std::make_shared<blockdev::ReadJoin>();
+    join->cb = std::move(cb);
+    join->trace = probe_.mintOp();
+    join->opStart = cluster_.sim().now();
+    join->span = "draid.read";
+    join->length = length;
     auto groups = geom_.mapByStripe(offset, length);
-    // Every successful read overwrites all of `out`; a failed one hands
-    // back zeros rather than whatever parts happened to land.
-    ec::Buffer out = ec::Buffer::forOverwrite(length);
-
-    auto remaining = std::make_shared<int>(static_cast<int>(groups.size()));
-    auto all_ok = std::make_shared<bool>(true);
-    auto group_done = [this, remaining, all_ok, out, cb, trace, op_start,
-                       length](bool ok) mutable {
-        if (!ok)
-            *all_ok = false;
-        if (--*remaining == 0) {
-            probe_.opComplete(trace, "draid.read", op_start,
-                              cluster_.sim().now(), length, readLatencyUs_);
-            if (!*all_ok)
-                out.fill(0);
-            cb(*all_ok ? blockdev::IoStatus::kOk
-                       : blockdev::IoStatus::kError,
-               out);
-        }
-    };
-
+    join->pending = static_cast<int>(groups.size());
     for (auto &g : groups)
-        readStripeGroup(g.stripe, std::move(g.extents), out, group_done,
-                        trace);
+        readStripeGroup(g.stripe, std::move(g.extents), join);
+}
+
+void
+DraidHost::settleRead(blockdev::ReadJoin &join, bool ok)
+{
+    join.settle(ok, probe_, cluster_.sim().now(), readLatencyUs_);
 }
 
 void
 DraidHost::readStripeGroup(std::uint64_t stripe,
                            std::vector<raid::PlacedExtent> extents,
-                           ec::Buffer out,
-                           std::function<void(bool)> done,
-                           std::uint64_t trace)
+                           std::shared_ptr<blockdev::ReadJoin> join)
 {
     const bool has_failed_extent =
         failed_ && std::any_of(extents.begin(), extents.end(),
@@ -842,40 +829,33 @@ DraidHost::readStripeGroup(std::uint64_t stripe,
                                    return deviceOf(g.extent) == *failed_;
                                });
     if (has_failed_extent) {
-        degradedStripeRead(stripe, std::move(extents), out, std::move(done),
-                           trace);
+        degradedStripeRead(stripe, std::move(extents), std::move(join));
         return;
     }
 
-    auto remaining = std::make_shared<int>(static_cast<int>(extents.size()));
-    auto all_ok = std::make_shared<bool>(true);
+    // The group settles once per extent instead of once as a whole.
+    join->pending += static_cast<int>(extents.size()) - 1;
     for (const auto &g : extents) {
         const std::uint32_t dev = deviceOf(g.extent);
         const std::uint64_t addr =
             geom_.deviceAddress(stripe, g.extent.offset);
         initiator_.readRemote(
             targetOf(dev), addr, g.extent.length,
-            [g, out, remaining, all_ok, done](blockdev::IoStatus st,
-                                              ec::Buffer data) mutable {
-                if (st != blockdev::IoStatus::kOk) {
-                    *all_ok = false;
-                } else {
-                    std::memcpy(out.data() + g.outPos, data.data(),
-                                data.size());
-                }
-                if (--*remaining == 0)
-                    done(*all_ok);
+            [this, join, pos = g.outPos](blockdev::IoStatus st,
+                                         ec::Buffer data) {
+                const bool ok = st == blockdev::IoStatus::kOk;
+                if (ok)
+                    join->land(pos, std::move(data));
+                settleRead(*join, ok);
             },
-            trace);
+            join->trace);
     }
 }
 
 void
 DraidHost::degradedStripeRead(std::uint64_t stripe,
                               std::vector<raid::PlacedExtent> extents,
-                              ec::Buffer out,
-                              std::function<void(bool)> done,
-                              std::uint64_t trace)
+                              std::shared_ptr<blockdev::ReadJoin> join)
 {
     ++counters_.degradedReads;
     assert(failed_);
@@ -899,30 +879,30 @@ DraidHost::degradedStripeRead(std::uint64_t stripe,
     if (bwAware_ && reducer < reconTxAttributed_.size())
         reconTxAttributed_[reducer] += recon_len;
 
-    // Deliver payloads into the user buffer as they land.
+    // The reducer's window and every also-read survivor land in the join.
     auto extents_shared =
         std::make_shared<std::vector<raid::PlacedExtent>>(std::move(extents));
-    auto on_data = [out, extents_shared, recon_out,
-                    fidx](std::uint8_t sub, ec::Buffer payload) mutable {
+    auto on_data = [join, extents_shared, recon_out,
+                    fidx](std::uint8_t sub, ec::Buffer payload) {
         if (sub == kReducerSub) {
-            std::memcpy(out.data() + recon_out, payload.data(),
-                        payload.size());
+            join->land(recon_out, std::move(payload));
             return;
         }
         for (const auto &g : *extents_shared) {
             if (g.extent.dataIdx == sub && g.extent.dataIdx != fidx) {
-                std::memcpy(out.data() + g.outPos, payload.data(),
-                            payload.size());
+                join->land(g.outPos, std::move(payload));
                 return;
             }
         }
     };
 
+    const std::uint64_t trace = join->trace;
     registerAndBroadcastReconstruction(
         stripe, participants, reducer, recon_off, recon_len,
         /*spare_node=*/sim::kInvalidNode, *extents_shared, fidx,
-        std::move(on_data), std::move(done), proto::Subtype::kNoRead,
-        trace);
+        std::move(on_data),
+        [this, join = std::move(join)](bool ok) { settleRead(*join, ok); },
+        proto::Subtype::kNoRead, trace);
 }
 
 void
@@ -1001,11 +981,16 @@ DraidHost::readChunk(std::uint64_t stripe, std::uint32_t data_idx,
     const std::uint64_t addr = geom_.deviceAddress(stripe, 0);
 
     if (failed_ && dev == *failed_) {
-        ec::Buffer out(chunk);
+        auto join = std::make_shared<blockdev::ReadJoin>();
+        join->cb = [cb](blockdev::IoStatus st, ec::Buffer data) {
+            cb(st == blockdev::IoStatus::kOk, std::move(data));
+        };
+        join->trace = trace;
+        join->length = chunk;
+        join->pending = 1;
         std::vector<raid::PlacedExtent> extents{
             raid::PlacedExtent{raid::Extent{stripe, data_idx, 0, chunk}, 0}};
-        degradedStripeRead(stripe, std::move(extents), out,
-                           [cb, out](bool ok) { cb(ok, out); }, trace);
+        degradedStripeRead(stripe, std::move(extents), std::move(join));
         return;
     }
     initiator_.readRemote(targetOf(dev), addr, chunk,

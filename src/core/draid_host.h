@@ -25,6 +25,7 @@
 
 #include "blockdev/block_device.h"
 #include "blockdev/nvmf_initiator.h"
+#include "blockdev/read_join.h"
 #include "cluster/cluster.h"
 #include "core/bw_aware.h"
 #include "core/draid.h"
@@ -183,16 +184,19 @@ class DraidHost : public blockdev::BlockDevice, public net::Endpoint
                       std::uint64_t stripe);
 
     // ---- read path ----
+    // Every user read, and readChunk's reconstruction, runs through one
+    // blockdev::ReadJoin: it owns the caller's callback and the result,
+    // each stripe group lands its pieces in it, and a group settles once
+    // per healthy extent or once as a whole when degraded.
     void readStripeGroup(std::uint64_t stripe,
                          std::vector<raid::PlacedExtent> extents,
-                         ec::Buffer out,
-                         std::function<void(bool)> done,
-                         std::uint64_t trace = 0);
+                         std::shared_ptr<blockdev::ReadJoin> join);
     void degradedStripeRead(std::uint64_t stripe,
                             std::vector<raid::PlacedExtent> extents,
-                            ec::Buffer out,
-                            std::function<void(bool)> done,
-                            std::uint64_t trace = 0);
+                            std::shared_ptr<blockdev::ReadJoin> join);
+
+    /** Settle one piece of @p join as this host (probe, read histogram). */
+    void settleRead(blockdev::ReadJoin &join, bool ok);
 
     /** Shared by degraded reads and rebuild: register + broadcast. */
     void registerAndBroadcastReconstruction(

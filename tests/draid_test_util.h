@@ -51,25 +51,33 @@ writeSync(sim::Simulator &sim, blockdev::BlockDevice &dev,
     return done && ok;
 }
 
-/** Synchronously read through a BlockDevice. */
-inline ec::Buffer
-readSync(sim::Simulator &sim, blockdev::BlockDevice &dev,
-         std::uint64_t offset, std::uint32_t length, bool *ok_out = nullptr)
+/** Synchronously read through a BlockDevice: (status, data). */
+inline std::pair<blockdev::IoStatus, ec::Buffer>
+readStatusSync(sim::Simulator &sim, blockdev::BlockDevice &dev,
+               std::uint64_t offset, std::uint32_t length)
 {
-    ec::Buffer out;
-    bool ok = false;
+    std::pair<blockdev::IoStatus, ec::Buffer> result{
+        blockdev::IoStatus::kError, ec::Buffer()};
     bool done = false;
     dev.read(offset, length, [&](blockdev::IoStatus st, ec::Buffer data) {
-        ok = st == blockdev::IoStatus::kOk;
-        out = std::move(data);
+        result = {st, std::move(data)};
         done = true;
         sim.stop();
     });
     while (!done && sim.pendingEvents() > 0)
         sim.run();
+    return result;
+}
+
+/** Synchronously read through a BlockDevice. */
+inline ec::Buffer
+readSync(sim::Simulator &sim, blockdev::BlockDevice &dev,
+         std::uint64_t offset, std::uint32_t length, bool *ok_out = nullptr)
+{
+    auto [st, data] = readStatusSync(sim, dev, offset, length);
     if (ok_out)
-        *ok_out = ok;
-    return out;
+        *ok_out = st == blockdev::IoStatus::kOk;
+    return data;
 }
 
 /**

@@ -5,6 +5,7 @@
 
 #include <cstring>
 #include <memory>
+#include <utility>
 
 #include "baselines/linux_md.h"
 #include "baselines/spdk_raid.h"
@@ -203,6 +204,57 @@ TEST_P(BaselineParam, RebuildOntoSpare)
     }
 }
 
+TEST_P(BaselineParam, SmallDegradedReadOfLostChunkOnly)
+{
+    // One extent inside the failed chunk: the recovered segment is the
+    // whole result.
+    BaselineRig rig(kind(), level());
+    const auto &g = rig.raidDev->geometry();
+    ec::Buffer data(2 * g.stripeDataSize());
+    data.fillPattern(17);
+    ASSERT_TRUE(writeSync(rig.sim(), *rig.raidDev, 0, data));
+
+    const std::uint32_t failed_dev = 1;
+    rig.raidDev->markFailed(failed_dev);
+    const std::uint64_t off =
+        static_cast<std::uint64_t>(g.dataIndexOf(0, failed_dev)) *
+            g.chunkSize() +
+        1000;
+    bool ok = false;
+    ec::Buffer got = readSync(rig.sim(), *rig.raidDev, off, 5000, &ok);
+    ASSERT_TRUE(ok);
+    ASSERT_EQ(got.size(), 5000u);
+    EXPECT_EQ(std::memcmp(got.data(), data.data() + off, 5000), 0);
+    EXPECT_EQ(rig.raidDev->counters().degradedReads, 1u);
+}
+
+TEST_P(BaselineParam, ReadResultSurvivesLaterOverwrite)
+{
+    // A read result is the caller's: overwriting the range afterwards,
+    // healthy or degraded, must not change the bytes it already holds.
+    BaselineRig rig(kind(), level());
+    const auto &g = rig.raidDev->geometry();
+    const std::uint32_t dev = g.dataDevice(0, 1);
+    const std::uint64_t off = g.chunkSize() + 4096; // inside chunk 1
+    const std::uint32_t len = 16 * 1024;
+    ec::Buffer first(len), second(len), third(len);
+    first.fillPattern(18);
+    second.fillPattern(19);
+    third.fillPattern(20);
+
+    ASSERT_TRUE(writeSync(rig.sim(), *rig.raidDev, off, first));
+    ec::Buffer healthy = readSync(rig.sim(), *rig.raidDev, off, len);
+    ASSERT_TRUE(writeSync(rig.sim(), *rig.raidDev, off, second));
+    EXPECT_TRUE(healthy.contentEquals(first));
+
+    rig.raidDev->markFailed(dev);
+    ec::Buffer degraded = readSync(rig.sim(), *rig.raidDev, off, len);
+    ASSERT_TRUE(writeSync(rig.sim(), *rig.raidDev, off, third));
+    EXPECT_TRUE(degraded.contentEquals(second));
+    EXPECT_TRUE(readSync(rig.sim(), *rig.raidDev, off, len)
+                    .contentEquals(third));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Kinds, BaselineParam,
     ::testing::Combine(::testing::Values(Kind::kSpdk, Kind::kLinux),
@@ -309,8 +361,10 @@ TEST(BaselineFailure, TimeoutFailsOverToDegraded)
 
 TEST(BaselineFailure, FailedReadHandsBackZeros)
 {
-    // A stripe-wide read where every chunk but the down target's lands:
-    // the error completion must not expose the bytes that did arrive.
+    // Reads that touch the down target must fail with `length` zero bytes:
+    // a stripe-wide read, whose other chunks land in an assembled buffer
+    // the error must not expose, and a read inside the down target's
+    // chunk, a single piece with no assembled buffer to zero.
     BaselineRig rig(Kind::kSpdk, RaidLevel::kRaid5);
     const auto &g = rig.raidDev->geometry();
     ec::Buffer pre(g.stripeDataSize());
@@ -318,12 +372,16 @@ TEST(BaselineFailure, FailedReadHandsBackZeros)
     ASSERT_TRUE(writeSync(rig.sim(), *rig.raidDev, 0, pre));
 
     rig.cluster->failTarget(g.dataDevice(0, 0));
-    bool ok = true;
-    ec::Buffer got = readSync(rig.sim(), *rig.raidDev, 0,
-                              static_cast<std::uint32_t>(pre.size()), &ok);
-    EXPECT_FALSE(ok);
-    ec::Buffer zeros(pre.size());
-    EXPECT_TRUE(got.contentEquals(zeros));
+    const std::pair<std::uint64_t, std::uint32_t> reads[] = {
+        {0, static_cast<std::uint32_t>(pre.size())},
+        {4096, 8192},
+    };
+    for (const auto &[off, len] : reads) {
+        SCOPED_TRACE(testing::Message() << "read " << off << "+" << len);
+        auto [st, got] = readStatusSync(rig.sim(), *rig.raidDev, off, len);
+        EXPECT_EQ(st, blockdev::IoStatus::kError);
+        EXPECT_TRUE(got.contentEquals(ec::Buffer(len)));
+    }
 }
 
 TEST(BaselineFailure, RetriedDegradedWriteKeepsFailedChunkBytes)

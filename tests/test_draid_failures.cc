@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 
 #include "draid_test_util.h"
 
@@ -209,8 +210,10 @@ TEST(DraidFailures, ReadOfDownTargetTimesOutWithError)
 
 TEST(DraidFailures, FailedReadHandsBackZeros)
 {
-    // A stripe-wide read where every chunk but the down target's lands:
-    // the error completion must not expose the bytes that did arrive.
+    // Reads that touch the down target must fail with `length` zero bytes:
+    // a stripe-wide read, whose other chunks land in an assembled buffer
+    // the error must not expose, and a read inside the down target's
+    // chunk, a single piece with no assembled buffer to zero.
     DraidRig rig(6, opts());
     const auto &g = rig.host().geometry();
     ec::Buffer pre(g.stripeDataSize());
@@ -218,12 +221,18 @@ TEST(DraidFailures, FailedReadHandsBackZeros)
     ASSERT_TRUE(writeSync(rig.sim(), rig.host(), 0, pre));
 
     rig.cluster->failTarget(0);
-    bool ok = true;
-    ec::Buffer got = readSync(rig.sim(), rig.host(), 0,
-                              static_cast<std::uint32_t>(pre.size()), &ok);
-    EXPECT_FALSE(ok);
-    ec::Buffer zeros(pre.size());
-    EXPECT_TRUE(got.contentEquals(zeros));
+    const std::uint64_t down_chunk =
+        static_cast<std::uint64_t>(g.dataIndexOf(0, 0)) * g.chunkSize();
+    const std::pair<std::uint64_t, std::uint32_t> reads[] = {
+        {0, static_cast<std::uint32_t>(pre.size())},
+        {down_chunk + 4096, 8192},
+    };
+    for (const auto &[off, len] : reads) {
+        SCOPED_TRACE(testing::Message() << "read " << off << "+" << len);
+        auto [st, got] = readStatusSync(rig.sim(), rig.host(), off, len);
+        EXPECT_EQ(st, blockdev::IoStatus::kError);
+        EXPECT_TRUE(got.contentEquals(ec::Buffer(len)));
+    }
 }
 
 TEST(DraidFailures, DeadlinesDisarmOnSuccess)

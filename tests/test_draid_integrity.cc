@@ -201,6 +201,33 @@ TEST_P(DraidIntegrity, UnwrittenRegionsReadZero)
     EXPECT_TRUE(got.contentEquals(ec::Buffer(4096)));
 }
 
+TEST_P(DraidIntegrity, ReadResultSurvivesLaterOverwrite)
+{
+    // A read result is the caller's: overwriting the range afterwards,
+    // healthy or degraded, must not change the bytes it already holds.
+    DraidRig rig(6, smallOptions(GetParam()));
+    const auto &g = rig.host().geometry();
+    const std::uint32_t dev = g.dataDevice(0, 1);
+    const std::uint64_t off = g.chunkSize() + 4096; // inside chunk 1
+    const std::uint32_t len = 16 * 1024;
+    ec::Buffer first(len), second(len), third(len);
+    first.fillPattern(18);
+    second.fillPattern(19);
+    third.fillPattern(20);
+
+    ASSERT_TRUE(writeSync(rig.sim(), rig.host(), off, first));
+    ec::Buffer healthy = readSync(rig.sim(), rig.host(), off, len);
+    ASSERT_TRUE(writeSync(rig.sim(), rig.host(), off, second));
+    EXPECT_TRUE(healthy.contentEquals(first));
+
+    rig.host().markFailed(dev);
+    ec::Buffer degraded = readSync(rig.sim(), rig.host(), off, len);
+    ASSERT_TRUE(writeSync(rig.sim(), rig.host(), off, third));
+    EXPECT_TRUE(degraded.contentEquals(second));
+    EXPECT_TRUE(
+        readSync(rig.sim(), rig.host(), off, len).contentEquals(third));
+}
+
 INSTANTIATE_TEST_SUITE_P(Levels, DraidIntegrity,
                          ::testing::Values(RaidLevel::kRaid5,
                                            RaidLevel::kRaid6));

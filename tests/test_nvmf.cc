@@ -68,6 +68,9 @@ TEST(Nvmf, RemoteWriteThenReadRoundTrips)
     rig.initiator.readRemote(0, 4096, 64 * 1024,
                              [&](IoStatus st, ec::Buffer d) {
                                  ASSERT_EQ(st, IoStatus::kOk);
+                                 // Held alone, so an RMW may take its
+                                 // delta in place.
+                                 EXPECT_TRUE(d.unique());
                                  got = std::move(d);
                              });
     rig.cluster.sim().run();
