@@ -450,10 +450,14 @@ HostCentricRaid::doRmw(std::shared_ptr<StripeWrite> sw)
             retryStripe(sw);
             return;
         }
-        // Deltas -> new parity windows.
+        // Deltas -> new parity windows, updated in place: the old windows
+        // are fresh reads, moved out of ctx so that nothing else holds
+        // them (DESIGN.md §4.2).
         std::uint64_t xor_bytes = 0;
-        ec::Buffer new_p = ctx->oldP; // window-sized
-        ec::Buffer new_q = ctx->oldQ;
+        ec::Buffer new_p = std::exchange(ctx->oldP, {}); // window-sized
+        ec::Buffer new_q = std::exchange(ctx->oldQ, {});
+        assert(!p_alive || new_p.unique());
+        assert(!q_alive || new_q.unique());
         const auto &gf = ec::Gf256::instance();
         for (std::size_t i = 0; i < sw->plan.writes.size(); ++i) {
             const auto &seg = sw->plan.writes[i];
@@ -849,7 +853,7 @@ HostCentricRaid::settleRead(blockdev::ReadJoin &join, bool ok)
 
 void
 HostCentricRaid::readStripeGroup(std::uint64_t stripe,
-                                 std::vector<raid::PlacedExtent> extents,
+                                 raid::PlacedExtents extents,
                                  std::shared_ptr<blockdev::ReadJoin> join)
 {
     const std::uint64_t trace = join->trace;
@@ -911,7 +915,7 @@ HostCentricRaid::readStripeGroup(std::uint64_t stripe,
 
 void
 HostCentricRaid::degradedStripeRead(std::uint64_t stripe,
-                                    std::vector<raid::PlacedExtent> extents,
+                                    raid::PlacedExtents extents,
                                     std::shared_ptr<blockdev::ReadJoin> join)
 {
     ++counters_.degradedReads;

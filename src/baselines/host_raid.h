@@ -157,10 +157,10 @@ class HostCentricRaid : public blockdev::BlockDevice, public net::Endpoint
     // a group is degraded is decided only after the queue delay and the
     // stripe lock, so the count cannot be fixed when the read starts.
     void readStripeGroup(std::uint64_t stripe,
-                         std::vector<raid::PlacedExtent> extents,
+                         raid::PlacedExtents extents,
                          std::shared_ptr<blockdev::ReadJoin> join);
     void degradedStripeRead(std::uint64_t stripe,
-                            std::vector<raid::PlacedExtent> extents,
+                            raid::PlacedExtents extents,
                             std::shared_ptr<blockdev::ReadJoin> join);
 
     /** Settle one piece of @p join as this host (probe, read histogram). */

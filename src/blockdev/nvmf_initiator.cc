@@ -17,23 +17,14 @@ NvmfInitiator::readRemote(std::uint32_t target, std::uint64_t offset,
                           std::uint32_t length, ReadCallback cb,
                           std::uint64_t trace)
 {
-    const std::uint64_t id = (ids_.alloc() << 8) | 0xff;
-    proto::Capsule c;
-    c.opcode = proto::Opcode::kRead;
-    c.commandId = id;
-    c.nsid = target;
+    Command c;
+    c.isRead = true;
     c.offset = offset;
     c.length = length;
-    c.traceId = trace;
-    c.tenant = cluster_.telemetry().contention().tenantOf(trace);
-
-    arm(id, Pending{true, std::move(cb), {}});
-    auto &host = cluster_.host();
-    host.cpu().execute(cluster_.config().hostCmdCost, trace, "host.cmd",
-                       [this, c, target]() {
-        cluster_.fabric().send(net::Message{
-            cluster_.hostId(), cluster_.targetNodeId(target), c, {}});
-    });
+    c.target = target;
+    c.trace = trace;
+    c.readCb = std::move(cb);
+    submit(std::move(c));
 }
 
 void
@@ -41,24 +32,66 @@ NvmfInitiator::writeRemote(std::uint32_t target, std::uint64_t offset,
                            ec::Buffer data, WriteCallback cb,
                            std::uint64_t trace)
 {
-    const std::uint64_t id = (ids_.alloc() << 8) | 0xff;
-    proto::Capsule c;
-    c.opcode = proto::Opcode::kWrite;
-    c.commandId = id;
-    c.nsid = target;
+    Command c;
     c.offset = offset;
     c.length = static_cast<std::uint32_t>(data.size());
-    c.traceId = trace;
-    c.tenant = cluster_.telemetry().contention().tenantOf(trace);
+    c.target = target;
+    c.trace = trace;
+    c.payload = std::move(data);
+    c.writeCb = std::move(cb);
+    submit(std::move(c));
+}
 
-    arm(id, Pending{false, {}, std::move(cb)});
-    auto &host = cluster_.host();
-    host.cpu().execute(cluster_.config().hostCmdCost, trace, "host.cmd",
-                       [this, c, target, data = std::move(data)]() {
-        cluster_.fabric().send(net::Message{cluster_.hostId(),
-                                            cluster_.targetNodeId(target), c,
-                                            data});
-    });
+void
+NvmfInitiator::submit(Command c)
+{
+    c.id = (ids_.alloc() << 8) | 0xff;
+    c.tenant = cluster_.telemetry().contention().tenantOf(c.trace);
+    const std::uint64_t id = c.id;
+    const std::uint64_t trace = c.trace;
+    const std::uint32_t slot = commands_.acquire(std::move(c));
+
+    if (spareNodes_.empty()) {
+        pending_.emplace(id, slot);
+    } else {
+        auto node = std::move(spareNodes_.back());
+        spareNodes_.pop_back();
+        node.key() = id;
+        node.mapped() = slot;
+        pending_.insert(std::move(node));
+    }
+    cluster_.sim().schedule(cluster_.config().opTimeout, "nvmf.timeout",
+                            [this, id]() { onTimeout(id); });
+    cluster_.host().cpu().execute(cluster_.config().hostCmdCost, trace,
+                                  "host.cmd", [this, slot]() { send(slot); });
+}
+
+void
+NvmfInitiator::send(std::uint32_t slot)
+{
+    Command &c = commands_[slot];
+    proto::Capsule cap;
+    cap.opcode = c.isRead ? proto::Opcode::kRead : proto::Opcode::kWrite;
+    cap.commandId = c.id;
+    cap.nsid = c.target;
+    cap.offset = c.offset;
+    cap.length = c.length;
+    cap.traceId = c.trace;
+    cap.tenant = c.tenant;
+    net::Message msg{cluster_.hostId(), cluster_.targetNodeId(c.target),
+                     std::move(cap), std::exchange(c.payload, {})};
+    c.sent = true;
+    if (c.timedOut)
+        commands_.release(slot);
+    cluster_.fabric().send(std::move(msg));
+}
+
+std::uint32_t
+NvmfInitiator::disarm(PendingMap::iterator it)
+{
+    const std::uint32_t slot = it->second;
+    spareNodes_.push_back(pending_.extract(it));
+    return slot;
 }
 
 bool
@@ -70,31 +103,32 @@ NvmfInitiator::tryComplete(const net::Message &msg)
     if (it == pending_.end())
         return false;
 
-    Pending p = std::move(it->second);
-    pending_.erase(it);
-
-    const IoStatus st = msg.capsule.status == proto::Status::kSuccess
-                            ? IoStatus::kOk
-                            : IoStatus::kError;
-    auto payload = msg.payload;
-    cluster_.host().cpu().execute(
-        cluster_.config().hostCompletionCost, msg.capsule.traceId,
-        "host.completion",
-        [p = std::move(p), st, payload = std::move(payload)]() mutable {
-            if (p.isRead)
-                p.readCb(st, std::move(payload));
-            else
-                p.writeCb(st);
-        });
+    const std::uint32_t slot = disarm(it);
+    Command &c = commands_[slot];
+    c.status = msg.capsule.status == proto::Status::kSuccess
+                   ? IoStatus::kOk
+                   : IoStatus::kError;
+    c.payload = msg.payload;
+    cluster_.host().cpu().execute(cluster_.config().hostCompletionCost,
+                                  msg.capsule.traceId, "host.completion",
+                                  [this, slot]() { complete(slot); });
     return true;
 }
 
 void
-NvmfInitiator::arm(std::uint64_t id, Pending p)
+NvmfInitiator::complete(std::uint32_t slot)
 {
-    pending_.emplace(id, std::move(p));
-    cluster_.sim().schedule(cluster_.config().opTimeout, "nvmf.timeout",
-                            [this, id]() { onTimeout(id); });
+    Command &c = commands_[slot];
+    const IoStatus st = c.status;
+    const bool is_read = c.isRead;
+    ec::Buffer payload = std::exchange(c.payload, {});
+    const ReadCallback read_cb = std::exchange(c.readCb, nullptr);
+    const WriteCallback write_cb = std::exchange(c.writeCb, nullptr);
+    commands_.release(slot);
+    if (is_read)
+        read_cb(st, std::move(payload));
+    else
+        write_cb(st);
 }
 
 void
@@ -103,13 +137,21 @@ NvmfInitiator::onTimeout(std::uint64_t id)
     auto it = pending_.find(id);
     if (it == pending_.end())
         return; // completed in time
-    Pending p = std::move(it->second);
-    pending_.erase(it);
+    const std::uint32_t slot = disarm(it);
     ++timeouts_;
-    if (p.isRead)
-        p.readCb(IoStatus::kTimedOut, {});
+    Command &c = commands_[slot];
+    const bool is_read = c.isRead;
+    const ReadCallback read_cb = std::exchange(c.readCb, nullptr);
+    const WriteCallback write_cb = std::exchange(c.writeCb, nullptr);
+    // A command still queued on the host CPU keeps its slot for the send.
+    if (c.sent)
+        commands_.release(slot);
     else
-        p.writeCb(IoStatus::kTimedOut);
+        c.timedOut = true;
+    if (is_read)
+        read_cb(IoStatus::kTimedOut, {});
+    else
+        write_cb(IoStatus::kTimedOut);
 }
 
 } // namespace draid::blockdev

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "blockdev/block_device.h"
 #include "cluster/cluster.h"
@@ -67,20 +68,60 @@ class NvmfInitiator
     std::uint64_t timeoutsFired() const { return timeouts_; }
 
   private:
-    struct Pending
+    /**
+     * One command from submission until its callback has run: the
+     * capsule fields the send stage reads, and the callback. The send and
+     * completion continuations capture only (this, slot), the deadline
+     * only (this, id).
+     */
+    struct Command
     {
-        bool isRead;
+        std::uint64_t id = 0;
+        std::uint64_t offset = 0;
+        std::uint64_t trace = 0;
+        std::uint32_t length = 0;
+        std::uint32_t target = 0;
+        std::uint32_t tenant = 0;
+        bool isRead = false;
+        bool sent = false;     ///< the capsule has left the host CPU
+        bool timedOut = false; ///< the deadline ran the callback
+        IoStatus status = IoStatus::kOk;
+        /** Write data until sent; a read's data once completed. */
+        ec::Buffer payload;
         ReadCallback readCb;
         WriteCallback writeCb;
     };
 
-    void arm(std::uint64_t id, Pending p);
+    /** Stage @p c, arm its deadline and queue its send; @p c.id is new. */
+    void submit(Command c);
+
+    /** The host CPU is done with @p slot's command: send its capsule. */
+    void send(std::uint32_t slot);
+
+    /** The host CPU is done with @p slot's completion: run its callback. */
+    void complete(std::uint32_t slot);
+
     void onTimeout(std::uint64_t id);
+
+    /** Command id -> slot. */
+    using PendingMap = std::unordered_map<std::uint64_t, std::uint32_t>;
+
+    /** Stop matching command @p it; returns the command's slot. */
+    std::uint32_t disarm(PendingMap::iterator it);
 
     cluster::Cluster &cluster_;
     CommandIdAllocator &ids_;
+    /**
+     * Every command whose callback has not run yet (sim::SlotPool comes
+     * through net/fabric.h; blockdev does not include sim directly).
+     */
+    sim::SlotPool<Command> commands_;
+    /** Slot of each command still awaiting completion or deadline. */
     // draid-lint: cap(in-flight commands; bounded by the host queue depth)
-    std::unordered_map<std::uint64_t, Pending> pending_;
+    PendingMap pending_;
+    /** Nodes erased from pending_, reused so that arming allocates none. */
+    // draid-lint: cap(peak in-flight commands; one node per erased entry)
+    std::vector<PendingMap::node_type> spareNodes_;
     std::uint64_t timeouts_ = 0;
 };
 

@@ -28,54 +28,99 @@ NvmfTarget::onMessage(const net::Message &msg)
     }
 }
 
+std::uint32_t
+NvmfTarget::admit(const net::Message &msg, ec::Buffer payload)
+{
+    const proto::Capsule &c = msg.capsule;
+    return commands_.acquire(Command{c.commandId, c.offset, c.traceId,
+                                     c.length, msg.from, std::move(payload)});
+}
+
+ec::Buffer
+NvmfTarget::retire(std::uint32_t slot)
+{
+    ec::Buffer payload = std::exchange(commands_[slot].payload, {});
+    commands_.release(slot);
+    return payload;
+}
+
 void
 NvmfTarget::handleRead(const net::Message &msg)
 {
-    const auto cmd = msg.capsule;
-    const auto from = msg.from;
-    node_.cpu().execute(cluster_.config().serverCmdCost, cmd.traceId,
-                        "srv.cmd", [this, cmd, from]() {
-        node_.ssd().read(cmd.offset, cmd.length, cmd.traceId,
-                         [this, cmd, from](IoStatus st, ec::Buffer data) {
-            if (st != IoStatus::kOk) {
-                sendCompletion(from, cmd.commandId, proto::Status::kFailed,
-                               {}, cmd.traceId);
-                return;
-            }
-            // Push the data, then the response capsule (RDMA transport
-            // binding order).
-            cluster_.fabric().rdmaWrite(node_.id(), from, data.size(),
-                                        [this, cmd, from,
-                                         data = std::move(data)]() {
-                sendCompletion(from, cmd.commandId, proto::Status::kSuccess,
-                               data, cmd.traceId);
-            }, cmd.traceId);
-        });
-    });
+    const std::uint32_t slot = admit(msg, {});
+    node_.cpu().execute(cluster_.config().serverCmdCost, msg.capsule.traceId,
+                        "srv.cmd", [this, slot]() { readParsed(slot); });
+}
+
+void
+NvmfTarget::readParsed(std::uint32_t slot)
+{
+    const Command &c = commands_[slot];
+    node_.ssd().read(c.offset, c.length, c.trace,
+                     [this, slot](IoStatus st, ec::Buffer data) {
+                         readLoaded(slot, st, std::move(data));
+                     });
+}
+
+void
+NvmfTarget::readLoaded(std::uint32_t slot, IoStatus st, ec::Buffer data)
+{
+    if (st != IoStatus::kOk) {
+        finish(slot, proto::Status::kFailed);
+        return;
+    }
+    // Push the data, then the response capsule (RDMA transport binding
+    // order).
+    Command &c = commands_[slot];
+    const std::uint64_t bytes = data.size();
+    c.payload = std::move(data);
+    const bool pushing = cluster_.fabric().rdmaWrite(
+        node_.id(), c.from, bytes,
+        [this, slot]() { finish(slot, proto::Status::kSuccess); }, c.trace);
+    if (!pushing)
+        retire(slot); // a node is down: nothing will complete the command
 }
 
 void
 NvmfTarget::handleWrite(const net::Message &msg)
 {
-    const auto cmd = msg.capsule;
-    const auto from = msg.from;
-    auto payload = msg.payload;
-    node_.cpu().execute(cluster_.config().serverCmdCost, cmd.traceId,
-                        "srv.cmd",
-                        [this, cmd, from, payload = std::move(payload)]() {
-        // Pull the payload from the initiator.
-        cluster_.fabric().rdmaRead(node_.id(), from, cmd.length,
-                                   [this, cmd, from,
-                                    payload = std::move(payload)]() {
-            node_.ssd().write(cmd.offset, payload, cmd.traceId,
-                              [this, cmd, from](IoStatus st) {
-                sendCompletion(from, cmd.commandId,
-                               st == IoStatus::kOk ? proto::Status::kSuccess
-                                                   : proto::Status::kFailed,
-                               {}, cmd.traceId);
-            });
-        }, cmd.traceId);
-    });
+    const std::uint32_t slot = admit(msg, msg.payload);
+    node_.cpu().execute(cluster_.config().serverCmdCost, msg.capsule.traceId,
+                        "srv.cmd", [this, slot]() { writeParsed(slot); });
+}
+
+void
+NvmfTarget::writeParsed(std::uint32_t slot)
+{
+    // Pull the payload from the initiator.
+    const Command &c = commands_[slot];
+    const bool pulling = cluster_.fabric().rdmaRead(
+        node_.id(), c.from, c.length, [this, slot]() { writePulled(slot); },
+        c.trace);
+    if (!pulling)
+        retire(slot); // a node is down: nothing will complete the command
+}
+
+void
+NvmfTarget::writePulled(std::uint32_t slot)
+{
+    Command &c = commands_[slot];
+    node_.ssd().write(c.offset, std::exchange(c.payload, {}), c.trace,
+                      [this, slot](IoStatus st) {
+                          finish(slot, st == IoStatus::kOk
+                                           ? proto::Status::kSuccess
+                                           : proto::Status::kFailed);
+                      });
+}
+
+void
+NvmfTarget::finish(std::uint32_t slot, proto::Status status)
+{
+    const Command &c = commands_[slot];
+    const sim::NodeId to = c.from;
+    const std::uint64_t command_id = c.commandId;
+    const std::uint64_t trace = c.trace;
+    sendCompletion(to, command_id, status, retire(slot), trace);
 }
 
 void

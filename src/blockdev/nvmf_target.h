@@ -16,6 +16,7 @@
 
 #include <cstdint>
 
+#include "blockdev/block_device.h"
 #include "cluster/cluster.h"
 #include "net/fabric.h"
 
@@ -51,6 +52,49 @@ class NvmfTarget : public net::Endpoint
     cluster::Cluster &cluster_;
     std::uint32_t index_;
     cluster::Node &node_;
+
+  private:
+    /**
+     * One Read or Write being served: the capsule fields its
+     * continuations read, and the payload on its way between the fabric
+     * and the SSD. Every continuation captures only (this, slot).
+     */
+    struct Command
+    {
+        std::uint64_t commandId = 0;
+        std::uint64_t offset = 0;
+        std::uint64_t trace = 0;
+        std::uint32_t length = 0;
+        sim::NodeId from = sim::kInvalidNode;
+        ec::Buffer payload;
+    };
+
+    /** Stage the command @p msg carries, with @p payload; its slot. */
+    std::uint32_t admit(const net::Message &msg, ec::Buffer payload);
+
+    /** Free @p slot; returns the payload it held. */
+    ec::Buffer retire(std::uint32_t slot);
+
+    /** Read stages: command parsed, SSD read back (then pushed). */
+    void readParsed(std::uint32_t slot);
+    void readLoaded(std::uint32_t slot, IoStatus st, ec::Buffer data);
+
+    /** Write stages: command parsed, payload pulled. */
+    void writeParsed(std::uint32_t slot);
+    void writePulled(std::uint32_t slot);
+
+    /**
+     * Free @p slot and complete its command with @p status, carrying the
+     * slot's payload (a read's data once pushed; otherwise none).
+     */
+    void finish(std::uint32_t slot, proto::Status status);
+
+    /**
+     * Commands in flight, owned here so a destroyed target frees them
+     * (sim::SlotPool comes through net/fabric.h; blockdev does not
+     * include sim directly).
+     */
+    sim::SlotPool<Command> commands_;
 };
 
 } // namespace draid::blockdev

@@ -820,7 +820,7 @@ DraidHost::settleRead(blockdev::ReadJoin &join, bool ok)
 
 void
 DraidHost::readStripeGroup(std::uint64_t stripe,
-                           std::vector<raid::PlacedExtent> extents,
+                           raid::PlacedExtents extents,
                            std::shared_ptr<blockdev::ReadJoin> join)
 {
     const bool has_failed_extent =
@@ -854,7 +854,7 @@ DraidHost::readStripeGroup(std::uint64_t stripe,
 
 void
 DraidHost::degradedStripeRead(std::uint64_t stripe,
-                              std::vector<raid::PlacedExtent> extents,
+                              raid::PlacedExtents extents,
                               std::shared_ptr<blockdev::ReadJoin> join)
 {
     ++counters_.degradedReads;
@@ -881,7 +881,7 @@ DraidHost::degradedStripeRead(std::uint64_t stripe,
 
     // The reducer's window and every also-read survivor land in the join.
     auto extents_shared =
-        std::make_shared<std::vector<raid::PlacedExtent>>(std::move(extents));
+        std::make_shared<raid::PlacedExtents>(std::move(extents));
     auto on_data = [join, extents_shared, recon_out,
                     fidx](std::uint8_t sub, ec::Buffer payload) {
         if (sub == kReducerSub) {
@@ -909,7 +909,7 @@ void
 DraidHost::registerAndBroadcastReconstruction(
     std::uint64_t stripe, const std::vector<std::uint32_t> &participants,
     std::uint32_t reducer, std::uint32_t recon_off, std::uint32_t recon_len,
-    sim::NodeId spare_node, const std::vector<raid::PlacedExtent> &extents,
+    sim::NodeId spare_node, const raid::PlacedExtents &extents,
     std::uint32_t fidx, std::function<void(std::uint8_t, ec::Buffer)> on_data,
     std::function<void(bool)> done, proto::Subtype base_subtype,
     std::uint64_t trace)
@@ -988,8 +988,9 @@ DraidHost::readChunk(std::uint64_t stripe, std::uint32_t data_idx,
         join->trace = trace;
         join->length = chunk;
         join->pending = 1;
-        std::vector<raid::PlacedExtent> extents{
-            raid::PlacedExtent{raid::Extent{stripe, data_idx, 0, chunk}, 0}};
+        raid::PlacedExtents extents;
+        extents.push_back(
+            raid::PlacedExtent{raid::Extent{stripe, data_idx, 0, chunk}, 0});
         degradedStripeRead(stripe, std::move(extents), std::move(join));
         return;
     }

@@ -189,10 +189,10 @@ class DraidHost : public blockdev::BlockDevice, public net::Endpoint
     // each stripe group lands its pieces in it, and a group settles once
     // per healthy extent or once as a whole when degraded.
     void readStripeGroup(std::uint64_t stripe,
-                         std::vector<raid::PlacedExtent> extents,
+                         raid::PlacedExtents extents,
                          std::shared_ptr<blockdev::ReadJoin> join);
     void degradedStripeRead(std::uint64_t stripe,
-                            std::vector<raid::PlacedExtent> extents,
+                            raid::PlacedExtents extents,
                             std::shared_ptr<blockdev::ReadJoin> join);
 
     /** Settle one piece of @p join as this host (probe, read histogram). */
@@ -203,7 +203,7 @@ class DraidHost : public blockdev::BlockDevice, public net::Endpoint
         std::uint64_t stripe, const std::vector<std::uint32_t> &participants,
         std::uint32_t reducer, std::uint32_t recon_off,
         std::uint32_t recon_len, sim::NodeId spare_node,
-        const std::vector<raid::PlacedExtent> &extents, std::uint32_t fidx,
+        const raid::PlacedExtents &extents, std::uint32_t fidx,
         std::function<void(std::uint8_t, ec::Buffer)> on_data,
         std::function<void(bool)> done,
         proto::Subtype base_subtype = proto::Subtype::kNoRead,

@@ -82,42 +82,53 @@ Fabric::send(Message msg)
         return;
     }
     const std::uint32_t wire = msg.capsule.wireSize();
+    const sim::NodeId from = msg.from;
     const sim::NodeId to = msg.to;
-    transferPair(msg.from, to, wire, msg.capsule.traceId,
-                 [this, to, msg = std::move(msg)]() {
-                     // The destination may have gone down in flight.
-                     if (down_.contains(to)) {
-                         ++dropped_;
-                         return;
-                     }
-                     ++delivered_;
-                     auto *ep = ports_.at(to).endpoint;
-                     if (ep)
-                         ep->onMessage(msg);
-                 });
+    const std::uint64_t trace = msg.capsule.traceId;
+    const std::uint32_t slot = messages_.acquire(std::move(msg));
+    transferPair(from, to, wire, trace, [this, slot]() { deliver(slot); });
 }
 
 void
+Fabric::deliver(std::uint32_t slot)
+{
+    // Moving out leaves the slot holding no payload or SGE storage.
+    const Message msg = std::move(messages_[slot]);
+    messages_.release(slot);
+    // The destination may have gone down in flight.
+    if (down_.contains(msg.to)) {
+        ++dropped_;
+        return;
+    }
+    ++delivered_;
+    auto *ep = ports_.at(msg.to).endpoint;
+    if (ep)
+        ep->onMessage(msg);
+}
+
+bool
 Fabric::rdmaRead(sim::NodeId initiator, sim::NodeId target,
                  std::uint64_t bytes, sim::EventFn done, std::uint64_t trace)
 {
     if (down_.contains(initiator) || down_.contains(target)) {
         ++dropped_;
-        return;
+        return false;
     }
     // Data flows target -> initiator.
     transferPair(target, initiator, bytes, trace, std::move(done));
+    return true;
 }
 
-void
+bool
 Fabric::rdmaWrite(sim::NodeId initiator, sim::NodeId target,
                   std::uint64_t bytes, sim::EventFn done, std::uint64_t trace)
 {
     if (down_.contains(initiator) || down_.contains(target)) {
         ++dropped_;
-        return;
+        return false;
     }
     transferPair(initiator, target, bytes, trace, std::move(done));
+    return true;
 }
 
 void

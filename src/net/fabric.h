@@ -83,18 +83,20 @@ class Fabric
     /**
      * One-sided RDMA READ: @p initiator pulls @p bytes from @p target.
      * @p done fires when the data has fully arrived at the initiator.
-     * Never fires if either node is down. @p trace tags the NIC spans with
-     * a per-op trace id (0 = untraced).
+     * Never fires if either node is down; the call then returns false, so
+     * a caller holding per-command state for @p done can release it.
+     * @p trace tags the NIC spans with a per-op trace id (0 = untraced).
      */
-    void rdmaRead(sim::NodeId initiator, sim::NodeId target,
+    bool rdmaRead(sim::NodeId initiator, sim::NodeId target,
                   std::uint64_t bytes, sim::EventFn done,
                   std::uint64_t trace = 0);
 
     /**
      * One-sided RDMA WRITE: @p initiator pushes @p bytes to @p target.
      * @p done fires when the data has fully arrived at the target.
+     * Returns false, and never runs @p done, if either node is down.
      */
-    void rdmaWrite(sim::NodeId initiator, sim::NodeId target,
+    bool rdmaWrite(sim::NodeId initiator, sim::NodeId target,
                    std::uint64_t bytes, sim::EventFn done,
                    std::uint64_t trace = 0);
 
@@ -137,8 +139,8 @@ class Fabric
      * One transfer in flight: its tx and rx legs join here, then the
      * propagation delay runs and @c done fires. The NIC-pipe callbacks
      * and the propagation event capture only (this, slot index), which
-     * std::function stores inline; `done` (for send(), the whole Message)
-     * is moved in once and never copied.
+     * std::function stores inline; `done` is moved in once and never
+     * copied. For send(), `done` is itself (this, message slot).
      */
     struct Hop
     {
@@ -162,6 +164,9 @@ class Fabric
     /** Propagation of hop @p slot ended: free the slot, then run done. */
     void hopDone(std::uint32_t slot);
 
+    /** Message @p slot arrived: move it out, free the slot, deliver it. */
+    void deliver(std::uint32_t slot);
+
     sim::Ticks delayFor(sim::NodeId a, sim::NodeId b) const;
 
     sim::Simulator &sim_;
@@ -176,6 +181,8 @@ class Fabric
      * still pending when the fabric is destroyed release their `done`.
      */
     sim::SlotPool<Hop> hops_;
+    /** Every message in flight; delivery moves it out of its slot. */
+    sim::SlotPool<Message> messages_;
     std::uint64_t delivered_ = 0;
     std::uint64_t dropped_ = 0;
 };

@@ -46,32 +46,47 @@ Ssd::read(std::uint64_t offset, std::uint32_t length, std::uint64_t trace,
 {
     bytesRead_ += length;
     const sim::Ticks start = std::max(sim_.now(), channel_.busyUntil());
+    const std::uint32_t slot =
+        commands_.acquire(Command{offset, length, {}, std::move(cb), {}});
     // The trace rides into the channel pipe for contention attribution
     // (the channel tap is silent, so no duplicate span appears).
     channel_.transfer(scaled(length, config_.readBw / degrade_), trace,
-                      [this, offset, length, cb = std::move(cb)]() {
-        const auto latency = sim::Ticks{static_cast<sim::Tick>(
-            static_cast<double>(config_.readLatency.raw()) * degrade_)};
-        sim_.schedule(latency, "ssd.read.done",
-                      [this, offset, length, cb = std::move(cb)]() {
-            ++reads_;
-            // A planted latent sector error surfaces only when the media
-            // is actually accessed: the drive burns the full service time
-            // and then reports the unreadable range (checked at media
-            // time, so an intervening rewrite rescues the read).
-            if (const auto *hit = findLse(offset, length)) {
-                ++lseHits_;
-                probe_.event(telemetry::EventType::kLatentSectorError,
-                             sim_.now().raw(), hit->first,
-                             hit->second - hit->first);
-                cb(blockdev::IoStatus::kError, ec::Buffer());
-                return;
-            }
-            cb(blockdev::IoStatus::kOk, store_.readSync(offset, length));
-        });
+                      [this, slot]() {
+        sim_.schedule(mediaLatency(config_.readLatency), "ssd.read.done",
+                      [this, slot]() { readDone(slot); });
     });
     probe_.span(trace, "ssd", "ssd.read", start.raw(),
                 channel_.busyUntil().raw(), {"bytes", length});
+}
+
+sim::Ticks
+Ssd::mediaLatency(sim::Ticks nominal) const
+{
+    return sim::Ticks{static_cast<sim::Tick>(
+        static_cast<double>(nominal.raw()) * degrade_)};
+}
+
+void
+Ssd::readDone(std::uint32_t slot)
+{
+    Command &c = commands_[slot];
+    const std::uint64_t offset = c.offset;
+    const std::uint32_t length = c.length;
+    const blockdev::ReadCallback cb = std::exchange(c.readCb, nullptr);
+    commands_.release(slot);
+    ++reads_;
+    // A planted latent sector error surfaces only when the media is
+    // actually accessed: the drive burns the full service time and then
+    // reports the unreadable range (checked at media time, so an
+    // intervening rewrite rescues the read).
+    if (const auto *hit = findLse(offset, length)) {
+        ++lseHits_;
+        probe_.event(telemetry::EventType::kLatentSectorError,
+                     sim_.now().raw(), hit->first, hit->second - hit->first);
+        cb(blockdev::IoStatus::kError, ec::Buffer());
+        return;
+    }
+    cb(blockdev::IoStatus::kOk, store_.readSync(offset, length));
 }
 
 void
@@ -87,32 +102,39 @@ Ssd::write(std::uint64_t offset, ec::Buffer data, std::uint64_t trace,
     const std::uint64_t length = data.size();
     bytesWritten_ += length;
     const sim::Ticks start = std::max(sim_.now(), channel_.busyUntil());
+    const std::uint32_t slot = commands_.acquire(
+        Command{offset, 0, std::move(data), {}, std::move(cb)});
     channel_.transfer(scaled(length, config_.writeBw / degrade_), trace,
-                      [this, offset, data = std::move(data),
-                       cb = std::move(cb)]() {
-        const auto latency = sim::Ticks{static_cast<sim::Tick>(
-            static_cast<double>(config_.writeLatency.raw()) * degrade_)};
-        sim_.schedule(latency, "ssd.write.done",
-                      [this, offset, data = std::move(data),
-                       cb = std::move(cb)]() {
-            ++writes_;
-            store_.writeSync(offset, data);
-            // Rewriting remaps bad sectors: drop every planted range the
-            // write touches (checked at media time, like the read path).
-            if (!lse_.empty()) {
-                const std::uint64_t end = offset + data.size();
-                for (auto it = lse_.begin(); it != lse_.end();) {
-                    if (it->first < end && it->second > offset)
-                        it = lse_.erase(it);
-                    else
-                        ++it;
-                }
-            }
-            cb(blockdev::IoStatus::kOk);
-        });
+                      [this, slot]() {
+        sim_.schedule(mediaLatency(config_.writeLatency), "ssd.write.done",
+                      [this, slot]() { writeDone(slot); });
     });
     probe_.span(trace, "ssd", "ssd.write", start.raw(),
                 channel_.busyUntil().raw(), {"bytes", length});
+}
+
+void
+Ssd::writeDone(std::uint32_t slot)
+{
+    Command &c = commands_[slot];
+    const std::uint64_t offset = c.offset;
+    const ec::Buffer data = std::exchange(c.data, {});
+    const blockdev::WriteCallback cb = std::exchange(c.writeCb, nullptr);
+    commands_.release(slot);
+    ++writes_;
+    store_.writeSync(offset, data);
+    // Rewriting remaps bad sectors: drop every planted range the write
+    // touches (checked at media time, like the read path).
+    if (!lse_.empty()) {
+        const std::uint64_t end = offset + data.size();
+        for (auto it = lse_.begin(); it != lse_.end();) {
+            if (it->first < end && it->second > offset)
+                it = lse_.erase(it);
+            else
+                ++it;
+        }
+    }
+    cb(blockdev::IoStatus::kOk);
 }
 
 void

@@ -22,6 +22,7 @@
 #include "blockdev/memory_bdev.h"
 #include "sim/pipe.h"
 #include "sim/simulator.h"
+#include "sim/slot_pool.h"
 #include "sim/types.h"
 #include "telemetry/lane_tap.h"
 #include "telemetry/probe.h"
@@ -111,6 +112,29 @@ class Ssd : public blockdev::BlockDevice
     const sim::Pipe &channel() const { return channel_; }
 
   private:
+    /**
+     * One command between submission and completion. Its channel and
+     * media-latency callbacks capture only (this, slot), which
+     * std::function stores inline.
+     */
+    struct Command
+    {
+        std::uint64_t offset = 0;
+        std::uint32_t length = 0;
+        ec::Buffer data; ///< write payload, until it is stored
+        blockdev::ReadCallback readCb;
+        blockdev::WriteCallback writeCb;
+    };
+
+    /** Fixed media latency @p nominal, scaled by the degrade factor. */
+    sim::Ticks mediaLatency(sim::Ticks nominal) const;
+
+    /** Read @p slot's media access ended: free the slot, complete. */
+    void readDone(std::uint32_t slot);
+
+    /** Write @p slot's media access ended: store, free the slot, complete. */
+    void writeDone(std::uint32_t slot);
+
     sim::Simulator &sim_;
     SsdConfig config_;
     blockdev::MemoryBdev store_;
@@ -138,6 +162,8 @@ class Ssd : public blockdev::BlockDevice
     std::uint64_t writes_ = 0;
     std::uint64_t bytesRead_ = 0;
     std::uint64_t bytesWritten_ = 0;
+    /** Commands in flight, owned here so a destroyed drive frees them. */
+    sim::SlotPool<Command> commands_;
 };
 
 } // namespace draid::nvme

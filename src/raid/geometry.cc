@@ -67,10 +67,10 @@ Geometry::stripeOf(std::uint64_t offset) const
     return offset / stripeDataSize();
 }
 
-std::vector<StripeExtents>
+sim::SmallVec<StripeExtents>
 Geometry::mapByStripe(std::uint64_t offset, std::uint64_t length) const
 {
-    std::vector<StripeExtents> out;
+    sim::SmallVec<StripeExtents> out;
     const std::uint64_t sds = stripeDataSize();
     std::uint64_t pos = offset;
     std::uint64_t remaining = length;

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/small_vec.h"
+
 namespace draid::raid {
 
 /** Parity-based RAID levels supported by the library. */
@@ -44,13 +46,15 @@ struct PlacedExtent
     std::size_t outPos; ///< byte position of the extent in the user buffer
 };
 
+/** Placed extents, inline while there is one (a read inside a chunk). */
+using PlacedExtents = sim::SmallVec<PlacedExtent>;
+
 /** The extents of one logical range that fall in one stripe. */
 struct StripeExtents
 {
-    std::uint64_t stripe;
-    /** Ordered by logical address. */
-    // draid-lint: cap(chunks of one stripe; at most data width)
-    std::vector<PlacedExtent> extents;
+    std::uint64_t stripe = 0;
+    /** Ordered by logical address; at most the stripe's data chunks. */
+    PlacedExtents extents;
 };
 
 /**
@@ -113,10 +117,11 @@ class Geometry
     /**
      * Split the logical range [offset, offset+length) into per-chunk
      * extents, ordered by logical address and grouped by stripe. Each
-     * extent also carries its byte position within the range.
+     * extent also carries its byte position within the range. A range
+     * inside one chunk maps without allocating.
      */
-    std::vector<StripeExtents> mapByStripe(std::uint64_t offset,
-                                           std::uint64_t length) const;
+    sim::SmallVec<StripeExtents> mapByStripe(std::uint64_t offset,
+                                             std::uint64_t length) const;
 
     /**
      * Devices whose chunks rebuild the chunk @p lost holds in @p stripe,

@@ -3,12 +3,18 @@
  * SlotPool: values addressed by a 32-bit index that stays valid until the
  * value is released, with released slots reused last-in first-out.
  *
- * The event engine keeps each pending event's closure here while only a
- * small (when, seq, slot) key moves through its heap, and the fabric keeps
- * each in-flight transfer's join state here so its NIC-pipe callbacks
- * capture nothing but (this, slot). Storage grows to the peak number of
- * live slots and is reused from then on; references into it are
- * invalidated by a later acquire(), indices are not.
+ * A component keeps the state of each command it has in flight here, so
+ * its callbacks capture nothing but (this, slot), which std::function
+ * stores inline (DESIGN.md §4.1). The owners:
+ *  - sim::Simulator: each pending event's label and closure, while only
+ *    a small (when, seq, slot) key moves through its heap;
+ *  - net::Fabric: each transfer's join state, and each message in flight;
+ *  - nvme::Ssd: each command in the media channel or media latency;
+ *  - blockdev::NvmfTarget: each Read/Write being served;
+ *  - blockdev::NvmfInitiator: each command until its callback has run.
+ * Storage grows to the peak number of live slots and is reused from then
+ * on; references into it are invalidated by a later acquire(), indices
+ * are not.
  */
 
 #ifndef DRAID_SIM_SLOT_POOL_H

@@ -4,9 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "blockdev/nvmf_initiator.h"
+#include "blockdev/nvmf_target.h"
+#include "cluster/cluster.h"
 #include "net/fabric.h"
 #include "net/rdma.h"
 #include "sim/simulator.h"
@@ -46,6 +51,20 @@ struct Rig
         fabric.attach(0, nicA, &epA);
         fabric.attach(1, nicB, &epB);
     }
+};
+
+/** One host initiator and one plain NVMe-oF target. */
+struct NvmfRig : Endpoint
+{
+    cluster::TestbedConfig cfg;
+    cluster::Cluster cluster{cfg, 1};
+    blockdev::CommandIdAllocator ids;
+    blockdev::NvmfInitiator initiator{cluster, ids};
+    blockdev::NvmfTarget target{cluster, 0};
+
+    NvmfRig() { cluster.fabric().setEndpoint(cluster.hostId(), this); }
+
+    void onMessage(const Message &msg) override { initiator.tryComplete(msg); }
 };
 
 } // namespace
@@ -215,9 +234,10 @@ TEST(Fabric, CompletionIsMovedThroughNotCopied)
 
 TEST(Fabric, InFlightCompletionsAreReleasedWithTheCluster)
 {
-    // The fabric owns the join state of every transfer in flight, so the
-    // completions of transfers still in a NIC pipe or in propagation when
-    // the cluster goes away are destroyed with it, not leaked.
+    // Each component owns the state of the commands it has in flight
+    // (the fabric its transfers and messages, the initiator, target and
+    // SSD their commands), so callbacks and payloads still held anywhere
+    // when the cluster goes away are destroyed with it, not leaked.
     auto sentinel = std::make_shared<int>(0);
     ec::Buffer payload(64);
     {
@@ -234,6 +254,61 @@ TEST(Fabric, InFlightCompletionsAreReleasedWithTheCluster)
     }
     EXPECT_EQ(sentinel.use_count(), 1);
     EXPECT_TRUE(payload.unique());
+
+    // Then one NVMe-oF read and one write, with the cluster destroyed at
+    // the first tick of every stage of their life that the counters can
+    // tell apart: pending in the initiator, queued on the host CPU, on
+    // the wire, in the target's CPU queue, in the SSD channel and media
+    // latency, pushed back, and as a completion on the host CPU.
+    int done = 0;
+    const auto issue = [&done](NvmfRig &rig, std::shared_ptr<int> token,
+                               const ec::Buffer &data) {
+        rig.initiator.readRemote(
+            0, 0, 4096, [&done, token](blockdev::IoStatus, ec::Buffer) {
+                ++done;
+            });
+        rig.initiator.writeRemote(
+            0, 1 << 20, data, [&done, token](blockdev::IoStatus) {
+                ++done;
+            });
+    };
+    const auto stage = [&done](NvmfRig &rig) {
+        nvme::Ssd &ssd = rig.cluster.target(0).ssd();
+        return std::tuple{rig.cluster.fabric().messagesDelivered(),
+                          rig.initiator.pendingOps(),
+                          rig.cluster.host().cpu().busyTime().raw(),
+                          rig.cluster.target(0).cpu().busyTime().raw(),
+                          rig.cluster.target(0).nic().tx().bytesTransferred(),
+                          ssd.bytesRead(), ssd.bytesWritten(),
+                          ssd.readsCompleted(), ssd.writesCompleted(), done};
+    };
+    std::vector<Ticks> stops{Ticks::zero()};
+    {
+        NvmfRig rig;
+        const ec::Buffer data(4096);
+        issue(rig, nullptr, data);
+        std::set<decltype(stage(rig))> seen{stage(rig)};
+        for (Ticks t{50}; done < 2; t += Ticks{50}) {
+            rig.cluster.sim().runUntil(t);
+            if (seen.insert(stage(rig)).second)
+                stops.push_back(t);
+        }
+        // Released slots keep no payload alive.
+        EXPECT_TRUE(data.unique());
+    }
+    ASSERT_GE(stops.size(), 10u);
+    stops.pop_back(); // both callbacks have run
+    for (const Ticks stop : stops) {
+        ec::Buffer data(4096);
+        {
+            NvmfRig rig;
+            issue(rig, sentinel, data);
+            rig.cluster.sim().runUntil(stop);
+            EXPECT_GT(sentinel.use_count(), 1) << "at " << stop.raw() << " ns";
+        }
+        EXPECT_EQ(sentinel.use_count(), 1) << "at " << stop.raw() << " ns";
+        EXPECT_TRUE(data.unique()) << "at " << stop.raw() << " ns";
+    }
 }
 
 TEST(RdmaQp, CountsTraffic)

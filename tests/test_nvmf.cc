@@ -149,6 +149,54 @@ TEST(Nvmf, TimeoutFiresWhenTargetDown)
     EXPECT_EQ(rig.initiator.pendingOps(), 0u);
 }
 
+TEST(Nvmf, TimeoutWhileQueuedOnHostCpuStillSendsOnce)
+{
+    // The deadline fires while the command still waits on the host CPU:
+    // the callback runs once, with kTimedOut, and the capsule is still
+    // sent when the CPU gets to it, even with a later command queued.
+    Rig rig;
+    rig.cluster.host().cpu().execute(sim::Ticks::ms(60), [] {});
+    ec::Buffer data(4096);
+    data.fill(0x5a);
+    int calls = 0;
+    IoStatus status = IoStatus::kOk;
+    rig.initiator.writeRemote(0, 0, data, [&](IoStatus st) {
+        ++calls;
+        status = st;
+    });
+    rig.cluster.sim().runUntil(sim::Ticks::ms(55));
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(status, IoStatus::kTimedOut);
+    IoStatus later = IoStatus::kError;
+    rig.initiator.readRemote(0, 8192, 4096,
+                             [&](IoStatus st, ec::Buffer) { later = st; });
+    rig.cluster.sim().run();
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(later, IoStatus::kOk);
+    EXPECT_EQ(rig.initiator.pendingOps(), 0u);
+    EXPECT_TRUE(rig.cluster.target(0).ssd().store().readSync(0, 4096)
+                    .contentEquals(data));
+    EXPECT_TRUE(data.unique());
+}
+
+TEST(Nvmf, DroppedTransferReleasesTheTargetsCommand)
+{
+    // The target goes down after a write's capsule reached it, so the
+    // fabric drops the payload pull; the target must let go of the
+    // payload, since no completion will ever run for it.
+    Rig rig;
+    const ec::Buffer data(4096);
+    IoStatus status = IoStatus::kOk;
+    rig.initiator.writeRemote(0, 0, data, [&](IoStatus st) { status = st; });
+    while (rig.cluster.fabric().messagesDelivered() == 0)
+        rig.cluster.sim().runFor(sim::Ticks{50});
+    rig.cluster.failTarget(0);
+    rig.cluster.sim().run();
+    EXPECT_EQ(status, IoStatus::kTimedOut);
+    EXPECT_EQ(rig.cluster.target(0).ssd().writesCompleted(), 0u);
+    EXPECT_TRUE(data.unique());
+}
+
 TEST(Nvmf, RecoveredTargetServesAgain)
 {
     Rig rig;
