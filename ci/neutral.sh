@@ -28,10 +28,13 @@
 # fig28_r6_degraded_read fig30_r6_degraded_write, the store-heavy
 # table1_overheads fig10_write_io_size fig20_objstore_normal, the
 # timer-heavy fig14_latency_throughput fig19_minikv_ycsb, whose per-op
-# deadlines keep the most events pending, and the read-path figures
+# deadlines keep the most events pending, the read-path figures
 # fig13_write_read_ratio (mixed reads and writes on all three systems)
-# and fig22_r6_normal_read (stdout, BENCH_* JSON and the timing-stripped
-# BENCH_simcore.json). Exit 0 when neutral.
+# and fig22_r6_normal_read, and the write figures fig10_write_io_size
+# and fig23_r6_write_io_size, which run every host-centric write mode
+# (RMW, RCW, full stripe) on MD and SPDK at RAID-5 and RAID-6 (stdout,
+# BENCH_* JSON and the timing-stripped BENCH_simcore.json). Exit 0 when
+# neutral.
 set -euo pipefail
 
 usage="usage: ci/neutral.sh <base-ref> [bench ...]"
@@ -49,7 +52,8 @@ for b in "${benches[@]}"; do
       fig18_degraded_write|fig28_r6_degraded_read|\
       fig30_r6_degraded_write|table1_overheads|fig10_write_io_size|\
       fig20_objstore_normal|fig14_latency_throughput|fig19_minikv_ycsb|\
-      fig13_write_read_ratio|fig22_r6_normal_read) ;;
+      fig13_write_read_ratio|fig22_r6_normal_read|\
+      fig23_r6_write_io_size) ;;
       *) echo "neutral: unknown bench '$b'" >&2; echo "$usage" >&2; exit 2 ;;
     esac
 done
@@ -107,7 +111,8 @@ run() { # <build-dir> <out-dir>
               fig28_r6_degraded_read|fig30_r6_degraded_write|\
               table1_overheads|fig10_write_io_size|fig20_objstore_normal|\
               fig14_latency_throughput|fig19_minikv_ycsb|\
-              fig13_write_read_ratio|fig22_r6_normal_read)
+              fig13_write_read_ratio|fig22_r6_normal_read|\
+              fig23_r6_write_io_size)
                 "$bin/$b" --seed=1 --strict-flags \
                     --profile=BENCH_simcore.json > "stdout_$b.txt" ;;
             esac

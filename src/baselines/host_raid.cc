@@ -107,20 +107,43 @@ HostCentricRaid::chargeGf(std::uint64_t bytes, sim::EventFn fn,
                                        "parity.gf", std::move(fn));
 }
 
+void
+HostCentricRaid::submitCharged(std::vector<blockdev::BatchIo> ios,
+                               std::uint64_t trace,
+                               blockdev::BatchCallback cb)
+{
+    std::uint64_t bytes = 0;
+    for (const auto &io : ios)
+        bytes += io.length;
+    chargeDataPath(bytes, [this, ios = std::move(ios), trace,
+                           cb = std::move(cb)]() mutable {
+        initiator_.submitBatch(std::move(ios), trace, std::move(cb));
+    }, trace);
+}
+
+void
+HostCentricRaid::retryAfter(std::shared_ptr<StripeWrite> sw,
+                            const blockdev::BatchResult &r)
+{
+    if (r.suspect)
+        sw->suspect = r.suspect;
+    retryStripe(std::move(sw));
+}
+
+blockdev::BatchCallback
+HostCentricRaid::finishStripe(std::shared_ptr<StripeWrite> sw)
+{
+    return [this, sw = std::move(sw)](blockdev::BatchResult r) {
+        if (r.ok)
+            sw->done(true);
+        else
+            retryAfter(sw, r);
+    };
+}
+
 // ---------------------------------------------------------------------------
 // Write path
 // ---------------------------------------------------------------------------
-
-namespace {
-
-struct WriteTally
-{
-    int remaining = 0;
-    bool ok = true;
-    std::optional<std::uint32_t> suspect;
-};
-
-} // namespace
 
 void
 HostCentricRaid::write(std::uint64_t offset, ec::Buffer data,
@@ -237,25 +260,23 @@ HostCentricRaid::doDegradedTargeted(std::shared_ptr<StripeWrite> sw,
 {
     const raid::WriteSegment seg = sw->plan.writes[pos];
     const std::uint64_t stripe = sw->plan.stripe;
-    const std::uint32_t fidx = seg.dataIdx;
     const bool raid6 = geom_.level() == raid::RaidLevel::kRaid6;
     const std::uint64_t addr = geom_.deviceAddress(stripe, seg.offset);
 
-    struct Ctx
-    {
-        // draid-lint: cap(stripe width; one slice per parity update)
-        std::vector<std::pair<std::uint32_t, ec::Buffer>> slices;
-        int remaining = 0;
-        bool ok = true;
-        std::optional<std::uint32_t> suspect;
-    };
-    auto ctx = std::make_shared<Ctx>();
-
-    auto assemble = [this, sw, ctx, seg, stripe, fidx, raid6, addr,
-                     data = sw->segData[pos]]() mutable {
-        if (!ctx->ok) {
-            sw->suspect = ctx->suspect;
-            retryStripe(sw);
+    // Fetch every survivor's slice of the written range.
+    std::vector<blockdev::BatchIo> reads;
+    for (std::uint32_t i = 0; i < geom_.dataChunks(); ++i) {
+        if (i == seg.dataIdx)
+            continue;
+        const std::uint32_t dev = geom_.dataDevice(stripe, i);
+        reads.push_back(blockdev::BatchIo::read(dev, dev, addr, seg.length));
+    }
+    const std::uint64_t bytes = static_cast<std::uint64_t>(seg.length) *
+                                (reads.size() + 1 + (raid6 ? 1 : 0));
+    const auto assemble = [this, sw, pos, seg, stripe, raid6,
+                           addr](blockdev::BatchResult r) {
+        if (!r.ok) {
+            retryAfter(sw, r);
             return;
         }
         // P_new[r] = XOR_i!=f D_i[r] ^ new[r];
@@ -263,84 +284,39 @@ HostCentricRaid::doDegradedTargeted(std::shared_ptr<StripeWrite> sw,
         ec::Buffer p(seg.length);
         ec::Buffer q(raid6 ? seg.length : 0);
         const auto &gf = ec::Gf256::instance();
-        for (const auto &[idx, slice] : ctx->slices) {
-            ec::xorInto(p.data(), slice.data(), seg.length);
+        const ec::Buffer &data = sw->segData[pos];
+        for (const auto &io : r.ios) {
+            ec::xorInto(p.data(), io.data.data(), seg.length);
             if (raid6) {
-                gf.mulAccum(gf.pow2(idx), slice.data(), q.data(),
-                            seg.length);
+                gf.mulAccum(gf.pow2(geom_.dataIndexOf(stripe, io.device)),
+                            io.data.data(), q.data(), seg.length);
             }
         }
         ec::xorInto(p.data(), data.data(), seg.length);
-        if (raid6)
-            gf.mulAccum(gf.pow2(fidx), data.data(), q.data(), seg.length);
+        if (raid6) {
+            gf.mulAccum(gf.pow2(seg.dataIdx), data.data(), q.data(),
+                        seg.length);
+        }
 
-        chargeXor(static_cast<std::uint64_t>(seg.length) *
-                      (ctx->slices.size() + 1),
+        chargeXor(static_cast<std::uint64_t>(seg.length) * (r.ios.size() + 1),
                   [this, sw, stripe, addr, p = std::move(p),
                    q = std::move(q), raid6]() mutable {
-            const std::uint64_t trace = sw->traceId;
-            auto tally = std::make_shared<WriteTally>();
-            tally->remaining = 1 + (raid6 ? 1 : 0);
-            auto finish = [this, sw, tally](std::uint32_t dev,
-                                            blockdev::IoStatus st) {
-                if (st != blockdev::IoStatus::kOk) {
-                    tally->ok = false;
-                    if (st == blockdev::IoStatus::kTimedOut)
-                        tally->suspect = dev;
-                }
-                if (--tally->remaining == 0) {
-                    if (tally->ok) {
-                        sw->done(true);
-                    } else {
-                        sw->suspect = tally->suspect;
-                        retryStripe(sw);
-                    }
-                }
-            };
             const std::uint32_t p_dev = geom_.parityDevice(stripe);
-            initiator_.writeRemote(p_dev, addr, p,
-                                   [finish, p_dev](blockdev::IoStatus st) {
-                                       finish(p_dev, st);
-                                   }, trace);
+            std::vector<blockdev::BatchIo> writes;
+            writes.push_back(
+                blockdev::BatchIo::write(p_dev, p_dev, addr, std::move(p)));
             if (raid6) {
                 const std::uint32_t q_dev = geom_.qDevice(stripe);
-                initiator_.writeRemote(
-                    q_dev, addr, q,
-                    [finish, q_dev](blockdev::IoStatus st) {
-                        finish(q_dev, st);
-                    }, trace);
+                writes.push_back(blockdev::BatchIo::write(q_dev, q_dev, addr,
+                                                          std::move(q)));
             }
+            initiator_.submitBatch(std::move(writes), sw->traceId,
+                                   finishStripe(sw));
         }, sw->traceId);
     };
-
-    // Fetch every survivor's slice of the written range.
-    std::vector<std::uint32_t> survivors;
-    for (std::uint32_t i = 0; i < geom_.dataChunks(); ++i) {
-        if (i != fidx)
-            survivors.push_back(i);
-    }
-    ctx->remaining = static_cast<int>(survivors.size());
-    chargeDataPath(static_cast<std::uint64_t>(seg.length) *
-                       (survivors.size() + 1 + (raid6 ? 1 : 0)),
-                   [this, sw, ctx, survivors, stripe, addr, seg,
-                    assemble]() mutable {
-        for (const auto idx : survivors) {
-            const std::uint32_t dev = geom_.dataDevice(stripe, idx);
-            initiator_.readRemote(
-                dev, addr, seg.length,
-                [ctx, idx, dev, assemble](blockdev::IoStatus st,
-                                          ec::Buffer d) mutable {
-                    if (st == blockdev::IoStatus::kOk) {
-                        ctx->slices.emplace_back(idx, std::move(d));
-                    } else {
-                        ctx->ok = false;
-                        if (st == blockdev::IoStatus::kTimedOut)
-                            ctx->suspect = dev;
-                    }
-                    if (--ctx->remaining == 0)
-                        assemble();
-                }, sw->traceId);
-        }
+    chargeDataPath(bytes, [this, sw, reads = std::move(reads),
+                           assemble]() mutable {
+        initiator_.submitBatch(std::move(reads), sw->traceId, assemble);
     }, sw->traceId);
 }
 
@@ -348,9 +324,7 @@ void
 HostCentricRaid::doFullStripe(std::shared_ptr<StripeWrite> sw)
 {
     ++counters_.fullStripeWrites;
-    const std::uint64_t stripe = sw->plan.stripe;
     const std::uint32_t k = geom_.dataChunks();
-    const std::uint64_t addr = geom_.deviceAddress(stripe, 0);
 
     std::vector<ec::Buffer> chunks(k);
     for (std::size_t i = 0; i < sw->plan.writes.size(); ++i)
@@ -359,56 +333,28 @@ HostCentricRaid::doFullStripe(std::shared_ptr<StripeWrite> sw)
     const bool raid6 = geom_.level() == raid::RaidLevel::kRaid6;
     const std::uint64_t stripe_bytes = geom_.stripeDataSize();
 
-    chargeXor(stripe_bytes, [this, sw, stripe, addr, chunks, raid6,
-                             stripe_bytes]() {
-        auto issue = [this, sw, stripe, addr, chunks, raid6]() {
+    chargeXor(stripe_bytes, [this, sw, chunks, raid6, stripe_bytes]() {
+        auto issue = [this, sw, chunks, raid6]() {
             ec::Buffer p, q;
             if (raid6)
                 ec::Raid6Codec::computePQ(chunks, p, q);
             else
                 p = ec::Raid5Codec::computeParity(chunks);
 
-            std::vector<std::pair<std::uint32_t, ec::Buffer>> ios;
+            const std::uint64_t stripe = sw->plan.stripe;
+            const std::uint64_t addr = geom_.deviceAddress(stripe, 0);
+            std::vector<blockdev::BatchIo> writes;
+            const auto add = [&](std::uint32_t dev, ec::Buffer buf) {
+                if (!(failed_ && dev == *failed_))
+                    writes.push_back(
+                        blockdev::BatchIo::write(dev, dev, addr, std::move(buf)));
+            };
             for (std::uint32_t i = 0; i < geom_.dataChunks(); ++i)
-                ios.emplace_back(geom_.dataDevice(stripe, i), chunks[i]);
-            ios.emplace_back(geom_.parityDevice(stripe), p);
+                add(geom_.dataDevice(stripe, i), chunks[i]);
+            add(geom_.parityDevice(stripe), std::move(p));
             if (raid6)
-                ios.emplace_back(geom_.qDevice(stripe), q);
-
-            auto tally = std::make_shared<WriteTally>();
-            std::uint64_t total_bytes = 0;
-            for (auto &[dev, buf] : ios) {
-                if (failed_ && dev == *failed_)
-                    continue;
-                ++tally->remaining;
-                total_bytes += buf.size();
-            }
-            assert(tally->remaining > 0);
-            chargeDataPath(total_bytes, [this, sw, addr, ios, tally]() {
-                for (const auto &[dev, buf] : ios) {
-                    if (failed_ && dev == *failed_)
-                        continue;
-                    const std::uint32_t d = dev;
-                    initiator_.writeRemote(
-                        d, addr, buf,
-                        [this, sw, tally, d](blockdev::IoStatus st) {
-                            if (st != blockdev::IoStatus::kOk) {
-                                tally->ok = false;
-                                if (st == blockdev::IoStatus::kTimedOut)
-                                    tally->suspect = d;
-                            }
-                            if (--tally->remaining == 0) {
-                                if (tally->ok) {
-                                    sw->done(true);
-                                } else {
-                                    if (tally->suspect)
-                                        sw->suspect = tally->suspect;
-                                    retryStripe(sw);
-                                }
-                            }
-                        }, sw->traceId);
-                }
-            }, sw->traceId);
+                add(geom_.qDevice(stripe), std::move(q));
+            submitCharged(std::move(writes), sw->traceId, finishStripe(sw));
         };
         if (raid6)
             chargeGf(stripe_bytes, issue, sw->traceId);
@@ -429,41 +375,49 @@ HostCentricRaid::doRmw(std::shared_ptr<StripeWrite> sw)
     const std::uint32_t q_dev = raid6 ? geom_.qDevice(stripe) : 0;
     const bool p_alive = !(failed_ && *failed_ == p_dev);
     const bool q_alive = raid6 && !(failed_ && *failed_ == q_dev);
+    const std::uint64_t paddr = geom_.deviceAddress(stripe, plan.parityOffset);
 
-    struct Ctx
-    {
-        int remaining = 0;
-        bool ok = true;
-        std::optional<std::uint32_t> suspect;
-        // draid-lint: cap(stripe width; preread of touched chunks)
-        std::vector<ec::Buffer> oldSegs;
-        ec::Buffer oldP;
-        ec::Buffer oldQ;
-    };
-    auto ctx = std::make_shared<Ctx>();
-    ctx->oldSegs.resize(plan.writes.size());
+    // Read phase: old data under each segment + old parity windows.
+    std::vector<blockdev::BatchIo> reads;
+    for (const auto &seg : plan.writes) {
+        const std::uint32_t dev = geom_.dataDevice(stripe, seg.dataIdx);
+        reads.push_back(blockdev::BatchIo::read(
+            dev, dev, geom_.deviceAddress(stripe, seg.offset), seg.length));
+    }
+    if (p_alive) {
+        reads.push_back(
+            blockdev::BatchIo::read(p_dev, p_dev, paddr, plan.parityLength));
+    }
+    if (q_alive) {
+        reads.push_back(
+            blockdev::BatchIo::read(q_dev, q_dev, paddr, plan.parityLength));
+    }
 
-    auto after_reads = [this, sw, ctx, stripe, p_alive, q_alive, p_dev,
-                        q_dev]() {
-        if (!ctx->ok) {
-            sw->suspect = ctx->suspect;
-            retryStripe(sw);
+    submitCharged(std::move(reads), sw->traceId,
+                  [this, sw, stripe, p_alive, q_alive, p_dev, q_dev,
+                   paddr](blockdev::BatchResult r) {
+        if (!r.ok) {
+            retryAfter(sw, r);
             return;
         }
         // Deltas -> new parity windows, updated in place: the old windows
-        // are fresh reads, moved out of ctx so that nothing else holds
-        // them (DESIGN.md §4.2).
+        // are fresh reads, moved out of the batch so that nothing else
+        // holds them (DESIGN.md §4.2).
+        const std::size_t n = sw->plan.writes.size();
         std::uint64_t xor_bytes = 0;
-        ec::Buffer new_p = std::exchange(ctx->oldP, {}); // window-sized
-        ec::Buffer new_q = std::exchange(ctx->oldQ, {});
+        ec::Buffer new_p, new_q; // window-sized
+        if (p_alive)
+            new_p = std::move(r.ios[n].data);
+        if (q_alive)
+            new_q = std::move(r.ios[n + (p_alive ? 1 : 0)].data);
         assert(!p_alive || new_p.unique());
         assert(!q_alive || new_q.unique());
         const auto &gf = ec::Gf256::instance();
-        for (std::size_t i = 0; i < sw->plan.writes.size(); ++i) {
+        for (std::size_t i = 0; i < n; ++i) {
             const auto &seg = sw->plan.writes[i];
             // The old data is a fresh read: held alone, it takes the
             // delta in place.
-            ec::Buffer &old_seg = ctx->oldSegs[i];
+            ec::Buffer &old_seg = r.ios[i].data;
             ec::Buffer delta;
             if (old_seg.unique()) {
                 ec::xorInto(old_seg, sw->segData[i]);
@@ -482,119 +436,27 @@ HostCentricRaid::doRmw(std::shared_ptr<StripeWrite> sw)
         }
 
         chargeXor(xor_bytes, [this, sw, stripe, new_p, new_q, p_alive,
-                              q_alive, p_dev, q_dev]() {
-            const std::uint64_t paddr =
-                geom_.deviceAddress(stripe, sw->plan.parityOffset);
-
-            auto tally = std::make_shared<WriteTally>();
-            std::uint64_t bytes = 0;
-            tally->remaining = static_cast<int>(sw->plan.writes.size()) +
-                               (p_alive ? 1 : 0) + (q_alive ? 1 : 0);
-            for (const auto &seg : sw->plan.writes)
-                bytes += seg.length;
-            bytes += (p_alive ? new_p.size() : 0) +
-                     (q_alive ? new_q.size() : 0);
-
-            auto finish = [this, sw, tally](std::uint32_t dev,
-                                            blockdev::IoStatus st) {
-                if (st != blockdev::IoStatus::kOk) {
-                    tally->ok = false;
-                    if (st == blockdev::IoStatus::kTimedOut)
-                        tally->suspect = dev;
-                }
-                if (--tally->remaining == 0) {
-                    if (tally->ok) {
-                        sw->done(true);
-                    } else {
-                        sw->suspect = tally->suspect;
-                        retryStripe(sw);
-                    }
-                }
-            };
-
-            chargeDataPath(bytes, [this, sw, stripe, paddr, new_p, new_q,
-                                   p_alive, q_alive, p_dev, q_dev,
-                                   finish]() {
-                for (std::size_t i = 0; i < sw->plan.writes.size(); ++i) {
-                    const auto &seg = sw->plan.writes[i];
-                    const std::uint32_t dev =
-                        geom_.dataDevice(stripe, seg.dataIdx);
-                    initiator_.writeRemote(
-                        dev, geom_.deviceAddress(stripe, seg.offset),
-                        sw->segData[i],
-                        [finish, dev](blockdev::IoStatus st) {
-                            finish(dev, st);
-                        }, sw->traceId);
-                }
-                if (p_alive) {
-                    initiator_.writeRemote(
-                        p_dev, paddr, new_p,
-                        [finish, p_dev](blockdev::IoStatus st) {
-                            finish(p_dev, st);
-                        }, sw->traceId);
-                }
-                if (q_alive) {
-                    initiator_.writeRemote(
-                        q_dev, paddr, new_q,
-                        [finish, q_dev](blockdev::IoStatus st) {
-                            finish(q_dev, st);
-                        }, sw->traceId);
-                }
-            }, sw->traceId);
-        }, sw->traceId);
-    };
-
-    // Read phase: old data under each segment + old parity windows.
-    ctx->remaining = static_cast<int>(plan.writes.size()) +
-                     (p_alive ? 1 : 0) + (q_alive ? 1 : 0);
-    std::uint64_t read_bytes = 0;
-    for (const auto &seg : plan.writes)
-        read_bytes += seg.length;
-    read_bytes += (p_alive ? plan.parityLength : 0) +
-                  (q_alive ? plan.parityLength : 0);
-
-    chargeDataPath(read_bytes, [this, sw, ctx, stripe, p_alive, q_alive,
-                                p_dev, q_dev, after_reads]() {
-        auto join = [ctx, after_reads](bool ok, std::uint32_t dev) {
-            if (!ok) {
-                ctx->ok = false;
-                ctx->suspect = dev;
+                              q_alive, p_dev, q_dev, paddr]() {
+            std::vector<blockdev::BatchIo> writes;
+            for (std::size_t i = 0; i < sw->plan.writes.size(); ++i) {
+                const auto &seg = sw->plan.writes[i];
+                const std::uint32_t dev =
+                    geom_.dataDevice(stripe, seg.dataIdx);
+                writes.push_back(blockdev::BatchIo::write(
+                    dev, dev, geom_.deviceAddress(stripe, seg.offset),
+                    sw->segData[i]));
             }
-            if (--ctx->remaining == 0)
-                after_reads();
-        };
-        for (std::size_t i = 0; i < sw->plan.writes.size(); ++i) {
-            const auto &seg = sw->plan.writes[i];
-            const std::uint32_t dev = geom_.dataDevice(stripe, seg.dataIdx);
-            initiator_.readRemote(
-                dev, geom_.deviceAddress(stripe, seg.offset), seg.length,
-                [ctx, i, join, dev](blockdev::IoStatus st, ec::Buffer d) {
-                    if (st == blockdev::IoStatus::kOk)
-                        ctx->oldSegs[i] = std::move(d);
-                    join(st == blockdev::IoStatus::kOk, dev);
-                }, sw->traceId);
-        }
-        const std::uint64_t paddr =
-            geom_.deviceAddress(stripe, sw->plan.parityOffset);
-        if (p_alive) {
-            initiator_.readRemote(
-                p_dev, paddr, sw->plan.parityLength,
-                [ctx, join, p_dev](blockdev::IoStatus st, ec::Buffer d) {
-                    if (st == blockdev::IoStatus::kOk)
-                        ctx->oldP = std::move(d);
-                    join(st == blockdev::IoStatus::kOk, p_dev);
-                }, sw->traceId);
-        }
-        if (q_alive) {
-            initiator_.readRemote(
-                q_dev, paddr, sw->plan.parityLength,
-                [ctx, join, q_dev](blockdev::IoStatus st, ec::Buffer d) {
-                    if (st == blockdev::IoStatus::kOk)
-                        ctx->oldQ = std::move(d);
-                    join(st == blockdev::IoStatus::kOk, q_dev);
-                }, sw->traceId);
-        }
-    }, sw->traceId);
+            if (p_alive) {
+                writes.push_back(
+                    blockdev::BatchIo::write(p_dev, p_dev, paddr, new_p));
+            }
+            if (q_alive) {
+                writes.push_back(
+                    blockdev::BatchIo::write(q_dev, q_dev, paddr, new_q));
+            }
+            submitCharged(std::move(writes), sw->traceId, finishStripe(sw));
+        }, sw->traceId);
+    });
 }
 
 void
@@ -604,116 +466,63 @@ HostCentricRaid::doRcw(std::shared_ptr<StripeWrite> sw)
     const std::uint64_t stripe = sw->plan.stripe;
     const std::uint32_t k = geom_.dataChunks();
     const std::uint32_t chunk = geom_.chunkSize();
-    const bool raid6 = geom_.level() == raid::RaidLevel::kRaid6;
+    const std::uint64_t addr = geom_.deviceAddress(stripe, 0);
 
-    // Final content of every data chunk: merged old+new for partially
-    // written chunks, read for untouched ones.
-    struct Ctx
-    {
-        // draid-lint: cap(stripe width; one buffer per data chunk)
-        std::vector<ec::Buffer> chunks;
-        int remaining = 0;
-        bool ok = true;
-        std::optional<std::uint32_t> suspect;
-    };
-    auto ctx = std::make_shared<Ctx>();
-    ctx->chunks.assign(k, ec::Buffer());
-
-    auto after_reads = [this, sw, ctx, stripe, chunk, raid6]() {
-        if (!ctx->ok) {
-            sw->suspect = ctx->suspect;
-            retryStripe(sw);
+    auto after_reads = [this, sw, stripe, k, chunk,
+                        addr](blockdev::BatchResult r) {
+        if (!r.ok) {
+            retryAfter(sw, r);
             return;
         }
-        // Overlay new segments.
+        // Final content of every data chunk: merged old+new for partially
+        // written chunks, read for untouched ones.
+        std::vector<ec::Buffer> chunks(k);
+        for (auto &io : r.ios)
+            chunks[geom_.dataIndexOf(stripe, io.device)] = std::move(io.data);
         const auto &plan = sw->plan;
         for (std::size_t i = 0; i < plan.writes.size(); ++i) {
             const auto &seg = plan.writes[i];
-            auto &c = ctx->chunks[seg.dataIdx];
+            auto &c = chunks[seg.dataIdx];
             if (c.empty())
                 c = ec::Buffer(chunk);
             std::memcpy(c.data() + seg.offset, sw->segData[i].data(),
                         seg.length);
         }
 
+        const bool raid6 = geom_.level() == raid::RaidLevel::kRaid6;
         const std::uint64_t stripe_bytes = geom_.stripeDataSize();
-        chargeXor(stripe_bytes, [this, sw, ctx, stripe, raid6,
-                                 stripe_bytes]() {
-            auto issue = [this, sw, ctx, stripe, raid6]() {
+        chargeXor(stripe_bytes, [this, sw, chunks = std::move(chunks),
+                                 stripe, addr, raid6, stripe_bytes]() {
+            auto issue = [this, sw, chunks, stripe, addr, raid6]() {
                 ec::Buffer p, q;
                 if (raid6)
-                    ec::Raid6Codec::computePQ(ctx->chunks, p, q);
+                    ec::Raid6Codec::computePQ(chunks, p, q);
                 else
-                    p = ec::Raid5Codec::computeParity(ctx->chunks);
+                    p = ec::Raid5Codec::computeParity(chunks);
 
-                const std::uint32_t p_dev = geom_.parityDevice(stripe);
-                const std::uint32_t q_dev = raid6 ? geom_.qDevice(stripe)
-                                                  : 0;
-                const bool p_alive = !(failed_ && *failed_ == p_dev);
-                const bool q_alive =
-                    raid6 && !(failed_ && *failed_ == q_dev);
-
-                auto tally = std::make_shared<WriteTally>();
-                tally->remaining =
-                    static_cast<int>(sw->plan.writes.size()) +
-                    (p_alive ? 1 : 0) + (q_alive ? 1 : 0);
-                if (tally->remaining == 0) {
-                    sw->done(true);
-                    return;
+                std::vector<blockdev::BatchIo> writes;
+                for (std::size_t i = 0; i < sw->plan.writes.size(); ++i) {
+                    const auto &seg = sw->plan.writes[i];
+                    const std::uint32_t dev =
+                        geom_.dataDevice(stripe, seg.dataIdx);
+                    writes.push_back(blockdev::BatchIo::write(
+                        dev, dev, geom_.deviceAddress(stripe, seg.offset),
+                        sw->segData[i]));
                 }
-                std::uint64_t bytes = 0;
-                for (const auto &seg : sw->plan.writes)
-                    bytes += seg.length;
-                bytes += (p_alive ? p.size() : 0) +
-                         (q_alive ? q.size() : 0);
-
-                auto finish = [this, sw, tally](std::uint32_t dev,
-                                                blockdev::IoStatus st) {
-                    if (st != blockdev::IoStatus::kOk) {
-                        tally->ok = false;
-                        if (st == blockdev::IoStatus::kTimedOut)
-                            tally->suspect = dev;
+                const std::uint32_t p_dev = geom_.parityDevice(stripe);
+                if (!(failed_ && *failed_ == p_dev)) {
+                    writes.push_back(
+                        blockdev::BatchIo::write(p_dev, p_dev, addr, p));
+                }
+                if (raid6) {
+                    const std::uint32_t q_dev = geom_.qDevice(stripe);
+                    if (!(failed_ && *failed_ == q_dev)) {
+                        writes.push_back(
+                            blockdev::BatchIo::write(q_dev, q_dev, addr, q));
                     }
-                    if (--tally->remaining == 0) {
-                        if (tally->ok) {
-                            sw->done(true);
-                        } else {
-                            sw->suspect = tally->suspect;
-                            retryStripe(sw);
-                        }
-                    }
-                };
-                chargeDataPath(bytes, [this, sw, stripe, p, q, p_dev,
-                                       q_dev, p_alive, q_alive, finish]() {
-                    const std::uint64_t addr =
-                        geom_.deviceAddress(stripe, 0);
-                    for (std::size_t i = 0; i < sw->plan.writes.size();
-                         ++i) {
-                        const auto &seg = sw->plan.writes[i];
-                        const std::uint32_t dev =
-                            geom_.dataDevice(stripe, seg.dataIdx);
-                        initiator_.writeRemote(
-                            dev, geom_.deviceAddress(stripe, seg.offset),
-                            sw->segData[i],
-                            [finish, dev](blockdev::IoStatus st) {
-                                finish(dev, st);
-                            }, sw->traceId);
-                    }
-                    if (p_alive) {
-                        initiator_.writeRemote(
-                            p_dev, addr, p,
-                            [finish, p_dev](blockdev::IoStatus st) {
-                                finish(p_dev, st);
-                            }, sw->traceId);
-                    }
-                    if (q_alive) {
-                        initiator_.writeRemote(
-                            q_dev, addr, q,
-                            [finish, q_dev](blockdev::IoStatus st) {
-                                finish(q_dev, st);
-                            }, sw->traceId);
-                    }
-                }, sw->traceId);
+                }
+                submitCharged(std::move(writes), sw->traceId,
+                              finishStripe(sw));
             };
             if (raid6)
                 chargeGf(stripe_bytes, issue, sw->traceId);
@@ -723,78 +532,38 @@ HostCentricRaid::doRcw(std::shared_ptr<StripeWrite> sw)
     };
 
     // Read phase: every chunk whose final content is not fully known.
-    std::vector<std::uint32_t> to_read;
     std::vector<bool> fully_written(k, false);
     for (const auto &seg : sw->plan.writes) {
         if (seg.offset == 0 && seg.length == chunk)
             fully_written[seg.dataIdx] = true;
     }
+    std::vector<blockdev::BatchIo> reads;
     for (std::uint32_t i = 0; i < k; ++i) {
-        if (!fully_written[i])
-            to_read.push_back(i);
+        if (fully_written[i])
+            continue;
+        const std::uint32_t dev = geom_.dataDevice(stripe, i);
+        reads.push_back(blockdev::BatchIo::read(dev, dev, addr, chunk));
     }
-    if (to_read.empty()) {
-        after_reads();
+    if (reads.empty()) {
+        after_reads({});
         return;
     }
-    ctx->remaining = static_cast<int>(to_read.size());
-    chargeDataPath(static_cast<std::uint64_t>(to_read.size()) * chunk,
-                   [this, sw, ctx, stripe, to_read, after_reads]() {
-        const std::uint64_t addr = geom_.deviceAddress(stripe, 0);
-        for (const auto idx : to_read) {
-            const std::uint32_t dev = geom_.dataDevice(stripe, idx);
-            initiator_.readRemote(
-                dev, addr, geom_.chunkSize(),
-                [ctx, idx, dev, after_reads](blockdev::IoStatus st,
-                                             ec::Buffer d) {
-                    if (st == blockdev::IoStatus::kOk) {
-                        ctx->chunks[idx] = std::move(d);
-                    } else {
-                        ctx->ok = false;
-                        if (st == blockdev::IoStatus::kTimedOut)
-                            ctx->suspect = dev;
-                    }
-                    if (--ctx->remaining == 0)
-                        after_reads();
-                }, sw->traceId);
-        }
-    }, sw->traceId);
+    submitCharged(std::move(reads), sw->traceId, std::move(after_reads));
 }
 
 void
 HostCentricRaid::doParityLess(std::shared_ptr<StripeWrite> sw)
 {
     const std::uint64_t stripe = sw->plan.stripe;
-    auto tally = std::make_shared<WriteTally>();
-    tally->remaining = static_cast<int>(sw->plan.writes.size());
-    std::uint64_t bytes = 0;
-    for (const auto &seg : sw->plan.writes)
-        bytes += seg.length;
-    chargeDataPath(bytes, [this, sw, stripe, tally]() {
-        for (std::size_t i = 0; i < sw->plan.writes.size(); ++i) {
-            const auto &seg = sw->plan.writes[i];
-            const std::uint32_t dev =
-                geom_.dataDevice(stripe, seg.dataIdx);
-            initiator_.writeRemote(
-                dev, geom_.deviceAddress(stripe, seg.offset),
-                sw->segData[i],
-                [this, sw, tally, dev](blockdev::IoStatus st) {
-                    if (st != blockdev::IoStatus::kOk) {
-                        tally->ok = false;
-                        if (st == blockdev::IoStatus::kTimedOut)
-                            tally->suspect = dev;
-                    }
-                    if (--tally->remaining == 0) {
-                        if (tally->ok) {
-                            sw->done(true);
-                        } else {
-                            sw->suspect = tally->suspect;
-                            retryStripe(sw);
-                        }
-                    }
-                }, sw->traceId);
-        }
-    }, sw->traceId);
+    std::vector<blockdev::BatchIo> writes;
+    for (std::size_t i = 0; i < sw->plan.writes.size(); ++i) {
+        const auto &seg = sw->plan.writes[i];
+        const std::uint32_t dev = geom_.dataDevice(stripe, seg.dataIdx);
+        writes.push_back(blockdev::BatchIo::write(
+            dev, dev, geom_.deviceAddress(stripe, seg.offset),
+            sw->segData[i]));
+    }
+    submitCharged(std::move(writes), sw->traceId, finishStripe(sw));
 }
 
 void
@@ -871,34 +640,31 @@ HostCentricRaid::readStripeGroup(std::uint64_t stripe,
             degradedStripeRead(stripe, std::move(extents), std::move(join));
             return;
         }
-        // The group settles once per extent instead of once as a whole.
-        join->pending += static_cast<int>(extents.size()) - 1;
+        std::vector<blockdev::BatchIo> reads;
         std::uint64_t bytes = 0;
-        for (const auto &g : extents)
+        for (const auto &g : extents) {
+            const std::uint32_t dev =
+                geom_.dataDevice(stripe, g.extent.dataIdx);
+            reads.push_back(blockdev::BatchIo::read(
+                dev, dev, geom_.deviceAddress(stripe, g.extent.offset),
+                g.extent.length));
             bytes += g.extent.length;
-        chargeReadPath(bytes, [this, stripe, extents = std::move(extents),
-                               join = std::move(join)]() {
-            // The SPDK POC holds the stripe lock (§8) until the group's
-            // last read is in; MD takes none.
-            auto unlocked_after =
-                tuning_.lockReads
-                    ? std::make_shared<std::size_t>(extents.size())
-                    : nullptr;
-            for (const auto &g : extents) {
-                initiator_.readRemote(
-                    geom_.dataDevice(stripe, g.extent.dataIdx),
-                    geom_.deviceAddress(stripe, g.extent.offset),
-                    g.extent.length,
-                    [this, stripe, join, unlocked_after,
-                     pos = g.outPos](blockdev::IoStatus st, ec::Buffer d) {
-                        const bool ok = st == blockdev::IoStatus::kOk;
-                        if (ok)
-                            join->land(pos, std::move(d));
-                        if (unlocked_after && --*unlocked_after == 0)
-                            locks_.release(stripe);
-                        settleRead(*join, ok);
-                    }, join->trace);
-            }
+        }
+        chargeReadPath(bytes, [this, stripe, trace, reads = std::move(reads),
+                               extents = std::move(extents),
+                               join = std::move(join)]() mutable {
+            initiator_.submitBatch(std::move(reads), trace,
+                                   [this, stripe, extents = std::move(extents),
+                                    join = std::move(join)](
+                                       blockdev::BatchResult r) {
+                for (std::size_t i = 0; r.ok && i < extents.size(); ++i)
+                    join->land(extents[i].outPos, std::move(r.ios[i].data));
+                // The SPDK POC holds the stripe lock (§8) until the
+                // group's last read is in; MD takes none.
+                if (tuning_.lockReads)
+                    locks_.release(stripe);
+                settleRead(*join, r.ok);
+            });
         }, trace);
     };
 
@@ -931,85 +697,60 @@ HostCentricRaid::degradedStripeRead(std::uint64_t stripe,
     const std::size_t fpos = failed_it->outPos;
     const std::uint64_t trace = join->trace;
 
-    // Gathers the recon-range slices to XOR and waits for the survivor
-    // extents too: the group settles once, when all of them are in.
-    struct Ctx
-    {
-        // draid-lint: cap(stripe width; recon-range slices)
-        std::vector<ec::Buffer> recon; ///< recon-range slices to XOR
-        int remaining = 0;
-        bool ok = true;
-    };
-    auto ctx = std::make_shared<Ctx>();
-
-    // Called from readStripeGroup's run, which holds the SPDK read lock.
-    auto settle = [this, stripe, join](bool ok) {
-        if (tuning_.lockReads)
-            locks_.release(stripe);
-        settleRead(*join, ok);
-    };
-    auto finish = [this, ctx, fpos, fl, trace, join, settle]() {
-        if (!ctx->ok) {
-            settle(false);
-            return;
-        }
-        chargeXor(static_cast<std::uint64_t>(fl) * ctx->recon.size(),
-                  [ctx, fpos, join, settle]() {
-            join->land(fpos, ec::Raid5Codec::recover(ctx->recon));
-            settle(true);
-        }, trace);
-    };
-
     // The host fetches the recon window of every surviving data chunk and
     // of P (n-1 reads). Requested survivor extents are fetched separately
     // — the host-centric baselines lack dRAID's §6.1 union co-design.
-    const auto recon_devs = geom_.rebuildSources(stripe, *failed_);
-    std::uint64_t total_bytes =
-        static_cast<std::uint64_t>(fl) * recon_devs.size();
-    ctx->remaining = static_cast<int>(recon_devs.size());
+    std::vector<blockdev::BatchIo> reads;
+    const std::uint64_t recon_addr = geom_.deviceAddress(stripe, fo);
+    for (const auto dev : geom_.rebuildSources(stripe, *failed_))
+        reads.push_back(blockdev::BatchIo::read(dev, dev, recon_addr, fl));
+    const std::size_t n_recon = reads.size();
+    std::uint64_t total_bytes = static_cast<std::uint64_t>(fl) * n_recon;
+    std::vector<std::size_t> out_pos; ///< per survivor extent read
     for (const auto &g : extents) {
-        if (g.extent.dataIdx != fidx) {
-            total_bytes += g.extent.length;
-            ++ctx->remaining;
-        }
+        if (g.extent.dataIdx == fidx)
+            continue;
+        const std::uint32_t dev = geom_.dataDevice(stripe, g.extent.dataIdx);
+        reads.push_back(blockdev::BatchIo::read(
+            dev, dev, geom_.deviceAddress(stripe, g.extent.offset),
+            g.extent.length));
+        out_pos.push_back(g.outPos);
+        total_bytes += g.extent.length;
     }
 
+    // The group settles once, when the recon slices and the survivor
+    // extents are all in. readStripeGroup's run holds the SPDK read lock.
+    auto done = [this, stripe, n_recon, out_pos = std::move(out_pos), fpos,
+                 fl, trace, join](blockdev::BatchResult r) {
+        const auto settle = [this, stripe, join](bool ok) {
+            if (tuning_.lockReads)
+                locks_.release(stripe);
+            settleRead(*join, ok);
+        };
+        if (!r.ok) {
+            settle(false);
+            return;
+        }
+        std::vector<ec::Buffer> recon;
+        for (std::size_t i = 0; i < r.ios.size(); ++i) {
+            if (i < n_recon)
+                recon.push_back(std::move(r.ios[i].data));
+            else
+                join->land(out_pos[i - n_recon], std::move(r.ios[i].data));
+        }
+        const std::uint64_t xor_bytes =
+            static_cast<std::uint64_t>(fl) * recon.size();
+        chargeXor(xor_bytes, [join, fpos, settle,
+                              recon = std::move(recon)]() {
+            join->land(fpos, ec::Raid5Codec::recover(recon));
+            settle(true);
+        }, trace);
+    };
     total_bytes = static_cast<std::uint64_t>(
         static_cast<double>(total_bytes) * tuning_.degradedPathFactor);
-    chargeDataPath(total_bytes, [this, ctx, recon_devs,
-                                 extents = std::move(extents), stripe, fo,
-                                 fl, fidx, join, trace, finish]() {
-        const std::uint64_t recon_addr = geom_.deviceAddress(stripe, fo);
-        for (const auto dev : recon_devs) {
-            initiator_.readRemote(
-                dev, recon_addr, fl,
-                [ctx, finish](blockdev::IoStatus st, ec::Buffer d) {
-                    if (st != blockdev::IoStatus::kOk)
-                        ctx->ok = false;
-                    else
-                        ctx->recon.push_back(std::move(d));
-                    if (--ctx->remaining == 0)
-                        finish();
-                }, trace);
-        }
-        for (const auto &g : extents) {
-            if (g.extent.dataIdx == fidx)
-                continue;
-            const std::uint32_t dev =
-                geom_.dataDevice(stripe, g.extent.dataIdx);
-            initiator_.readRemote(
-                dev, geom_.deviceAddress(stripe, g.extent.offset),
-                g.extent.length,
-                [ctx, join, pos = g.outPos,
-                 finish](blockdev::IoStatus st, ec::Buffer d) {
-                    if (st != blockdev::IoStatus::kOk)
-                        ctx->ok = false;
-                    else
-                        join->land(pos, std::move(d));
-                    if (--ctx->remaining == 0)
-                        finish();
-                }, trace);
-        }
+    chargeDataPath(total_bytes, [this, reads = std::move(reads), trace,
+                                 done = std::move(done)]() mutable {
+        initiator_.submitBatch(std::move(reads), trace, std::move(done));
     }, trace);
 }
 
@@ -1031,28 +772,19 @@ HostCentricRaid::reconstructChunk(std::uint64_t stripe,
                           cluster_.sim().now(), chunk_bytes, nullptr);
         inner(ok);
     };
-    const raid::ChunkRole role = geom_.roleOf(stripe, *failed_);
+    const bool q_rebuild =
+        geom_.roleOf(stripe, *failed_) == raid::ChunkRole::kParityQ;
     const std::uint32_t chunk = geom_.chunkSize();
     const std::uint64_t addr = geom_.deviceAddress(stripe, 0);
 
-    const auto sources = geom_.rebuildSources(stripe, *failed_);
-    const bool q_rebuild = role == raid::ChunkRole::kParityQ;
+    std::vector<blockdev::BatchIo> reads;
+    for (const auto dev : geom_.rebuildSources(stripe, *failed_))
+        reads.push_back(blockdev::BatchIo::read(dev, dev, addr, chunk));
 
-    struct Ctx
-    {
-        // draid-lint: cap(stripe width; one buffer per surviving device)
-        std::vector<ec::Buffer> bufs;
-        // draid-lint: cap(parallel to bufs; stripe width)
-        std::vector<std::uint32_t> idxs; ///< data index per buf (Q rebuild)
-        int remaining = 0;
-        bool ok = true;
-    };
-    auto ctx = std::make_shared<Ctx>();
-    ctx->remaining = static_cast<int>(sources.size());
-
-    auto assemble = [this, ctx, stripe, spare_target, chunk, addr, q_rebuild,
-                     trace, done = std::move(done)]() mutable {
-        if (!ctx->ok) {
+    auto assemble = [this, stripe, spare_target, chunk, addr, q_rebuild,
+                     trace, done = std::move(done)](
+                        blockdev::BatchResult r) mutable {
+        if (!r.ok) {
             done(false);
             return;
         }
@@ -1064,46 +796,29 @@ HostCentricRaid::reconstructChunk(std::uint64_t stripe,
                                    }, trace);
         };
         const std::uint64_t bytes =
-            static_cast<std::uint64_t>(chunk) * ctx->bufs.size();
+            static_cast<std::uint64_t>(chunk) * r.ios.size();
         if (q_rebuild) {
-            chargeGf(bytes, [this, ctx, chunk, write_out]() mutable {
+            chargeGf(bytes, [this, stripe, r = std::move(r), chunk,
+                             write_out]() mutable {
+                // Q = sum g^i D_i; a lost Q's sources are the data chunks.
                 const auto &gf = ec::Gf256::instance();
                 ec::Buffer q(chunk);
-                for (std::size_t i = 0; i < ctx->bufs.size(); ++i) {
-                    gf.mulAccum(gf.pow2(ctx->idxs[i]),
-                                ctx->bufs[i].data(), q.data(), chunk);
+                for (const auto &io : r.ios) {
+                    gf.mulAccum(gf.pow2(geom_.dataIndexOf(stripe, io.device)),
+                                io.data.data(), q.data(), chunk);
                 }
                 write_out(std::move(q));
             }, trace);
             return;
         }
-        chargeXor(bytes, [ctx, write_out]() mutable {
-            write_out(ec::Raid5Codec::recover(ctx->bufs));
+        std::vector<ec::Buffer> bufs;
+        for (auto &io : r.ios)
+            bufs.push_back(std::move(io.data));
+        chargeXor(bytes, [bufs = std::move(bufs), write_out]() mutable {
+            write_out(ec::Raid5Codec::recover(bufs));
         }, trace);
     };
-
-    chargeDataPath(static_cast<std::uint64_t>(chunk) * sources.size(),
-                   [this, ctx, sources, stripe, addr, chunk, trace,
-                    assemble]() mutable {
-        for (const auto dev : sources) {
-            std::uint32_t idx = 0;
-            if (geom_.roleOf(stripe, dev) == raid::ChunkRole::kData)
-                idx = geom_.dataIndexOf(stripe, dev);
-            initiator_.readRemote(
-                dev, addr, chunk,
-                [ctx, idx, assemble](blockdev::IoStatus st,
-                                     ec::Buffer d) mutable {
-                    if (st != blockdev::IoStatus::kOk) {
-                        ctx->ok = false;
-                    } else {
-                        ctx->bufs.push_back(std::move(d));
-                        ctx->idxs.push_back(idx);
-                    }
-                    if (--ctx->remaining == 0)
-                        assemble();
-                }, trace);
-        }
-    }, trace);
+    submitCharged(std::move(reads), trace, std::move(assemble));
 }
 
 } // namespace draid::baselines

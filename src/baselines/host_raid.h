@@ -149,13 +149,27 @@ class HostCentricRaid : public blockdev::BlockDevice, public net::Endpoint
                             std::size_t pos);
     void retryStripe(std::shared_ptr<StripeWrite> sw);
 
+    /**
+     * Retry @p sw after its failed batch @p r: a suspect @p r names
+     * replaces the earlier one, and none keeps it.
+     */
+    void retryAfter(std::shared_ptr<StripeWrite> sw,
+                    const blockdev::BatchResult &r);
+
+    /** A batch callback that ends @p sw, or retries it on failure. */
+    blockdev::BatchCallback finishStripe(std::shared_ptr<StripeWrite> sw);
+
+    /**
+     * Charge the host data path for the bytes of @p ios, then submit
+     * them as one batch.
+     */
+    void submitCharged(std::vector<blockdev::BatchIo> ios,
+                       std::uint64_t trace, blockdev::BatchCallback cb);
+
     // --- read path ---
     // Every read runs through one blockdev::ReadJoin: it owns the
     // caller's callback and the result, and each stripe group lands its
-    // pieces in it. A group settles once as a whole, and a healthy one
-    // adds a settle per further extent when it issues its reads: whether
-    // a group is degraded is decided only after the queue delay and the
-    // stripe lock, so the count cannot be fixed when the read starts.
+    // pieces in it and settles once, when its batch completes.
     void readStripeGroup(std::uint64_t stripe,
                          raid::PlacedExtents extents,
                          std::shared_ptr<blockdev::ReadJoin> join);

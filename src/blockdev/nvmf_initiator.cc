@@ -1,5 +1,6 @@
 #include "blockdev/nvmf_initiator.h"
 
+#include <cassert>
 #include <utility>
 
 #include "telemetry/interference.h"
@@ -40,6 +41,60 @@ NvmfInitiator::writeRemote(std::uint32_t target, std::uint64_t offset,
     c.payload = std::move(data);
     c.writeCb = std::move(cb);
     submit(std::move(c));
+}
+
+void
+NvmfInitiator::submitBatch(std::vector<BatchIo> ios, std::uint64_t trace,
+                           BatchCallback cb)
+{
+    assert(!ios.empty());
+    const auto n = static_cast<std::uint32_t>(ios.size());
+    const std::uint32_t b = batches_.acquire(Batch{std::move(ios), n,
+                                                   std::move(cb)});
+    for (std::uint32_t i = 0; i < n; ++i) {
+        BatchIo &io = batches_[b].ios[i];
+        Command c;
+        c.isRead = io.isRead;
+        c.offset = io.offset;
+        c.length = io.length;
+        c.target = io.target;
+        c.trace = trace;
+        if (io.isRead) {
+            c.readCb = [this, b, i](IoStatus st, ec::Buffer d) {
+                settleBatch(b, i, st, std::move(d));
+            };
+        } else {
+            c.payload = std::exchange(io.data, {});
+            c.writeCb = [this, b, i](IoStatus st) {
+                settleBatch(b, i, st, {});
+            };
+        }
+        submit(std::move(c));
+    }
+}
+
+void
+NvmfInitiator::settleBatch(std::uint32_t slot, std::uint32_t i, IoStatus st,
+                           ec::Buffer data)
+{
+    Batch &batch = batches_[slot];
+    batch.ios[i].status = st;
+    if (st == IoStatus::kOk)
+        batch.ios[i].data = std::move(data);
+    if (--batch.pending > 0)
+        return;
+    BatchResult r;
+    r.ios = std::exchange(batch.ios, {});
+    const BatchCallback cb = std::exchange(batch.cb, nullptr);
+    batches_.release(slot);
+    for (const BatchIo &io : r.ios) {
+        if (io.status == IoStatus::kOk)
+            continue;
+        r.ok = false;
+        if (io.status == IoStatus::kTimedOut && !r.suspect)
+            r.suspect = io.device;
+    }
+    cb(std::move(r));
 }
 
 void

@@ -8,12 +8,18 @@
  * that owns it receives all host-bound messages and offers completions via
  * tryComplete(), so one host node can host a RAID controller and an
  * initiator side by side.
+ *
+ * A batch is an ordered list of plain reads and writes sharing one
+ * completion: the RAID hosts read and write a stripe's chunks through it,
+ * and it answers whether the list succeeded and which device to blame.
  */
 
 #ifndef DRAID_BLOCKDEV_NVMF_INITIATOR_H
 #define DRAID_BLOCKDEV_NVMF_INITIATOR_H
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -35,6 +41,50 @@ struct CommandIdAllocator
     std::uint64_t alloc() { return next++; }
 };
 
+/** One plain command of a batch, handed back completed. */
+struct BatchIo
+{
+    std::uint32_t device = 0; ///< member device the command stands for
+    std::uint32_t target = 0; ///< cluster target serving that device
+    std::uint64_t offset = 0;
+    std::uint32_t length = 0;
+    bool isRead = false;
+    /** A write's data until issued; a read's payload once it is kOk. */
+    ec::Buffer data;
+    IoStatus status = IoStatus::kOk;
+
+    static BatchIo
+    read(std::uint32_t device, std::uint32_t target, std::uint64_t offset,
+         std::uint32_t length)
+    {
+        return BatchIo{device, target, offset, length, true, {}};
+    }
+
+    static BatchIo
+    write(std::uint32_t device, std::uint32_t target, std::uint64_t offset,
+          ec::Buffer data)
+    {
+        const auto length = static_cast<std::uint32_t>(data.size());
+        return BatchIo{device, target, offset, length, false,
+                       std::move(data)};
+    }
+};
+
+/** A batch after its last command has completed or timed out. */
+struct BatchResult
+{
+    // draid-lint: cap(commands of one batch; at most a stripe's chunks)
+    std::vector<BatchIo> ios; ///< in list order
+    bool ok = true;           ///< every command returned kOk
+    /**
+     * Device to fail over to once retries are used up: that of the first
+     * command in list order that timed out. A read error names none.
+     */
+    std::optional<std::uint32_t> suspect;
+};
+
+using BatchCallback = std::function<void(BatchResult)>;
+
 /** Host-side initiator multiplexing all remote targets. */
 class NvmfInitiator
 {
@@ -54,6 +104,14 @@ class NvmfInitiator
     void writeRemote(std::uint32_t target, std::uint64_t offset,
                      ec::Buffer data, WriteCallback cb,
                      std::uint64_t trace = 0);
+
+    /**
+     * Issue @p ios through readRemote/writeRemote in list order, all
+     * tagged @p trace, and run @p cb once, after the last has completed
+     * or timed out. @p ios must not be empty.
+     */
+    void submitBatch(std::vector<BatchIo> ios, std::uint64_t trace,
+                     BatchCallback cb);
 
     /**
      * Offer a host-bound message. Returns true if it completed one of this
@@ -103,6 +161,22 @@ class NvmfInitiator
 
     void onTimeout(std::uint64_t id);
 
+    /** Command @p i of batch @p slot is done; the last runs its callback. */
+    void settleBatch(std::uint32_t slot, std::uint32_t i, IoStatus st,
+                     ec::Buffer data);
+
+    /**
+     * A batch in flight. Each command's callback captures only (this,
+     * slot, index), which std::function stores inline.
+     */
+    struct Batch
+    {
+        // draid-lint: cap(commands of one batch; at most a stripe's chunks)
+        std::vector<BatchIo> ios;
+        std::size_t pending = 0; ///< commands still to settle
+        BatchCallback cb;
+    };
+
     /** Command id -> slot. */
     using PendingMap = std::unordered_map<std::uint64_t, std::uint32_t>;
 
@@ -119,6 +193,8 @@ class NvmfInitiator
     /** Slot of each command still awaiting completion or deadline. */
     // draid-lint: cap(in-flight commands; bounded by the host queue depth)
     PendingMap pending_;
+    /** Every batch whose callback has not run yet. */
+    sim::SlotPool<Batch> batches_;
     /** Nodes erased from pending_, reused so that arming allocates none. */
     // draid-lint: cap(peak in-flight commands; one node per erased entry)
     std::vector<PendingMap::node_type> spareNodes_;

@@ -482,44 +482,22 @@ DraidHost::executeFullStripe(std::shared_ptr<StripeWrite> sw)
             p = ec::Raid5Codec::computeParity(chunks);
         }
 
-        struct Tally
-        {
-            int remaining = 0;
-            bool ok = true;
+        const std::uint64_t stripe = sw->plan.stripe;
+        const std::uint64_t addr = geom_.deviceAddress(stripe, 0);
+        std::vector<blockdev::BatchIo> writes;
+        const auto add = [&](std::uint32_t dev, ec::Buffer buf) {
+            if (failed_ && dev == *failed_)
+                return; // lost chunk: content implied by the others
+            writes.push_back(blockdev::BatchIo::write(dev, targetOf(dev), addr,
+                                                      std::move(buf)));
         };
-        auto tally = std::make_shared<Tally>();
-        auto finish = [this, sw, tally](blockdev::IoStatus st) {
-            if (st != blockdev::IoStatus::kOk)
-                tally->ok = false;
-            if (--tally->remaining == 0) {
-                if (tally->ok)
-                    sw->done(true);
-                else
-                    retryStripe(sw);
-            }
-        };
-
-        const std::uint64_t addr = geom_.deviceAddress(sw->plan.stripe, 0);
-        std::vector<std::pair<std::uint32_t, ec::Buffer>> ios;
         for (std::uint32_t i = 0; i < geom_.dataChunks(); ++i)
-            ios.emplace_back(geom_.dataDevice(sw->plan.stripe, i),
-                             chunks[i]);
-        ios.emplace_back(geom_.parityDevice(sw->plan.stripe), p);
+            add(geom_.dataDevice(stripe, i), chunks[i]);
+        add(geom_.parityDevice(stripe), std::move(p));
         if (geom_.level() == raid::RaidLevel::kRaid6)
-            ios.emplace_back(geom_.qDevice(sw->plan.stripe), q);
-
-        for (auto &[dev, buf] : ios) {
-            if (failed_ && dev == *failed_)
-                continue; // lost chunk: content implied by the others
-            ++tally->remaining;
-        }
-        assert(tally->remaining > 0);
-        for (auto &[dev, buf] : ios) {
-            if (failed_ && dev == *failed_)
-                continue;
-            initiator_.writeRemote(targetOf(dev), addr, buf, finish,
-                                   sw->traceId);
-        }
+            add(geom_.qDevice(stripe), std::move(q));
+        initiator_.submitBatch(std::move(writes), sw->traceId,
+                               finishStripe(sw));
     };
 
     // Charge the host-side parity computation.
@@ -540,31 +518,16 @@ void
 DraidHost::executeParityLessWrite(std::shared_ptr<StripeWrite> sw)
 {
     // RAID-5 stripe whose parity device failed: plain data writes.
-    struct Tally
-    {
-        int remaining = 0;
-        bool ok = true;
-    };
-    auto tally = std::make_shared<Tally>();
-    tally->remaining = static_cast<int>(sw->plan.writes.size());
+    const std::uint64_t stripe = sw->plan.stripe;
+    std::vector<blockdev::BatchIo> writes;
     for (std::size_t i = 0; i < sw->plan.writes.size(); ++i) {
         const auto &seg = sw->plan.writes[i];
-        const std::uint32_t dev =
-            geom_.dataDevice(sw->plan.stripe, seg.dataIdx);
-        const std::uint64_t addr =
-            geom_.deviceAddress(sw->plan.stripe, seg.offset);
-        initiator_.writeRemote(targetOf(dev), addr, sw->segData[i],
-                               [this, sw, tally](blockdev::IoStatus st) {
-            if (st != blockdev::IoStatus::kOk)
-                tally->ok = false;
-            if (--tally->remaining == 0) {
-                if (tally->ok)
-                    sw->done(true);
-                else
-                    retryStripe(sw);
-            }
-        }, sw->traceId);
+        const std::uint32_t dev = geom_.dataDevice(stripe, seg.dataIdx);
+        writes.push_back(blockdev::BatchIo::write(
+            dev, targetOf(dev), geom_.deviceAddress(stripe, seg.offset),
+            sw->segData[i]));
     }
+    initiator_.submitBatch(std::move(writes), sw->traceId, finishStripe(sw));
 }
 
 void
@@ -676,6 +639,17 @@ DraidHost::executePartialStripe(std::shared_ptr<StripeWrite> sw)
         sendCapsule(p_dev, make_parity(kParitySub), {});
     if (q_alive)
         sendCapsule(q_dev, make_parity(kQParitySub), {});
+}
+
+blockdev::BatchCallback
+DraidHost::finishStripe(std::shared_ptr<StripeWrite> sw)
+{
+    return [this, sw = std::move(sw)](blockdev::BatchResult r) {
+        if (r.ok)
+            sw->done(true);
+        else
+            retryStripe(sw);
+    };
 }
 
 void

@@ -180,6 +180,8 @@ class DraidHost : public blockdev::BlockDevice, public net::Endpoint
     void executeDegradedTargetedWrite(std::shared_ptr<StripeWrite> sw,
                                       std::size_t pos);
     void retryStripe(std::shared_ptr<StripeWrite> sw);
+    /** A batch callback that ends @p sw, or retries it on failure. */
+    blockdev::BatchCallback finishStripe(std::shared_ptr<StripeWrite> sw);
     void failoverFrom(const std::set<std::uint8_t> &missing,
                       std::uint64_t stripe);
 

@@ -9,7 +9,6 @@
  * out-of-sync stripes found via the write-intent bitmap get scrubbed).
  */
 
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -42,27 +41,50 @@ DraidHost::scrubStripe(std::uint64_t stripe, bool repair,
     const std::uint64_t addr = geom_.deviceAddress(stripe, 0);
     const bool raid6 = geom_.level() == raid::RaidLevel::kRaid6;
 
-    struct Ctx
-    {
-        // draid-lint: cap(stripe width; one buffer per data chunk)
-        std::vector<ec::Buffer> data;
-        ec::Buffer p;
-        ec::Buffer q;
-        int remaining = 0;
-        bool ok = true;
-        // Chunk indices that could not be read (media errors): 0..k-1 =
-        // data chunk, k = P, k+1 = Q.
-        int failCount = 0;
-        int failedIdx = -1;
+    // Rewrite each of @p fixes in place as one batch; the pass succeeds
+    // only if every write does.
+    auto rewrite = [this, addr](std::vector<std::pair<std::uint32_t,
+                                                      ec::Buffer>> fixes,
+                                std::function<void(ScrubResult)> finish) {
+        std::vector<blockdev::BatchIo> writes;
+        for (auto &[device, fix] : fixes) {
+            writes.push_back(blockdev::BatchIo::write(
+                device, targetOf(device), addr, std::move(fix)));
+        }
+        initiator_.submitBatch(std::move(writes), 0,
+                               [finish = std::move(finish)](
+                                   blockdev::BatchResult r) {
+            finish(r.ok ? ScrubResult{true, false, true} : ScrubResult{});
+        });
     };
-    auto ctx = std::make_shared<Ctx>();
-    ctx->data.assign(k, ec::Buffer());
-    ctx->remaining = static_cast<int>(k) + (raid6 ? 2 : 1);
 
-    auto verify = [this, ctx, stripe, addr, repair, raid6, k,
-                   done = std::move(done)]() mutable {
-        if (!ctx->ok) {
-            if (!repair || ctx->failCount != 1) {
+    // Read the whole stripe in list order: data chunks 0..k-1, P, Q.
+    std::vector<blockdev::BatchIo> reads;
+    const auto read = [&](std::uint32_t device) {
+        reads.push_back(
+            blockdev::BatchIo::read(device, targetOf(device), addr, chunk));
+    };
+    for (std::uint32_t i = 0; i < k; ++i)
+        read(geom_.dataDevice(stripe, i));
+    read(geom_.parityDevice(stripe));
+    if (raid6)
+        read(geom_.qDevice(stripe));
+
+    auto verify = [this, stripe, repair, raid6, k, rewrite,
+                   done = std::move(done)](blockdev::BatchResult r) mutable {
+        std::vector<ec::Buffer> data;
+        for (std::uint32_t i = 0; i < k; ++i)
+            data.push_back(std::move(r.ios[i].data));
+        ec::Buffer p = std::move(r.ios[k].data);
+        ec::Buffer q = raid6 ? std::move(r.ios[k + 1].data) : ec::Buffer();
+        if (!r.ok) {
+            // Chunks that could not be read (media errors), by list index.
+            std::vector<std::uint32_t> unreadable;
+            for (std::uint32_t i = 0; i < r.ios.size(); ++i) {
+                if (r.ios[i].status != blockdev::IoStatus::kOk)
+                    unreadable.push_back(i);
+            }
+            if (!repair || unreadable.size() != 1) {
                 done(ScrubResult{});
                 return;
             }
@@ -70,61 +92,50 @@ DraidHost::scrubStripe(std::uint64_t stripe, bool repair,
             // surfaced by the scrub): reconstruct it from the survivors
             // and rewrite it in place, which also clears the bad range
             // on the drive.
-            const int fi = ctx->failedIdx;
+            const std::uint32_t fi = unreadable.front();
             ec::Buffer fix;
-            std::uint32_t device;
-            if (fi < static_cast<int>(k)) {
+            if (fi < k) {
                 // Data chunk: XOR of P and the surviving data chunks.
                 std::vector<ec::Buffer> survivors;
                 survivors.reserve(k);
-                survivors.push_back(ctx->p);
+                survivors.push_back(p);
                 for (std::uint32_t j = 0; j < k; ++j) {
-                    if (static_cast<int>(j) != fi)
-                        survivors.push_back(ctx->data[j]);
+                    if (j != fi)
+                        survivors.push_back(data[j]);
                 }
                 fix = ec::Raid5Codec::recover(survivors);
-                device = geom_.dataDevice(
-                    stripe, static_cast<std::uint32_t>(fi));
-            } else if (fi == static_cast<int>(k)) {
-                fix = ec::Raid5Codec::computeParity(ctx->data);
-                device = geom_.parityDevice(stripe);
+            } else if (fi == k) {
+                fix = ec::Raid5Codec::computeParity(data);
             } else {
                 ec::Buffer ep, eq;
-                ec::Raid6Codec::computePQ(ctx->data, ep, eq);
+                ec::Raid6Codec::computePQ(data, ep, eq);
                 fix = std::move(eq);
-                device = geom_.qDevice(stripe);
             }
+            const std::uint32_t device = r.ios[fi].device;
             cluster_.host().cpu().executeBytes(
                 fix.size(), cluster_.config().xorBw, sim::Ticks::zero(),
-                [this, addr, device, fix = std::move(fix),
+                [rewrite, device, fix = std::move(fix),
                  done = std::move(done)]() mutable {
-                    initiator_.writeRemote(
-                        targetOf(device), addr, fix,
-                        [done = std::move(done)](
-                            blockdev::IoStatus st) mutable {
-                            done(st == blockdev::IoStatus::kOk
-                                     ? ScrubResult{true, false, true}
-                                     : ScrubResult{});
-                        });
+                    rewrite({{device, std::move(fix)}}, std::move(done));
                 });
             return;
         }
         ec::Buffer expect_p, expect_q;
         if (raid6)
-            ec::Raid6Codec::computePQ(ctx->data, expect_p, expect_q);
+            ec::Raid6Codec::computePQ(data, expect_p, expect_q);
         else
-            expect_p = ec::Raid5Codec::computeParity(ctx->data);
+            expect_p = ec::Raid5Codec::computeParity(data);
 
         // Charge the verification XOR/GF work on the host core.
         const std::uint64_t bytes = geom_.stripeDataSize();
         cluster_.host().cpu().executeBytes(
             bytes, cluster_.config().xorBw, sim::Ticks::zero(),
-            [this, ctx, stripe, addr, repair, raid6,
-             expect_p = std::move(expect_p), expect_q = std::move(expect_q),
+            [this, stripe, repair, raid6, rewrite, p = std::move(p),
+             q = std::move(q), expect_p = std::move(expect_p),
+             expect_q = std::move(expect_q),
              done = std::move(done)]() mutable {
-                const bool p_ok = ctx->p.contentEquals(expect_p);
-                const bool q_ok =
-                    !raid6 || ctx->q.contentEquals(expect_q);
+                const bool p_ok = p.contentEquals(expect_p);
+                const bool q_ok = !raid6 || q.contentEquals(expect_q);
                 if (p_ok && q_ok) {
                     done(ScrubResult{true, true, false});
                     return;
@@ -134,67 +145,15 @@ DraidHost::scrubStripe(std::uint64_t stripe, bool repair,
                     return;
                 }
                 // Repair: rewrite whichever parity chunk mismatched.
-                auto remaining = std::make_shared<int>(
-                    (p_ok ? 0 : 1) + (q_ok ? 0 : 1));
-                auto finish = [remaining,
-                               done = std::move(done)](
-                                  blockdev::IoStatus st) mutable {
-                    if (st != blockdev::IoStatus::kOk) {
-                        done(ScrubResult{false, false, false});
-                        return;
-                    }
-                    if (--*remaining == 0)
-                        done(ScrubResult{true, false, true});
-                };
-                if (!p_ok) {
-                    initiator_.writeRemote(targetOf(geom_.parityDevice(stripe)),
-                                           addr, expect_p, finish);
-                }
-                if (!q_ok) {
-                    initiator_.writeRemote(targetOf(geom_.qDevice(stripe)), addr,
-                                           expect_q, finish);
-                }
+                std::vector<std::pair<std::uint32_t, ec::Buffer>> fixes;
+                if (!p_ok)
+                    fixes.emplace_back(geom_.parityDevice(stripe), expect_p);
+                if (!q_ok)
+                    fixes.emplace_back(geom_.qDevice(stripe), expect_q);
+                rewrite(std::move(fixes), std::move(done));
             });
     };
-
-    auto join = [ctx, verify](int idx, bool ok) mutable {
-        if (!ok) {
-            ctx->ok = false;
-            ++ctx->failCount;
-            ctx->failedIdx = idx;
-        }
-        if (--ctx->remaining == 0)
-            verify();
-    };
-
-    for (std::uint32_t i = 0; i < k; ++i) {
-        initiator_.readRemote(targetOf(geom_.dataDevice(stripe, i)), addr, chunk,
-                              [ctx, i, join](blockdev::IoStatus st,
-                                             ec::Buffer d) mutable {
-                                  if (st == blockdev::IoStatus::kOk)
-                                      ctx->data[i] = std::move(d);
-                                  join(static_cast<int>(i),
-                                       st == blockdev::IoStatus::kOk);
-                              });
-    }
-    initiator_.readRemote(targetOf(geom_.parityDevice(stripe)), addr, chunk,
-                          [ctx, k, join](blockdev::IoStatus st,
-                                         ec::Buffer d) mutable {
-                              if (st == blockdev::IoStatus::kOk)
-                                  ctx->p = std::move(d);
-                              join(static_cast<int>(k),
-                                   st == blockdev::IoStatus::kOk);
-                          });
-    if (raid6) {
-        initiator_.readRemote(targetOf(geom_.qDevice(stripe)), addr, chunk,
-                              [ctx, k, join](blockdev::IoStatus st,
-                                             ec::Buffer d) mutable {
-                                  if (st == blockdev::IoStatus::kOk)
-                                      ctx->q = std::move(d);
-                                  join(static_cast<int>(k) + 1,
-                                       st == blockdev::IoStatus::kOk);
-                              });
-    }
+    initiator_.submitBatch(std::move(reads), 0, std::move(verify));
 }
 
 } // namespace draid::core

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "baselines/linux_md.h"
 #include "baselines/spdk_raid.h"
@@ -357,6 +358,28 @@ TEST(BaselineFailure, TimeoutFailsOverToDegraded)
     EXPECT_TRUE(rig.raidDev->isDegraded());
     ec::Buffer got = readSync(rig.sim(), *rig.raidDev, 0, 8192);
     EXPECT_TRUE(got.contentEquals(data));
+}
+
+TEST(BaselineFailure, LatentSectorErrorUnderRmwFailsNoDevice)
+{
+    // A read error names no suspect: an RMW whose old data sits on a
+    // latent sector error uses up its retries and fails, but the healthy
+    // drive under it is not failed over.
+    BaselineRig rig(Kind::kSpdk, RaidLevel::kRaid5);
+    const auto &g = rig.raidDev->geometry();
+    ec::Buffer pre(g.stripeDataSize());
+    pre.fillPattern(17);
+    ASSERT_TRUE(writeSync(rig.sim(), *rig.raidDev, 0, pre));
+
+    rig.cluster->target(g.dataDevice(0, 0))
+        .ssd()
+        .plantLatentSectorError(g.deviceAddress(0, 0), 4096);
+    ec::Buffer data(8192);
+    data.fillPattern(18);
+    const auto rmw_before = rig.raidDev->counters().rmwWrites;
+    EXPECT_FALSE(writeSync(rig.sim(), *rig.raidDev, 0, data));
+    EXPECT_GT(rig.raidDev->counters().rmwWrites, rmw_before);
+    EXPECT_FALSE(rig.raidDev->isDegraded());
 }
 
 TEST(BaselineFailure, FailedReadHandsBackZeros)

@@ -5,6 +5,7 @@
 
 #include <cstring>
 #include <utility>
+#include <vector>
 
 #include "draid_test_util.h"
 

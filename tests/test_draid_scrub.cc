@@ -189,3 +189,37 @@ TEST_P(DraidScrub, WholeArraySweepAfterWriteStorm)
 INSTANTIATE_TEST_SUITE_P(Levels, DraidScrub,
                          ::testing::Values(RaidLevel::kRaid5,
                                            RaidLevel::kRaid6));
+
+TEST(DraidScrubRaid6, FailedRepairWritesReportOnce)
+{
+    // Both parity chunks mismatch, and both parity targets go down while
+    // their repair writes are in flight (148 us in, after the stripe
+    // reads and the verification): the pass fails, and reports so once.
+    DraidRig rig(6, opts(RaidLevel::kRaid6));
+    const auto &g = rig.host().geometry();
+    ec::Buffer data(g.stripeDataSize());
+    data.fillPattern(7);
+    ASSERT_TRUE(writeSync(rig.sim(), rig.host(), 0, data));
+
+    ec::Buffer garbage(g.chunkSize());
+    garbage.fill(0x3c);
+    rig.cluster->target(g.parityDevice(0)).ssd().store().writeSync(0, garbage);
+    rig.cluster->target(g.qDevice(0)).ssd().store().writeSync(0, garbage);
+
+    int calls = 0;
+    DraidHost::ScrubResult result{true, true, true};
+    rig.host().scrubStripe(0, /*repair=*/true,
+                           [&](DraidHost::ScrubResult r) {
+                               ++calls;
+                               result = r;
+                           });
+    rig.sim().schedule(sim::Ticks::us(148), [&]() {
+        rig.cluster->failTarget(g.parityDevice(0));
+        rig.cluster->failTarget(g.qDevice(0));
+    });
+    rig.sim().runUntil(sim::Ticks::sec(1));
+
+    EXPECT_EQ(calls, 1);
+    EXPECT_FALSE(result.ok);
+    EXPECT_FALSE(result.repaired);
+}

@@ -255,11 +255,12 @@ TEST(Fabric, InFlightCompletionsAreReleasedWithTheCluster)
     EXPECT_EQ(sentinel.use_count(), 1);
     EXPECT_TRUE(payload.unique());
 
-    // Then one NVMe-oF read and one write, with the cluster destroyed at
-    // the first tick of every stage of their life that the counters can
-    // tell apart: pending in the initiator, queued on the host CPU, on
-    // the wire, in the target's CPU queue, in the SSD channel and media
-    // latency, pushed back, and as a completion on the host CPU.
+    // Then one NVMe-oF read, one write and a batch of both, with the
+    // cluster destroyed at the first tick of every stage of their life
+    // that the counters can tell apart: pending in the initiator, queued
+    // on the host CPU, on the wire, in the target's CPU queue, in the SSD
+    // channel and media latency, pushed back, and as a completion on the
+    // host CPU.
     int done = 0;
     const auto issue = [&done](NvmfRig &rig, std::shared_ptr<int> token,
                                const ec::Buffer &data) {
@@ -271,6 +272,13 @@ TEST(Fabric, InFlightCompletionsAreReleasedWithTheCluster)
             0, 1 << 20, data, [&done, token](blockdev::IoStatus) {
                 ++done;
             });
+        std::vector<blockdev::BatchIo> ios;
+        ios.push_back(blockdev::BatchIo::read(0, 0, 8192, 4096));
+        ios.push_back(blockdev::BatchIo::write(0, 0, 2 << 20, data));
+        rig.initiator.submitBatch(std::move(ios), 0,
+                                  [&done, token](blockdev::BatchResult) {
+                                      ++done;
+                                  });
     };
     const auto stage = [&done](NvmfRig &rig) {
         nvme::Ssd &ssd = rig.cluster.target(0).ssd();
@@ -288,7 +296,7 @@ TEST(Fabric, InFlightCompletionsAreReleasedWithTheCluster)
         const ec::Buffer data(4096);
         issue(rig, nullptr, data);
         std::set<decltype(stage(rig))> seen{stage(rig)};
-        for (Ticks t{50}; done < 2; t += Ticks{50}) {
+        for (Ticks t{50}; done < 3; t += Ticks{50}) {
             rig.cluster.sim().runUntil(t);
             if (seen.insert(stage(rig)).second)
                 stops.push_back(t);
@@ -297,7 +305,7 @@ TEST(Fabric, InFlightCompletionsAreReleasedWithTheCluster)
         EXPECT_TRUE(data.unique());
     }
     ASSERT_GE(stops.size(), 10u);
-    stops.pop_back(); // both callbacks have run
+    stops.pop_back(); // every callback has run
     for (const Ticks stop : stops) {
         ec::Buffer data(4096);
         {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "blockdev/nvmf_initiator.h"
 #include "blockdev/nvmf_target.h"
@@ -220,4 +221,93 @@ TEST(Nvmf, UnknownCompletionIgnored)
     c.commandId = 0xdeadull;
     EXPECT_FALSE(rig.initiator.tryComplete(
         net::Message{1, 0, c, {}}));
+}
+
+TEST(NvmfBatch, CallsBackOnceWithResultsInListOrder)
+{
+    Rig rig;
+    ec::Buffer a(8192), b(4096);
+    a.fillPattern(31);
+    b.fillPattern(32);
+    rig.cluster.target(0).ssd().store().writeSync(0, a);
+    rig.cluster.target(1).ssd().store().writeSync(4096, b);
+
+    ec::Buffer w(4096);
+    w.fillPattern(33);
+    std::vector<BatchIo> ios;
+    ios.push_back(BatchIo::read(5, 1, 4096, 4096));
+    ios.push_back(BatchIo::write(6, 1, 65536, w));
+    ios.push_back(BatchIo::read(7, 0, 0, 8192));
+    int calls = 0;
+    BatchResult got;
+    rig.initiator.submitBatch(std::move(ios), 0, [&](BatchResult r) {
+        ++calls;
+        got = std::move(r);
+    });
+    rig.cluster.sim().run();
+
+    EXPECT_EQ(calls, 1);
+    EXPECT_TRUE(got.ok);
+    EXPECT_FALSE(got.suspect.has_value());
+    ASSERT_EQ(got.ios.size(), 3u);
+    const std::uint32_t devices[] = {5, 6, 7};
+    for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(got.ios[i].device, devices[i]);
+        EXPECT_EQ(got.ios[i].status, IoStatus::kOk);
+    }
+    EXPECT_TRUE(got.ios[0].data.contentEquals(b));
+    EXPECT_TRUE(got.ios[1].data.empty());
+    EXPECT_TRUE(got.ios[2].data.contentEquals(a));
+    EXPECT_TRUE(rig.cluster.target(1).ssd().store().readSync(65536, 4096)
+                    .contentEquals(w));
+    EXPECT_EQ(rig.initiator.pendingOps(), 0u);
+}
+
+TEST(NvmfBatch, SuspectIsTheFirstTimedOutCommandsDevice)
+{
+    // A read error comes first in the list but names no suspect; of the
+    // two commands that time out, the earlier in list order is blamed,
+    // by the member device it stands for, not by its cluster target.
+    Rig rig(3);
+    rig.cluster.target(0).ssd().plantLatentSectorError(0, 4096);
+    rig.cluster.failTarget(2);
+    rig.cluster.failTarget(1);
+    std::vector<BatchIo> ios;
+    ios.push_back(BatchIo::read(10, 0, 0, 4096));
+    ios.push_back(BatchIo::read(12, 2, 0, 4096));
+    ios.push_back(BatchIo::write(11, 1, 0, ec::Buffer(4096)));
+    int calls = 0;
+    BatchResult got;
+    rig.initiator.submitBatch(std::move(ios), 0, [&](BatchResult r) {
+        ++calls;
+        got = std::move(r);
+    });
+    rig.cluster.sim().run();
+
+    EXPECT_EQ(calls, 1);
+    EXPECT_FALSE(got.ok);
+    ASSERT_EQ(got.ios.size(), 3u);
+    EXPECT_EQ(got.ios[0].status, IoStatus::kError);
+    EXPECT_EQ(got.ios[1].status, IoStatus::kTimedOut);
+    EXPECT_EQ(got.ios[2].status, IoStatus::kTimedOut);
+    EXPECT_TRUE(got.ios[0].data.empty());
+    EXPECT_EQ(got.suspect, 12u);
+}
+
+TEST(NvmfBatch, ReadErrorAloneNamesNoSuspect)
+{
+    Rig rig;
+    rig.cluster.target(0).ssd().plantLatentSectorError(0, 4096);
+    std::vector<BatchIo> ios;
+    ios.push_back(BatchIo::read(0, 0, 0, 4096));
+    ios.push_back(BatchIo::read(1, 1, 0, 4096));
+    BatchResult got;
+    rig.initiator.submitBatch(std::move(ios), 0,
+                              [&](BatchResult r) { got = std::move(r); });
+    rig.cluster.sim().run();
+
+    EXPECT_FALSE(got.ok);
+    EXPECT_EQ(got.ios[0].status, IoStatus::kError);
+    EXPECT_EQ(got.ios[1].status, IoStatus::kOk);
+    EXPECT_FALSE(got.suspect.has_value());
 }
