@@ -570,12 +570,16 @@ void
 HostCentricRaid::retryStripe(std::shared_ptr<StripeWrite> sw)
 {
     if (sw->retriesLeft-- <= 0) {
-        if (!failed_ && sw->suspect) {
-            markFailed(*sw->suspect);
+        // Retries are used up (DESIGN.md §4.1): fail the suspect over if
+        // the array is healthy and re-execute in degraded mode, which a
+        // suspect already failed gets too; otherwise fail the write.
+        const auto suspect = std::exchange(sw->suspect, std::nullopt);
+        if (suspect && !failed_)
+            markFailed(*suspect);
+        if (suspect && failed_ == suspect)
             executeStripeWrite(sw);
-            return;
-        }
-        sw->done(false);
+        else
+            sw->done(false);
         return;
     }
     ++counters_.retries;

@@ -106,9 +106,9 @@ class NvmfInitiator
                      std::uint64_t trace = 0);
 
     /**
-     * Issue @p ios through readRemote/writeRemote in list order, all
-     * tagged @p trace, and run @p cb once, after the last has completed
-     * or timed out. @p ios must not be empty.
+     * Issue @p ios in list order, each as readRemote/writeRemote would
+     * and all tagged @p trace, and run @p cb once, after the last has
+     * completed or timed out. @p ios must not be empty.
      */
     void submitBatch(std::vector<BatchIo> ios, std::uint64_t trace,
                      BatchCallback cb);

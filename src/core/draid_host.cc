@@ -121,6 +121,21 @@ DraidHost::registerOp(std::set<std::uint8_t> subs,
     return op;
 }
 
+std::uint64_t
+DraidHost::registerWriteOp(std::set<std::uint8_t> subs,
+                           std::shared_ptr<StripeWrite> sw)
+{
+    const std::uint64_t op =
+        registerOp(std::move(subs), nullptr, [this, sw](bool ok) {
+            if (ok)
+                sw->done(true);
+            else
+                retryStripe(sw);
+        });
+    pending_.at(op).write = std::move(sw);
+    return op;
+}
+
 void
 DraidHost::completeSub(std::uint64_t op, std::uint8_t sub, bool ok,
                        ec::Buffer payload)
@@ -153,7 +168,12 @@ DraidHost::expireOp(std::uint64_t op)
         return;
     cluster_.telemetry().flightRecorder().noteAbnormal(
         "op.timeout", op, cluster_.hostId(), cluster_.sim().now().raw());
-    lastExpiredSubs_ = it->second.waitingSubs;
+    // The op's first missing sub-command, on its own stripe, is the one
+    // its write blames.
+    if (StripeWrite *sw = it->second.write.get()) {
+        sw->suspect =
+            deviceOfSub(sw->plan.stripe, *it->second.waitingSubs.begin());
+    }
     auto done = std::move(it->second.onDone);
     pending_.erase(it);
     if (done)
@@ -400,13 +420,7 @@ DraidHost::executeDegradedTargetedWrite(std::shared_ptr<StripeWrite> sw,
     std::set<std::uint8_t> subs{kParitySub};
     if (raid6)
         subs.insert(kQParitySub);
-    const std::uint64_t op = registerOp(
-        std::move(subs), nullptr, [this, sw](bool ok) {
-            if (ok)
-                sw->done(true);
-            else
-                retryStripe(sw);
-        });
+    const std::uint64_t op = registerWriteOp(std::move(subs), sw);
 
     const std::uint64_t chunk_addr = geom_.deviceAddress(stripe, 0);
 
@@ -560,13 +574,7 @@ DraidHost::executePartialStripe(std::shared_ptr<StripeWrite> sw)
     if (q_alive)
         subs.insert(kQParitySub);
 
-    const std::uint64_t op = registerOp(
-        std::move(subs), nullptr, [this, sw](bool ok) {
-            if (ok)
-                sw->done(true);
-            else
-                retryStripe(sw);
-        });
+    const std::uint64_t op = registerWriteOp(std::move(subs), sw);
 
     const sim::NodeId p_node =
         p_alive ? nodeOf(p_dev) : sim::kInvalidNode;
@@ -645,10 +653,13 @@ blockdev::BatchCallback
 DraidHost::finishStripe(std::shared_ptr<StripeWrite> sw)
 {
     return [this, sw = std::move(sw)](blockdev::BatchResult r) {
-        if (r.ok)
+        if (r.ok) {
             sw->done(true);
-        else
-            retryStripe(sw);
+            return;
+        }
+        if (r.suspect)
+            sw->suspect = r.suspect;
+        retryStripe(sw);
     };
 }
 
@@ -656,13 +667,18 @@ void
 DraidHost::retryStripe(std::shared_ptr<StripeWrite> sw)
 {
     if (sw->retriesLeft-- <= 0) {
-        failoverFrom(lastExpiredSubs_, sw->plan.stripe);
-        if (failed_) {
-            // Re-execute in degraded mode.
-            executeStripeWrite(sw);
-        } else {
-            sw->done(false);
+        // Retries are used up (DESIGN.md §4.1): fail the suspect over if
+        // the array is healthy and re-execute in degraded mode, which a
+        // suspect already failed gets too; otherwise fail the write.
+        const auto suspect = std::exchange(sw->suspect, std::nullopt);
+        if (suspect && !failed_) {
+            ++counters_.failovers;
+            markFailed(*suspect);
         }
+        if (suspect && failed_ == suspect)
+            executeStripeWrite(sw);
+        else
+            sw->done(false);
         return;
     }
     ++counters_.retries;
@@ -706,6 +722,7 @@ DraidHost::retryStripe(std::shared_ptr<StripeWrite> sw)
             fsw->segData.push_back(g->chunks[idx]);
         }
         fsw->retriesLeft = sw->retriesLeft;
+        fsw->suspect = sw->suspect;
         fsw->traceId = sw->traceId;
         fsw->done = sw->done;
         executeFullStripe(fsw);
@@ -743,25 +760,15 @@ DraidHost::retryStripe(std::shared_ptr<StripeWrite> sw)
     }
 }
 
-void
-DraidHost::failoverFrom(const std::set<std::uint8_t> &missing,
-                        std::uint64_t stripe)
+std::uint32_t
+DraidHost::deviceOfSub(std::uint64_t stripe, std::uint8_t sub) const
 {
-    if (failed_ || missing.empty())
-        return;
-    const std::uint8_t sub = *missing.begin();
-    std::uint32_t dev;
-    if (sub == kParitySub) {
-        dev = geom_.parityDevice(stripe);
-    } else if (sub == kQParitySub) {
-        dev = geom_.qDevice(stripe);
-    } else if (sub < geom_.dataChunks()) {
-        dev = geom_.dataDevice(stripe, sub);
-    } else {
-        return;
-    }
-    ++counters_.failovers;
-    markFailed(dev);
+    if (sub == kParitySub)
+        return geom_.parityDevice(stripe);
+    if (sub == kQParitySub)
+        return geom_.qDevice(stripe);
+    assert(sub < geom_.dataChunks());
+    return geom_.dataDevice(stripe, sub);
 }
 
 // ---------------------------------------------------------------------------

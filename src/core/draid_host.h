@@ -136,6 +136,8 @@ class DraidHost : public blockdev::BlockDevice, public net::Endpoint
 
   private:
     // ---- pending-operation bookkeeping ----
+    struct StripeWrite;
+
     struct PendingOp
     {
         // draid-lint: cap(sub-commands of one op; at most stripe width)
@@ -143,12 +145,19 @@ class DraidHost : public blockdev::BlockDevice, public net::Endpoint
         bool anyFailure = false;
         std::function<void(std::uint8_t, ec::Buffer)> onData;
         std::function<void(bool)> onDone;
+        /** The stripe write the op runs, which its expiry names a suspect
+         *  for; null for reads and rebuilds. */
+        std::shared_ptr<StripeWrite> write;
     };
 
     std::uint64_t registerOp(std::set<std::uint8_t> subs,
                              std::function<void(std::uint8_t, ec::Buffer)>
                                  on_data,
                              std::function<void(bool)> on_done);
+
+    /** Register an op running @p sw: done on success, else a retry. */
+    std::uint64_t registerWriteOp(std::set<std::uint8_t> subs,
+                                  std::shared_ptr<StripeWrite> sw);
     void completeSub(std::uint64_t op, std::uint8_t sub, bool ok,
                      ec::Buffer payload);
     void expireOp(std::uint64_t op);
@@ -160,6 +169,8 @@ class DraidHost : public blockdev::BlockDevice, public net::Endpoint
         // draid-lint: cap(parallel to plan.writes; at most stripe width)
         std::vector<ec::Buffer> segData; ///< parallel to plan.writes
         int retriesLeft = 0;
+        /** Device a timed-out attempt blamed; kept by one naming none. */
+        std::optional<std::uint32_t> suspect;
         std::uint64_t traceId = 0; ///< telemetry id of the user write
         std::function<void(bool)> done;
     };
@@ -182,8 +193,10 @@ class DraidHost : public blockdev::BlockDevice, public net::Endpoint
     void retryStripe(std::shared_ptr<StripeWrite> sw);
     /** A batch callback that ends @p sw, or retries it on failure. */
     blockdev::BatchCallback finishStripe(std::shared_ptr<StripeWrite> sw);
-    void failoverFrom(const std::set<std::uint8_t> &missing,
-                      std::uint64_t stripe);
+
+    /** Member device that write sub-command @p sub of a stripe op
+     *  addresses: a data index, kParitySub or kQParitySub. */
+    std::uint32_t deviceOfSub(std::uint64_t stripe, std::uint8_t sub) const;
 
     // ---- read path ----
     // Every user read, and readChunk's reconstruction, runs through one
@@ -256,10 +269,6 @@ class DraidHost : public blockdev::BlockDevice, public net::Endpoint
     std::vector<std::uint32_t> targetMap_;
     // draid-lint: cap(in-flight ops; host queue depth)
     std::unordered_map<std::uint64_t, PendingOp> pending_;
-
-    /** Sub-commands still outstanding when the last deadline fired. */
-    // draid-lint: cap(sub-commands of one op; stripe width)
-    std::set<std::uint8_t> lastExpiredSubs_;
 
     std::unique_ptr<ReducerSelector> selector_;
     BwAwareReducerSelector *bwAware_ = nullptr;

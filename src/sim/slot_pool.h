@@ -11,7 +11,8 @@
  *  - net::Fabric: each transfer's join state, and each message in flight;
  *  - nvme::Ssd: each command in the media channel or media latency;
  *  - blockdev::NvmfTarget: each Read/Write being served;
- *  - blockdev::NvmfInitiator: each command until its callback has run.
+ *  - blockdev::NvmfInitiator: each command until its callback has run,
+ *    and each batch of commands until its one callback has run.
  * Storage grows to the peak number of live slots and is reused from then
  * on; references into it are invalidated by a later acquire(), indices
  * are not.

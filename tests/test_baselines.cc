@@ -360,6 +360,57 @@ TEST(BaselineFailure, TimeoutFailsOverToDegraded)
     EXPECT_TRUE(got.contentEquals(data));
 }
 
+TEST(BaselineFailure, ConcurrentWritesToOneDeadTargetFailItOverOnce)
+{
+    // Two writes on different stripes both hit the same dead target,
+    // which holds a different data index in each. The first to use up its
+    // retries fails the target over; the other finds it already failed
+    // and finishes in degraded mode too, on SPDK and MD alike.
+    for (const Kind kind : {Kind::kSpdk, Kind::kLinux}) {
+        SCOPED_TRACE(kind == Kind::kSpdk ? "spdk" : "md");
+        BaselineRig rig(kind, RaidLevel::kRaid5);
+        const auto &g = rig.raidDev->geometry();
+        ec::Buffer pre(2 * g.stripeDataSize());
+        pre.fillPattern(12);
+        ASSERT_TRUE(writeSync(rig.sim(), *rig.raidDev, 0, pre));
+
+        const std::uint32_t victim = g.dataDevice(0, 0);
+        std::uint32_t idx1 = 0;
+        while (idx1 < g.dataChunks() && g.dataDevice(1, idx1) != victim)
+            ++idx1;
+        ASSERT_LT(idx1, g.dataChunks());
+        ASSERT_NE(idx1, 0u);
+        rig.cluster->failTarget(victim); // never recovers
+
+        const std::uint64_t offsets[] = {
+            0, g.stripeDataSize() + std::uint64_t{idx1} * g.chunkSize()};
+        std::vector<ec::Buffer> data;
+        blockdev::IoStatus status[2] = {blockdev::IoStatus::kError,
+                                        blockdev::IoStatus::kError};
+        int done = 0;
+        for (int i = 0; i < 2; ++i) {
+            data.emplace_back(8192);
+            data.back().fillPattern(13 + i);
+            rig.raidDev->write(offsets[i], data.back().clone(),
+                               [&, i](blockdev::IoStatus st) {
+                                   status[i] = st;
+                                   ++done;
+                               });
+        }
+        rig.sim().runUntil(sim::Ticks::sec(2));
+
+        ASSERT_EQ(done, 2);
+        EXPECT_EQ(status[0], blockdev::IoStatus::kOk);
+        EXPECT_EQ(status[1], blockdev::IoStatus::kOk);
+        EXPECT_EQ(rig.raidDev->failedDevice(), victim);
+        for (int i = 0; i < 2; ++i) {
+            ec::Buffer got =
+                readSync(rig.sim(), *rig.raidDev, offsets[i], 8192);
+            EXPECT_TRUE(got.contentEquals(data[i])) << "write " << i;
+        }
+    }
+}
+
 TEST(BaselineFailure, LatentSectorErrorUnderRmwFailsNoDevice)
 {
     // A read error names no suspect: an RMW whose old data sits on a

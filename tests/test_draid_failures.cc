@@ -172,6 +172,54 @@ TEST(DraidFailures, RetriedDegradedWriteKeepsFailedChunkBytes)
     EXPECT_TRUE(got.contentEquals(data));
 }
 
+TEST(DraidFailures, ConcurrentWritesToOneDeadTargetFailItOverOnce)
+{
+    // Two writes on different stripes both hit the same dead target,
+    // which holds a different data index in each. Each write blames the
+    // device its own commands timed out on, so the array fails over that
+    // device once and both writes finish in degraded mode.
+    DraidRig rig(6, opts());
+    const auto &g = rig.host().geometry();
+    ec::Buffer pre(2 * g.stripeDataSize());
+    pre.fillPattern(5);
+    ASSERT_TRUE(writeSync(rig.sim(), rig.host(), 0, pre));
+
+    const std::uint32_t victim = g.dataDevice(0, 0);
+    std::uint32_t idx1 = 0;
+    while (idx1 < g.dataChunks() && g.dataDevice(1, idx1) != victim)
+        ++idx1;
+    ASSERT_LT(idx1, g.dataChunks());
+    ASSERT_NE(idx1, 0u);
+    rig.cluster->failTarget(victim); // never recovers
+
+    const std::uint64_t offsets[] = {
+        0, g.stripeDataSize() + std::uint64_t{idx1} * g.chunkSize()};
+    std::vector<ec::Buffer> data;
+    blockdev::IoStatus status[2] = {blockdev::IoStatus::kError,
+                                    blockdev::IoStatus::kError};
+    int done = 0;
+    for (int i = 0; i < 2; ++i) {
+        data.emplace_back(8192);
+        data.back().fillPattern(6 + i);
+        rig.host().write(offsets[i], data.back().clone(),
+                         [&, i](blockdev::IoStatus st) {
+                             status[i] = st;
+                             ++done;
+                         });
+    }
+    rig.sim().runUntil(sim::Ticks::sec(2));
+
+    ASSERT_EQ(done, 2);
+    EXPECT_EQ(status[0], blockdev::IoStatus::kOk);
+    EXPECT_EQ(status[1], blockdev::IoStatus::kOk);
+    EXPECT_EQ(rig.host().failedDevice(), victim);
+    EXPECT_EQ(rig.host().counters().failovers, 1u);
+    for (int i = 0; i < 2; ++i) {
+        ec::Buffer got = readSync(rig.sim(), rig.host(), offsets[i], 8192);
+        EXPECT_TRUE(got.contentEquals(data[i])) << "write " << i;
+    }
+}
+
 TEST(DraidFailures, NetworkJitterDelaysButCompletes)
 {
     DraidRig rig(6, opts());
