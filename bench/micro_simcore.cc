@@ -9,7 +9,9 @@
  *  - micro.noop  : N independent no-op events, pre-scheduled in same-tick
  *                  groups in increasing tick order. Each lands at the
  *                  engine's FIFO lane tail, so this is the append + drain
- *                  cost fixed-delay timers (per-op deadlines) pay.
+ *                  cost fixed-delay timers pay (per-op deadlines no
+ *                  longer do: a sim::DeadlineQueue keeps one event
+ *                  pending per owner).
  *  - micro.heap  : the same events scheduled in decreasing tick order, so
  *                  all but the first tick's group go through the heap —
  *                  the push/pop + drain cost of a loaded heap.

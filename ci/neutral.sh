@@ -23,18 +23,23 @@
 # is listed key by key (path: base -> head).
 #
 # Benches: fig09_normal_read fig17_reconstruction fig_qos_interference
-# campaign_durability (the default is these four), the degraded-path
-# figures fig15_degraded_read_io_size fig18_degraded_write
-# fig28_r6_degraded_read fig30_r6_degraded_write, the store-heavy
-# table1_overheads fig10_write_io_size fig20_objstore_normal, the
-# timer-heavy fig14_latency_throughput fig19_minikv_ycsb, whose per-op
-# deadlines keep the most events pending, the read-path figures
-# fig13_write_read_ratio (mixed reads and writes on all three systems)
-# and fig22_r6_normal_read, and the write figures fig10_write_io_size
-# and fig23_r6_write_io_size, which run every host-centric write mode
-# (RMW, RCW, full stripe) on MD and SPDK at RAID-5 and RAID-6 (stdout,
-# BENCH_* JSON and the timing-stripped BENCH_simcore.json). Exit 0 when
-# neutral.
+# campaign_durability (the default is these four), and every other
+# figure binary: the degraded-path figures fig15_degraded_read_io_size
+# fig16_degraded_read_stripe_width fig18_degraded_write
+# fig28_r6_degraded_read fig29_r6_degraded_stripe_width
+# fig30_r6_degraded_write, the store-heavy table1_overheads
+# fig10_write_io_size fig20_objstore_normal fig21_objstore_degraded,
+# the timer-heavy fig14_latency_throughput fig19_minikv_ycsb
+# fig27_r6_latency_throughput, which arm the most per-op deadlines, the
+# read-path figures fig13_write_read_ratio (mixed reads and writes on
+# all three systems), fig22_r6_normal_read and fig26_r6_write_read_ratio,
+# the write figures fig10_write_io_size and fig23_r6_write_io_size,
+# which run every host-centric write mode (RMW, RCW, full stripe) on MD
+# and SPDK at RAID-5 and RAID-6, the write-geometry sweeps
+# fig11_write_chunk_size fig12_write_stripe_width
+# fig24_r6_write_chunk_size fig25_r6_write_stripe_width, and
+# ablation_design (stdout, BENCH_* JSON and the timing-stripped
+# BENCH_simcore.json). Exit 0 when neutral.
 set -euo pipefail
 
 usage="usage: ci/neutral.sh <base-ref> [bench ...]"
@@ -53,7 +58,12 @@ for b in "${benches[@]}"; do
       fig30_r6_degraded_write|table1_overheads|fig10_write_io_size|\
       fig20_objstore_normal|fig14_latency_throughput|fig19_minikv_ycsb|\
       fig13_write_read_ratio|fig22_r6_normal_read|\
-      fig23_r6_write_io_size) ;;
+      fig23_r6_write_io_size|fig11_write_chunk_size|\
+      fig12_write_stripe_width|fig16_degraded_read_stripe_width|\
+      fig21_objstore_degraded|fig24_r6_write_chunk_size|\
+      fig25_r6_write_stripe_width|fig26_r6_write_read_ratio|\
+      fig27_r6_latency_throughput|fig29_r6_degraded_stripe_width|\
+      ablation_design) ;;
       *) echo "neutral: unknown bench '$b'" >&2; echo "$usage" >&2; exit 2 ;;
     esac
 done
@@ -107,12 +117,7 @@ run() { # <build-dir> <out-dir>
               campaign_durability)
                 "$bin/$b" --seed=1 --strict-flags --trials=8 \
                     > stdout_campaign.txt ;;
-              fig15_degraded_read_io_size|fig18_degraded_write|\
-              fig28_r6_degraded_read|fig30_r6_degraded_write|\
-              table1_overheads|fig10_write_io_size|fig20_objstore_normal|\
-              fig14_latency_throughput|fig19_minikv_ycsb|\
-              fig13_write_read_ratio|fig22_r6_normal_read|\
-              fig23_r6_write_io_size)
+              *)
                 "$bin/$b" --seed=1 --strict-flags \
                     --profile=BENCH_simcore.json > "stdout_$b.txt" ;;
             esac

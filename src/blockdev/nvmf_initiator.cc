@@ -9,7 +9,12 @@ namespace draid::blockdev {
 
 NvmfInitiator::NvmfInitiator(cluster::Cluster &cluster,
                              CommandIdAllocator &ids)
-    : cluster_(cluster), ids_(ids)
+    : cluster_(cluster),
+      ids_(ids),
+      deadlines_(cluster.sim(), cluster.config().opTimeout, "nvmf.timeout",
+                 [this](std::uint64_t slot) {
+                     onTimeout(static_cast<std::uint32_t>(slot));
+                 })
 {
 }
 
@@ -115,8 +120,7 @@ NvmfInitiator::submit(Command c)
         node.mapped() = slot;
         pending_.insert(std::move(node));
     }
-    cluster_.sim().schedule(cluster_.config().opTimeout, "nvmf.timeout",
-                            [this, id]() { onTimeout(id); });
+    commands_[slot].deadline = deadlines_.arm(slot);
     cluster_.host().cpu().execute(cluster_.config().hostCmdCost, trace,
                                   "host.cmd", [this, slot]() { send(slot); });
 }
@@ -142,7 +146,7 @@ NvmfInitiator::send(std::uint32_t slot)
 }
 
 std::uint32_t
-NvmfInitiator::disarm(PendingMap::iterator it)
+NvmfInitiator::stopMatching(PendingMap::iterator it)
 {
     const std::uint32_t slot = it->second;
     spareNodes_.push_back(pending_.extract(it));
@@ -158,8 +162,9 @@ NvmfInitiator::tryComplete(const net::Message &msg)
     if (it == pending_.end())
         return false;
 
-    const std::uint32_t slot = disarm(it);
+    const std::uint32_t slot = stopMatching(it);
     Command &c = commands_[slot];
+    deadlines_.disarm(c.deadline);
     c.status = msg.capsule.status == proto::Status::kSuccess
                    ? IoStatus::kOk
                    : IoStatus::kError;
@@ -187,14 +192,10 @@ NvmfInitiator::complete(std::uint32_t slot)
 }
 
 void
-NvmfInitiator::onTimeout(std::uint64_t id)
+NvmfInitiator::onTimeout(std::uint32_t slot)
 {
-    auto it = pending_.find(id);
-    if (it == pending_.end())
-        return; // completed in time
-    const std::uint32_t slot = disarm(it);
-    ++timeouts_;
     Command &c = commands_[slot];
+    stopMatching(pending_.find(c.id));
     const bool is_read = c.isRead;
     const ReadCallback read_cb = std::exchange(c.readCb, nullptr);
     const WriteCallback write_cb = std::exchange(c.writeCb, nullptr);

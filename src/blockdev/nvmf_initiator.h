@@ -26,6 +26,7 @@
 #include "blockdev/block_device.h"
 #include "cluster/cluster.h"
 #include "net/fabric.h"
+#include "sim/deadline_queue.h"
 
 namespace draid::blockdev {
 
@@ -123,14 +124,14 @@ class NvmfInitiator
     /** Pending commands (tests). */
     std::size_t pendingOps() const { return pending_.size(); }
 
-    std::uint64_t timeoutsFired() const { return timeouts_; }
+    std::uint64_t timeoutsFired() const { return deadlines_.expiredCount(); }
 
   private:
     /**
      * One command from submission until its callback has run: the
-     * capsule fields the send stage reads, and the callback. The send and
-     * completion continuations capture only (this, slot), the deadline
-     * only (this, id).
+     * capsule fields the send stage reads, the callback and the
+     * deadline. The send and completion continuations capture only
+     * (this, slot), and the deadline is armed with the slot as its id.
      */
     struct Command
     {
@@ -144,6 +145,7 @@ class NvmfInitiator
         bool sent = false;     ///< the capsule has left the host CPU
         bool timedOut = false; ///< the deadline ran the callback
         IoStatus status = IoStatus::kOk;
+        sim::DeadlineQueue::Handle deadline;
         /** Write data until sent; a read's data once completed. */
         ec::Buffer payload;
         ReadCallback readCb;
@@ -159,7 +161,8 @@ class NvmfInitiator
     /** The host CPU is done with @p slot's completion: run its callback. */
     void complete(std::uint32_t slot);
 
-    void onTimeout(std::uint64_t id);
+    /** @p slot's command reached its deadline before completing. */
+    void onTimeout(std::uint32_t slot);
 
     /** Command @p i of batch @p slot is done; the last runs its callback. */
     void settleBatch(std::uint32_t slot, std::uint32_t i, IoStatus st,
@@ -181,14 +184,11 @@ class NvmfInitiator
     using PendingMap = std::unordered_map<std::uint64_t, std::uint32_t>;
 
     /** Stop matching command @p it; returns the command's slot. */
-    std::uint32_t disarm(PendingMap::iterator it);
+    std::uint32_t stopMatching(PendingMap::iterator it);
 
     cluster::Cluster &cluster_;
     CommandIdAllocator &ids_;
-    /**
-     * Every command whose callback has not run yet (sim::SlotPool comes
-     * through net/fabric.h; blockdev does not include sim directly).
-     */
+    /** Every command whose callback has not run yet. */
     sim::SlotPool<Command> commands_;
     /** Slot of each command still awaiting completion or deadline. */
     // draid-lint: cap(in-flight commands; bounded by the host queue depth)
@@ -198,7 +198,8 @@ class NvmfInitiator
     /** Nodes erased from pending_, reused so that arming allocates none. */
     // draid-lint: cap(peak in-flight commands; one node per erased entry)
     std::vector<PendingMap::node_type> spareNodes_;
-    std::uint64_t timeouts_ = 0;
+    /** Each command's opTimeout deadline, from submission to completion. */
+    sim::DeadlineQueue deadlines_;
 };
 
 } // namespace draid::blockdev

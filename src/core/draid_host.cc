@@ -31,7 +31,9 @@ DraidHost::DraidHost(cluster::Cluster &cluster, const DraidOptions &options,
       geom_(makeGeometry(options, width_)),
       planner_(geom_),
       initiator_(cluster, ids_),
-      deadlines_(cluster.sim()),
+      deadlines_(cluster.sim(), cluster.config().opTimeout,
+                 "failure.deadline",
+                 [this](std::uint64_t op) { expireOp(op); }),
       rng_(options.seed)
 {
     assert(width_ <= cluster.numTargets());
@@ -46,7 +48,6 @@ DraidHost::DraidHost(cluster::Cluster &cluster, const DraidOptions &options,
         cluster_.hostId(),
         telemetry::ContentionTracker::ResourceKind::StripeLock);
     writeLocks_.attach(probe_, [this] { return cluster_.sim().now().raw(); });
-    deadlines_.attach(probe_);
 
     if (opts_.reducerPolicy == ReducerPolicy::kBwAware) {
         auto sel = std::make_unique<BwAwareReducerSelector>(
@@ -115,9 +116,8 @@ DraidHost::registerOp(std::set<std::uint8_t> subs,
     p.waitingSubs = std::move(subs);
     p.onData = std::move(on_data);
     p.onDone = std::move(on_done);
-    pending_.emplace(op, std::move(p));
-    deadlines_.arm(op, cluster_.config().opTimeout,
-                   [this, op]() { expireOp(op); });
+    pending_.emplace(op, std::move(p)).first->second.deadline =
+        deadlines_.arm(op);
     return op;
 }
 
@@ -151,7 +151,7 @@ DraidHost::completeSub(std::uint64_t op, std::uint8_t sub, bool ok,
     if (p.onData && !payload.empty())
         p.onData(sub, std::move(payload));
     if (p.waitingSubs.empty()) {
-        deadlines_.disarm(op);
+        deadlines_.disarm(p.deadline);
         auto done = std::move(p.onDone);
         const bool success = !p.anyFailure;
         pending_.erase(it);
@@ -163,9 +163,10 @@ DraidHost::completeSub(std::uint64_t op, std::uint8_t sub, bool ok,
 void
 DraidHost::expireOp(std::uint64_t op)
 {
+    probe_.event(telemetry::EventType::kOpTimeout,
+                 cluster_.sim().now().raw(), op);
     auto it = pending_.find(op);
-    if (it == pending_.end())
-        return;
+    assert(it != pending_.end()); // completed ops disarm their deadline
     cluster_.telemetry().flightRecorder().noteAbnormal(
         "op.timeout", op, cluster_.hostId(), cluster_.sim().now().raw());
     // The op's first missing sub-command, on its own stripe, is the one
@@ -820,17 +821,29 @@ DraidHost::readStripeGroup(std::uint64_t stripe,
         const std::uint32_t dev = deviceOf(g.extent);
         const std::uint64_t addr =
             geom_.deviceAddress(stripe, g.extent.offset);
+        const std::uint32_t slot =
+            extentReads_.acquire(ExtentRead{join, g.outPos});
         initiator_.readRemote(
             targetOf(dev), addr, g.extent.length,
-            [this, join, pos = g.outPos](blockdev::IoStatus st,
-                                         ec::Buffer data) {
-                const bool ok = st == blockdev::IoStatus::kOk;
-                if (ok)
-                    join->land(pos, std::move(data));
-                settleRead(*join, ok);
+            [this, slot](blockdev::IoStatus st, ec::Buffer data) {
+                landExtent(slot, st, std::move(data));
             },
             join->trace);
     }
+}
+
+void
+DraidHost::landExtent(std::uint32_t slot, blockdev::IoStatus st,
+                      ec::Buffer data)
+{
+    ExtentRead &r = extentReads_[slot];
+    const std::shared_ptr<blockdev::ReadJoin> join = std::move(r.join);
+    const std::size_t pos = r.pos;
+    extentReads_.release(slot);
+    const bool ok = st == blockdev::IoStatus::kOk;
+    if (ok)
+        join->land(pos, std::move(data));
+    settleRead(*join, ok);
 }
 
 void

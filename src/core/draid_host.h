@@ -29,11 +29,12 @@
 #include "cluster/cluster.h"
 #include "core/bw_aware.h"
 #include "core/draid.h"
-#include "core/failure.h"
 #include "net/fabric.h"
 #include "raid/stripe_lock.h"
 #include "raid/write_plan.h"
+#include "sim/deadline_queue.h"
 #include "sim/rng.h"
+#include "sim/slot_pool.h"
 
 namespace draid::core {
 
@@ -148,6 +149,7 @@ class DraidHost : public blockdev::BlockDevice, public net::Endpoint
         /** The stripe write the op runs, which its expiry names a suspect
          *  for; null for reads and rebuilds. */
         std::shared_ptr<StripeWrite> write;
+        sim::DeadlineQueue::Handle deadline;
     };
 
     std::uint64_t registerOp(std::set<std::uint8_t> subs,
@@ -160,6 +162,7 @@ class DraidHost : public blockdev::BlockDevice, public net::Endpoint
                                   std::shared_ptr<StripeWrite> sw);
     void completeSub(std::uint64_t op, std::uint8_t sub, bool ok,
                      ec::Buffer payload);
+    /** @p op reached its deadline: journal it and fail it. */
     void expireOp(std::uint64_t op);
 
     // ---- write path ----
@@ -213,6 +216,17 @@ class DraidHost : public blockdev::BlockDevice, public net::Endpoint
     /** Settle one piece of @p join as this host (probe, read histogram). */
     void settleRead(blockdev::ReadJoin &join, bool ok);
 
+    /** A healthy extent's read in flight: the join it lands in, where. */
+    struct ExtentRead
+    {
+        std::shared_ptr<blockdev::ReadJoin> join;
+        std::size_t pos = 0;
+    };
+
+    /** Extent read @p slot completed: land its data and settle it. */
+    void landExtent(std::uint32_t slot, blockdev::IoStatus st,
+                    ec::Buffer data);
+
     /** Shared by degraded reads and rebuild: register + broadcast. */
     void registerAndBroadcastReconstruction(
         std::uint64_t stripe, const std::vector<std::uint32_t> &participants,
@@ -260,7 +274,8 @@ class DraidHost : public blockdev::BlockDevice, public net::Endpoint
     blockdev::CommandIdAllocator ids_;
     blockdev::NvmfInitiator initiator_;
     raid::StripeLockTable writeLocks_;
-    DeadlineTable deadlines_;
+    /** Every registered op's opTimeout deadline (§5.4). */
+    sim::DeadlineQueue deadlines_;
     sim::Rng rng_;
 
     std::optional<std::uint32_t> failed_;
@@ -269,6 +284,11 @@ class DraidHost : public blockdev::BlockDevice, public net::Endpoint
     std::vector<std::uint32_t> targetMap_;
     // draid-lint: cap(in-flight ops; host queue depth)
     std::unordered_map<std::uint64_t, PendingOp> pending_;
+    /**
+     * Every extent read whose completion has not run, so that completion
+     * captures only (this, slot), which std::function stores inline.
+     */
+    sim::SlotPool<ExtentRead> extentReads_;
 
     std::unique_ptr<ReducerSelector> selector_;
     BwAwareReducerSelector *bwAware_ = nullptr;

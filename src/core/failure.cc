@@ -1,38 +1,8 @@
 #include "core/failure.h"
 
 #include <algorithm>
-#include <utility>
 
 namespace draid::core {
-
-void
-DeadlineTable::arm(std::uint64_t id, sim::Ticks delay,
-                   std::function<void()> expire)
-{
-    const std::uint64_t gen = nextGen_++;
-    armed_[id] = gen;
-    sim_.schedule(delay, "failure.deadline",
-                  [this, id, gen, expire = std::move(expire)]() {
-        auto it = armed_.find(id);
-        if (it == armed_.end() || it->second != gen)
-            return; // disarmed or re-armed since
-        armed_.erase(it);
-        ++expired_;
-        probe_.event(telemetry::EventType::kOpTimeout, sim_.now().raw(),
-                     id);
-        expire();
-    });
-}
-
-void
-DeadlineTable::disarm(std::uint64_t id)
-{
-    armed_.erase(id);
-}
-
-// ---------------------------------------------------------------------------
-// FailureTracker
-// ---------------------------------------------------------------------------
 
 FailureTracker::FailureTracker(std::uint32_t width, std::uint32_t redundancy)
     : width_(width), redundancy_(redundancy), failedAt_(width, -1)

@@ -30,45 +30,76 @@ void
 Simulator::scheduleAt(Ticks when, const char *label, EventFn fn)
 {
     assert(when >= now_);
-    const Key key{when, seq_++, slab_.acquire(Slot{label, std::move(fn)})};
-    if (lane_.empty() || lane_.back().when <= when) {
+    enqueue(Key{when, seq_++, slab_.acquire(Slot{label, std::move(fn)})},
+            label);
+}
+
+void
+Simulator::scheduleAt(Ticks when, std::uint64_t seq, const char *label,
+                      EventFn fn)
+{
+    assert(when >= now_ && seq < seq_);
+    const Key key{when, seq, slab_.acquire(Slot{label, std::move(fn)})};
+    if (when == now_ && (queuedEvents() == 0 || before(key, queueFront()))) {
+        // Due before every queued event, so it belongs to the tick's
+        // batch, after the events already run from it.
+        const auto pos = std::upper_bound(
+            batch_.begin() + static_cast<std::ptrdiff_t>(batchPos_),
+            batch_.end(), key,
+            [](const Key &a, const Key &b) { return a.seq < b.seq; });
+        assert(batchPos_ == 0 || batch_[batchPos_ - 1].seq < seq);
+        batch_.insert(pos, key);
+        if (engineObserver_)
+            engineObserver_->onSchedule(when, label, pendingEvents());
+        return;
+    }
+    enqueue(key, label);
+}
+
+void
+Simulator::enqueue(const Key &key, const char *label)
+{
+    if (lane_.empty() || before(lane_.back(), key)) {
         lane_.push_back(key);
     } else {
         heap_.push_back(key);
         std::push_heap(heap_.begin(), heap_.end(), KeyOrder{});
     }
     if (engineObserver_)
-        engineObserver_->onSchedule(when, label, pendingEvents());
+        engineObserver_->onSchedule(key.when, label, pendingEvents());
 }
 
-Ticks
-Simulator::nextWhen() const
+const Simulator::Key &
+Simulator::queueFront() const
 {
     if (lane_.empty())
-        return heap_.front().when;
-    if (heap_.empty())
-        return lane_.front().when;
-    return std::min(heap_.front().when, lane_.front().when);
+        return heap_.front();
+    if (heap_.empty() || before(lane_.front(), heap_.front()))
+        return lane_.front();
+    return heap_.front();
 }
 
 void
 Simulator::drainTick(Ticks when)
 {
     const std::size_t queued_before = queuedEvents();
-    // The lane's events at a tick precede the heap's in seq order: a heap
-    // event at `when` was pushed while the lane's tail was later than
-    // `when`, and that tail stays queued past this tick, so no event
-    // scheduled after it can join the lane at `when`.
-    while (!lane_.empty() && lane_.front().when == when) {
-        batch_.push_back(lane_.front());
-        lane_.pop_front();
-    }
-    assert(batch_.empty() || heap_.empty() || heap_.front().when != when ||
-           batch_.back().seq < heap_.front().seq);
-    while (!heap_.empty() && heap_.front().when == when) {
-        std::pop_heap(heap_.begin(), heap_.end(), KeyOrder{});
-        batch_.push_back(heap_.back());
-        heap_.pop_back();
+    // Lane and heap each yield their events at `when` in seq order; a
+    // reserved seq may put a heap event before a lane event, so merge.
+    const auto due = [when](const Key &k) { return k.when == when; };
+    for (;;) {
+        const bool lane_due = !lane_.empty() && due(lane_.front());
+        const bool heap_due = !heap_.empty() && due(heap_.front());
+        if (lane_due &&
+            (!heap_due || lane_.front().seq < heap_.front().seq)) {
+            batch_.push_back(lane_.front());
+            lane_.pop_front();
+        } else if (heap_due) {
+            std::pop_heap(heap_.begin(), heap_.end(), KeyOrder{});
+            batch_.push_back(heap_.back());
+            heap_.pop_back();
+        } else {
+            break;
+        }
     }
     if (engineObserver_)
         engineObserver_->onBatchDrain(when, batch_.size(), queued_before);
@@ -115,7 +146,7 @@ Simulator::run()
             batchPos_ = 0;
             if (queuedEvents() == 0)
                 break;
-            advanceTo(nextWhen());
+            advanceTo(queueFront().when);
             drainTick(now_);
         }
         execute(batch_[batchPos_++]);
@@ -137,9 +168,9 @@ Simulator::runUntil(Ticks deadline)
         if (batchPos_ >= batch_.size()) {
             batch_.clear();
             batchPos_ = 0;
-            if (queuedEvents() == 0 || nextWhen() > deadline)
+            if (queuedEvents() == 0 || queueFront().when > deadline)
                 break;
-            advanceTo(nextWhen());
+            advanceTo(queueFront().when);
             drainTick(now_);
         } else if (now_ > deadline) {
             // Batch left over from a stop() at a tick past this deadline

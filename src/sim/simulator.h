@@ -6,14 +6,19 @@
  * scheduled for the same tick fire in scheduling order (FIFO tie-break by a
  * monotonically increasing sequence number). Pending events sit in a
  * binary heap or in a FIFO lane beside it; the lane takes every event that
- * is not earlier than its tail, so fixed-delay timers (per-op deadlines)
- * skip the heap. Heap and lane hold only 24-byte (when, seq, slot) keys;
- * each event's label and closure stay put in a slab slot, recycled through
- * a free list, until the event fires. There is deliberately no access to
- * wall-clock time anywhere in the simulation; host-time measurement of
- * the engine itself happens through the observe-only EngineObserver hook,
- * whose implementations live in src/telemetry/ (the only directory the
- * draid-lint wall-clock rule exempts).
+ * is later than its tail, so fixed-delay timers skip the heap. Per-op
+ * deadlines do not enter the queue one by one: a sim::DeadlineQueue keeps
+ * a single event pending at its oldest live deadline, under the sequence
+ * number reserved when that deadline was armed (reserveSeq()), so each
+ * timeout fires exactly where an event of its own would have and a
+ * disarmed deadline costs nothing. Heap and lane hold only 24-byte
+ * (when, seq, slot) keys; each event's label and closure stay put in a
+ * slab slot, recycled through a free list, until the event fires. There
+ * is deliberately no access to wall-clock time anywhere in the
+ * simulation; host-time measurement of the engine itself happens through
+ * the observe-only EngineObserver hook, whose implementations live in
+ * src/telemetry/ (the only directory the draid-lint wall-clock rule
+ * exempts).
  *
  * All simulated-time parameters and returns are the strong sim::Ticks type
  * (draid-lint rule tick-unit): a raw integer can never silently cross the
@@ -120,6 +125,25 @@ class Simulator
     void scheduleAt(Ticks when, const char *label, EventFn fn);
 
     /**
+     * Take the sequence number the next scheduled event would get, as if
+     * an event were scheduled now, and hand it to the caller. Passing it
+     * to the seq overload of scheduleAt() later fires that event exactly
+     * where an event scheduled at reservation time would have fired.
+     */
+    std::uint64_t reserveSeq() { return seq_++; }
+
+    /**
+     * Schedule @p fn at @p when with the sequence number @p seq taken
+     * from reserveSeq(), so it fires at (when, seq) among the other
+     * events. A key at the current tick that precedes every queued event
+     * joins the current batch in seq order.
+     * @pre when >= now(), and (when, seq) is later than the event running
+     *      now: the key is not in the past.
+     */
+    void scheduleAt(Ticks when, std::uint64_t seq, const char *label,
+                    EventFn fn);
+
+    /**
      * Run until the event queue drains or stop() is called. Not
      * reentrant: events must not call run()/runUntil() themselves (use
      * stop() and resume from the driver instead; draid-lint rule
@@ -207,12 +231,25 @@ class Simulator
         return heap_.size() + lane_.size();
     }
 
-    /** Tick of the earliest queued event. @pre queuedEvents() > 0 */
-    Ticks nextWhen() const;
+    /** Whether @p a fires before @p b. */
+    static bool
+    before(const Key &a, const Key &b)
+    {
+        return KeyOrder{}(b, a);
+    }
+
+    /** The earliest queued key. @pre queuedEvents() > 0 */
+    const Key &queueFront() const;
 
     /**
-     * Move the key of every event at tick @p when from the lane, then the
-     * heap, into batch_ (in FIFO seq order), amortizing per-event pop cost
+     * Put @p key in the lane when it is later than the lane's tail, else
+     * on the heap, and report the schedule to the engine observer.
+     */
+    void enqueue(const Key &key, const char *label);
+
+    /**
+     * Move the key of every event at tick @p when from the lane and the
+     * heap, merged by seq, into batch_, amortizing per-event pop cost
      * across the same-tick batch.
      */
     void drainTick(Ticks when);
@@ -231,11 +268,10 @@ class Simulator
     // draid-lint: cap(pending events; drained to batch_ every tick)
     std::vector<Key> heap_; ///< binary min-heap under KeyOrder
     /**
-     * FIFO lane: keys appended in nondecreasing `when` (and so in
-     * increasing (when, seq) order). An event earlier than the tail goes
-     * to heap_ instead, so the lane front is always the lane's minimum
-     * and the next event is the smaller of the heap top and the lane
-     * front.
+     * FIFO lane: keys appended in increasing (when, seq) order. An event
+     * earlier than the tail goes to heap_ instead, so the lane front is
+     * always the lane's minimum and the next event is the smaller of the
+     * heap top and the lane front.
      */
     // draid-lint: cap(pending events; drained to batch_ every tick)
     std::deque<Key> lane_;

@@ -8,6 +8,7 @@
  * stores inline (DESIGN.md §4.1). The owners:
  *  - sim::Simulator: each pending event's label and closure, while only
  *    a small (when, seq, slot) key moves through its heap;
+ *  - sim::DeadlineQueue: each live deadline, linked in arm order;
  *  - net::Fabric: each transfer's join state, and each message in flight;
  *  - nvme::Ssd: each command in the media channel or media latency;
  *  - blockdev::NvmfTarget: each Read/Write being served;
@@ -57,6 +58,7 @@ class SlotPool
     void release(std::uint32_t slot) { free_.push_back(slot); }
 
     T &operator[](std::uint32_t slot) { return slots_[slot]; }
+    const T &operator[](std::uint32_t slot) const { return slots_[slot]; }
 
   private:
     // draid-lint: cap(peak live slots; released slots are reused)

@@ -78,7 +78,6 @@ FioJob::issueNext()
     ++issued_;
     const std::uint64_t offset = pickOffset();
     const sim::Ticks t0 = sim_.now();
-    const std::uint32_t bytes = cfg_.ioSize;
 
     // Mark the issuing tenant so the op minted inside read()/write()
     // binds to it for contention attribution.
@@ -86,28 +85,30 @@ FioJob::issueNext()
         cfg_.contention->setCurrentTenant(cfg_.tenant);
 
     if (rng_.nextBool(cfg_.readRatio)) {
-        dev_.read(offset, bytes,
-                  [this, t0, bytes](blockdev::IoStatus st, ec::Buffer) {
-                      onComplete(t0, bytes, st == blockdev::IoStatus::kOk);
+        // Callbacks capture only (this, t0), which std::function stores
+        // inline; the size comes from cfg_.
+        dev_.read(offset, cfg_.ioSize,
+                  [this, t0](blockdev::IoStatus st, ec::Buffer) {
+                      onComplete(t0, st == blockdev::IoStatus::kOk);
                   });
     } else {
-        ec::Buffer data = ec::Buffer::forOverwrite(bytes);
+        ec::Buffer data = ec::Buffer::forOverwrite(cfg_.ioSize);
         data.fill(static_cast<std::uint8_t>(issued_));
         dev_.write(offset, std::move(data),
-                   [this, t0, bytes](blockdev::IoStatus st) {
-                       onComplete(t0, bytes, st == blockdev::IoStatus::kOk);
+                   [this, t0](blockdev::IoStatus st) {
+                       onComplete(t0, st == blockdev::IoStatus::kOk);
                    });
     }
 }
 
 void
-FioJob::onComplete(sim::Ticks issued, std::uint32_t bytes, bool ok)
+FioJob::onComplete(sim::Ticks issued, bool ok)
 {
     ++completed_;
     if (!ok)
         ++errors_;
     latency_.record(sim_.now() - issued);
-    meter_.complete(bytes);
+    meter_.complete(cfg_.ioSize);
     if (issued_ < cfg_.numOps) {
         issueNext();
     } else if (completed_ == cfg_.numOps) {

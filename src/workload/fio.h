@@ -97,7 +97,7 @@ class FioJob
 
   private:
     void issueNext();
-    void onComplete(sim::Ticks issued, std::uint32_t bytes, bool ok);
+    void onComplete(sim::Ticks issued, bool ok);
     std::uint64_t pickOffset();
 
     sim::Simulator &sim_;

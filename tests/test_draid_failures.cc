@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -296,4 +297,62 @@ TEST(DraidFailures, DeadlinesDisarmOnSuccess)
     rig.sim().runFor(sim::Ticks::ms(200));
     EXPECT_EQ(rig.host().counters().retries, 0u);
     EXPECT_EQ(rig.host().counters().failovers, 0u);
+}
+
+TEST(DraidFailures, DeadlinesArmedAtOneTickExpireTogetherInArmOrder)
+{
+    // A read's two NVMe-oF commands (nvmf.timeout) and a write's dRAID op
+    // (failure.deadline), all armed at one tick against down targets,
+    // expire at one tick in the order they were armed: the two deadline
+    // queues interleave exactly as per-deadline events would.
+    struct Expiries : sim::EngineObserver
+    {
+        std::vector<std::pair<sim::Ticks, std::string>> fired;
+
+        void onSchedule(sim::Ticks, const char *, std::size_t) override {}
+        void onBatchDrain(sim::Ticks, std::size_t, std::size_t) override {}
+        void
+        onEventStart(sim::Ticks now, const char *label) override
+        {
+            if (label != nullptr && (std::string(label) == "nvmf.timeout" ||
+                                     std::string(label) == "failure.deadline"))
+                fired.emplace_back(now, label);
+        }
+        void onEventEnd() override {}
+        void onRunStart() override {}
+        void onRunEnd() override {}
+    };
+
+    DraidRig rig(6, opts());
+    const auto &g = rig.host().geometry();
+    ec::Buffer pre(2 * g.stripeDataSize());
+    pre.fillPattern(13);
+    ASSERT_TRUE(writeSync(rig.sim(), rig.host(), 0, pre));
+    rig.sim().runFor(rig.cfg.opTimeout * 2); // no deadline left armed
+
+    rig.cluster->failTarget(g.dataDevice(0, 0));
+    rig.cluster->failTarget(g.dataDevice(0, 1));
+    Expiries expiries;
+    rig.sim().setEngineObserver(&expiries);
+    const sim::Ticks t0 = rig.sim().now();
+    int reads = 0;
+    rig.host().read(0, 2 * g.chunkSize(),
+                    [&](blockdev::IoStatus st, ec::Buffer) {
+                        EXPECT_EQ(st, blockdev::IoStatus::kError);
+                        ++reads;
+                    });
+    ec::Buffer data(4096);
+    data.fillPattern(14);
+    rig.host().write(0, data.clone(), [](blockdev::IoStatus) {});
+    rig.sim().runUntil(t0 + rig.cfg.opTimeout);
+    rig.sim().setEngineObserver(nullptr);
+
+    EXPECT_EQ(reads, 1);
+    const sim::Ticks due = t0 + rig.cfg.opTimeout;
+    const std::vector<std::pair<sim::Ticks, std::string>> want = {
+        {due, "nvmf.timeout"},
+        {due, "nvmf.timeout"},
+        {due, "failure.deadline"},
+    };
+    EXPECT_EQ(expiries.fired, want);
 }

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -359,6 +360,10 @@ TEST(Simulator, SeededScheduleFiresInWhenSeqOrder)
     // than the lane tail) while fired events free their slots, so every
     // closure carries a token: a reused slot must run the closure it was
     // given, and a fired closure must be released by the next event.
+    // Reserved events take their seq with reserveSeq() and are scheduled
+    // later by a carrier event that fires before they are due, some at
+    // their own tick (so they join the running batch), yet must fire
+    // where an event scheduled at reservation time would have.
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         Simulator sim;
         Rng rng(seed);
@@ -367,25 +372,56 @@ TEST(Simulator, SeededScheduleFiresInWhenSeqOrder)
         std::vector<std::weak_ptr<const std::uint64_t>> tokens; // by id
         std::uint64_t budget = 4000;
         std::function<void(std::uint64_t, std::uint64_t)> body;
-        const auto add = [&](Tick when) {
+        // Carrier id -> the reserved events it schedules when it fires.
+        std::map<std::uint64_t, std::vector<std::pair<std::uint64_t, EventFn>>>
+            carried;
+        std::uint64_t held = 0; // reserved events not scheduled yet
+        const auto closure = [&](Tick when) {
             const std::uint64_t id = scheduledAt.size();
             scheduledAt.push_back(when);
             auto token = std::make_shared<const std::uint64_t>(id);
             tokens.push_back(token);
-            auto fn = [&body, id, token = std::move(token)]() {
+            return EventFn([&body, id, token = std::move(token)]() {
                 body(id, *token);
-            };
+            });
+        };
+        const auto add = [&](Tick when) {
+            const std::uint64_t id = scheduledAt.size();
+            EventFn fn = closure(when);
             if (rng.nextBool(0.5))
                 sim.scheduleAt(Ticks{when}, "diff", std::move(fn));
             else
                 sim.schedule(Ticks{when - sim.now().raw()}, std::move(fn));
+            return id;
+        };
+        const auto reserve = [&](Tick when) {
+            const Tick carry_at = rng.nextBool(0.5)
+                                      ? when
+                                      : rng.nextRange(sim.now().raw(), when);
+            // A carrier due at the reserved tick must come first in seq.
+            const std::uint64_t early = carry_at == when ? add(carry_at) : 0;
+            const std::uint64_t seq = sim.reserveSeq();
+            EXPECT_EQ(seq, scheduledAt.size());
+            EventFn fn = closure(when);
+            const std::uint64_t carrier =
+                carry_at == when ? early : add(carry_at);
+            carried[carrier].emplace_back(seq, std::move(fn));
+            ++held;
         };
         const auto conserved = [&]() {
-            return sim.eventsExecuted() + sim.pendingEvents() ==
+            return sim.eventsExecuted() + sim.pendingEvents() + held ==
                    scheduledAt.size();
         };
         body = [&](std::uint64_t id, std::uint64_t token) {
             EXPECT_EQ(token, id);
+            if (auto it = carried.find(id); it != carried.end()) {
+                for (auto &[seq, fn] : it->second) {
+                    sim.scheduleAt(Ticks{scheduledAt[seq]}, seq, "reserved",
+                                   std::move(fn));
+                    --held;
+                }
+                carried.erase(it);
+            }
             if (!fired.empty()) {
                 EXPECT_TRUE(tokens[fired.back().second].expired());
             }
@@ -396,7 +432,7 @@ TEST(Simulator, SeededScheduleFiresInWhenSeqOrder)
             const Tick now = sim.now().raw();
             for (std::uint64_t n = rng.nextBounded(4); n > 0 && budget > 0;
                  --n, --budget) {
-                switch (rng.nextBounded(6)) {
+                switch (rng.nextBounded(7)) {
                 case 0: add(now + 50'000); break;   // fixed deadline
                 case 1: add(now + 5'000'000 +       // far-future one-off
                             static_cast<Tick>(rng.nextBounded(1000))); break;
@@ -406,7 +442,8 @@ TEST(Simulator, SeededScheduleFiresInWhenSeqOrder)
                     for (Tick d = 40; d > 0 && budget > 1; d -= 10, --budget)
                         add(now + d);
                     break;
-                default: add((now / 100 + 1) * 100); // shared tick
+                case 5: add((now / 100 + 1) * 100); break; // shared tick
+                default: reserve(now + rng.nextRange(0, 300));
                 }
             }
         };

@@ -79,7 +79,7 @@ allowedDepsFor(const std::string &rel_path)
         return "";
     std::set<std::string> allowed = it->second;
     if (isNvmfBridge(rel_path))
-        allowed.insert("cluster");
+        allowed.insert({"cluster", "sim"});
     std::string joined;
     for (const std::string &a : allowed)
         joined += (joined.empty() ? "" : ", ") + a;

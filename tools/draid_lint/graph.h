@@ -17,7 +17,7 @@
  *
  * One carve-out: the NVMe-oF shims (src/blockdev/nvmf_*.{h,cc}) bridge
  * the device abstraction onto the cluster fabric and may additionally
- * see 'cluster'.
+ * see 'cluster' and the 'sim' engine it runs on.
  *
  * The graph also refuses include cycles among src/ headers — a cycle is
  * a layering violation no DAG row can describe.
@@ -44,7 +44,7 @@ std::string includeTargetModule(const std::string &target);
 /** The declared DAG: module -> modules it may include (self implied). */
 const std::map<std::string, std::set<std::string>> &allowedModuleDeps();
 
-/** Extra allowance for the nvmf_* bridge files in src/blockdev. */
+/** The nvmf_* bridge files in src/blockdev also see cluster and sim. */
 bool isNvmfBridge(const std::string &rel_path);
 
 /** Comma-separated allowed list for a module, for diagnostics. */

@@ -74,7 +74,7 @@ ruleLayering(const FileUnit &u, const RuleSink &sink)
         it != deps.end() ? it->second : std::set<std::string>{};
     allowed.insert(module);
     if (isNvmfBridge(u.relPath))
-        allowed.insert("cluster");
+        allowed.insert({"cluster", "sim"});
     for (const Include &inc : u.includes) {
         if (!inc.quoted)
             continue;
