@@ -112,8 +112,9 @@ DraidHost::scrubStripe(std::uint64_t stripe, bool repair,
                 fix = std::move(eq);
             }
             const std::uint32_t device = r.ios[fi].device;
+            const std::size_t fix_bytes = fix.size();
             cluster_.host().cpu().executeBytes(
-                fix.size(), cluster_.config().xorBw, sim::Ticks::zero(),
+                fix_bytes, cluster_.config().xorBw, sim::Ticks::zero(),
                 [rewrite, device, fix = std::move(fix),
                  done = std::move(done)]() mutable {
                     rewrite({{device, std::move(fix)}}, std::move(done));

@@ -139,6 +139,39 @@ TEST_P(DraidScrub, RepairReconstructsLatentSectorError)
     EXPECT_TRUE(scrubStripe(*rig.cluster, g, 0));
 }
 
+TEST_P(DraidScrub, LatentSectorRepairChargesItsXor)
+{
+    // The repair XORs one chunk at the host CPU, so halving the XOR
+    // bandwidth lengthens the repair scrub's host busy time by that
+    // chunk's XOR at the full rate.
+    const auto repair_busy = [this](double xor_bw) {
+        cluster::TestbedConfig cfg = smallConfig();
+        cfg.xorBw = xor_bw;
+        cluster::Cluster cluster(cfg, 6);
+        core::DraidSystem draid(cluster, opts(GetParam()));
+        const auto &g = draid.host().geometry();
+        ec::Buffer data(g.stripeDataSize());
+        data.fillPattern(6);
+        EXPECT_TRUE(writeSync(cluster.sim(), draid.host(), 0, data));
+        cluster.target(g.dataDevice(0, 0))
+            .ssd()
+            .plantLatentSectorError(g.deviceAddress(0, 0), 4096);
+        const sim::Ticks before = cluster.host().cpu().busyTime();
+        bool repaired = false;
+        draid.host().scrubStripe(0, /*repair=*/true,
+                                 [&](DraidHost::ScrubResult r) {
+                                     repaired = r.repaired;
+                                 });
+        cluster.sim().run();
+        EXPECT_TRUE(repaired);
+        return cluster.host().cpu().busyTime() - before;
+    };
+    const sim::Ticks full = repair_busy(12e9);
+    const sim::Ticks half = repair_busy(6e9);
+    EXPECT_NEAR(static_cast<double>((half - full).raw()),
+                64.0 * 1024 / 12e9 * 1e9, 2.0);
+}
+
 TEST_P(DraidScrub, RepairReconstructsParityLatentSectorError)
 {
     DraidRig rig(6, opts(GetParam()));

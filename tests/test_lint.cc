@@ -263,6 +263,24 @@ TEST(DraidLint, LayeringFiresOnInvertedIncludeEdge)
         << r.output;
 }
 
+TEST(DraidLint, MoveArgReadFiresOnACallThatMovesAndReadsOneName)
+{
+    const LintRun r = lintFixture("src/core/move_arg_read.cc");
+    EXPECT_EQ(r.exitCode, 1);
+    // An init-capture move beside a read, and a plain std::move beside a
+    // read; the clean() calls below them stay quiet.
+    EXPECT_NE(r.output.find("src/core/move_arg_read.cc:19: move-arg-read: "
+                            "'fix'"),
+              std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("src/core/move_arg_read.cc:20: move-arg-read: "
+                            "'data'"),
+              std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("2 violation(s)"), std::string::npos)
+        << r.output;
+}
+
 TEST(DraidLint, TickUnitFiresOnRawTickParamAndReturn)
 {
     const LintRun r = lintFixture("src/sim/simulator.h");
@@ -376,7 +394,7 @@ TEST(DraidLint, ListRulesPrintsEveryRuleAndExitsZero)
     EXPECT_EQ(r.exitCode, 0);
     for (const char *rule :
          {"wall-clock", "layering", "tick-unit", "bounded-memory",
-          "callback-discipline", "bad-suppression"})
+          "callback-discipline", "move-arg-read", "bad-suppression"})
         EXPECT_NE(r.output.find(rule), std::string::npos)
             << "rule " << rule << " missing from --list-rules:\n"
             << r.output;
@@ -414,7 +432,7 @@ TEST(DraidLint, WholeFixtureTreeFiresEveryRule)
          {"wall-clock", "raw-rng", "unordered-iter", "ptr-key",
           "include-first", "ns-header", "fp-accum", "bad-suppression",
           "layering", "tick-unit", "bounded-memory",
-          "callback-discipline"})
+          "callback-discipline", "move-arg-read"})
         EXPECT_NE(r.output.find(std::string(": ") + rule + ":"),
                   std::string::npos)
             << "rule " << rule << " never fired:\n"

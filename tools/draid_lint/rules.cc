@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <string>
+#include <vector>
 
 namespace draidlint {
 
@@ -562,6 +564,122 @@ ruleFpAccum(const FileUnit &u, const SymbolTables &tables,
 }
 
 // ---------------------------------------------------------------------------
+// H3 move-arg-read: no call both moves a name and reads it elsewhere
+// ---------------------------------------------------------------------------
+
+/**
+ * For each token, the index of the innermost '(', '[' or '{' still open
+ * around it (tokens.size() at top level), and for each opener the index
+ * of its closer.
+ */
+struct Brackets
+{
+    std::vector<std::size_t> parent;
+    std::vector<std::size_t> close;
+};
+
+Brackets
+matchBrackets(const FileUnit &u)
+{
+    const std::size_t n = u.tokens.size();
+    Brackets b{std::vector<std::size_t>(n, n), std::vector<std::size_t>(n, n)};
+    std::vector<std::size_t> open;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::string &t = u.tokens[i].text;
+        b.parent[i] = open.empty() ? n : open.back();
+        if (u.tokens[i].kind != Token::Kind::kPunct)
+            continue;
+        if (t == "(" || t == "[" || t == "{") {
+            open.push_back(i);
+        } else if ((t == ")" || t == "]" || t == "}") && !open.empty()) {
+            b.close[open.back()] = i;
+            open.pop_back();
+            b.parent[i] = open.empty() ? n : open.back();
+        }
+    }
+    return b;
+}
+
+/** Whether the '(' at @p i opens a call's (or constructor's) arguments. */
+bool
+isCallParen(const FileUnit &u, std::size_t i)
+{
+    static const std::set<std::string> kNotCalls = {
+        "if",     "while",    "for",           "switch",   "return",
+        "sizeof", "catch",    "alignof",       "decltype", "noexcept",
+        "throw",  "co_return", "static_assert", "alignas",
+    };
+    if (i == 0)
+        return false;
+    const std::string &prev = tokText(u, i - 1);
+    if (isIdent(u, i - 1))
+        return !kNotCalls.count(prev);
+    return prev == ">" || prev == ")";
+}
+
+/**
+ * A call that moves a name in one argument (`std::move(x)`, which also
+ * covers an init-capture `x = std::move(x)`) and reads it in another:
+ * C++ leaves the order of argument evaluation unspecified, so the read
+ * may see the moved-from object (GCC builds a by-value closure argument
+ * before it evaluates the arguments left of it). A move inside a lambda
+ * body runs later, not at the call, and is not counted.
+ */
+void
+ruleMoveArgRead(const FileUnit &u, const RuleSink &sink)
+{
+    const std::size_t n = u.tokens.size();
+    Brackets b;
+    for (std::size_t m = 0; m + 5 < n; ++m) {
+        if (tokText(u, m) != "std" || tokText(u, m + 1) != "::" ||
+            tokText(u, m + 2) != "move" || tokText(u, m + 3) != "(" ||
+            !isIdent(u, m + 4) || tokText(u, m + 5) != ")")
+            continue;
+        if (b.parent.empty())
+            b = matchBrackets(u);
+        const std::string &name = u.tokens[m + 4].text;
+        for (std::size_t p = b.parent[m]; p < n && tokText(u, p) != "{";
+             p = b.parent[p]) {
+            if (tokText(u, p) != "(" || !isCallParen(u, p) ||
+                b.close[p] >= n)
+                continue;
+            // The argument holding the move: between the commas of this
+            // call that enclose it.
+            std::size_t arg = m;
+            while (b.parent[arg] != p)
+                arg = b.parent[arg];
+            std::size_t lo = arg, hi = arg;
+            while (lo > p + 1 &&
+                   !(tokText(u, lo - 1) == "," && b.parent[lo - 1] == p))
+                --lo;
+            while (hi + 1 < b.close[p] &&
+                   !(tokText(u, hi + 1) == "," && b.parent[hi + 1] == p))
+                ++hi;
+            for (std::size_t r = p + 1; r < b.close[p]; ++r) {
+                if (r == lo) {
+                    r = hi;
+                    continue;
+                }
+                if (u.tokens[r].text != name || !isIdent(u, r))
+                    continue;
+                const std::string &before = tokText(u, r - 1);
+                if (before == "." || before == "->" || before == "::" ||
+                    tokText(u, r + 1) == "::")
+                    continue;
+                sink.report(u.tokens[r].line, "move-arg-read",
+                            "'" + name +
+                                "' is read in one argument of a call "
+                                "and moved in another (line " +
+                                std::to_string(u.tokens[m].line) +
+                                "); argument evaluation order is "
+                                "unspecified, so read it first");
+                break;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
 
@@ -595,6 +713,8 @@ allRules()
         {"callback-discipline",
          "event callbacks: no engine re-entry, no schedule fan-out or "
          "allocation in loops"},
+        {"move-arg-read",
+         "no call reads a name in one argument and moves it in another"},
         {"bad-suppression",
          "draid-lint markers are well-formed: allow(<rule>) -- <reason> "
          "or cap(<expr>)"},
@@ -642,6 +762,7 @@ runRules(const FileUnit &unit, const SymbolTables &tables,
     ruleIncludeFirst(unit, tables, sink);
     ruleNsHeader(unit, sink);
     ruleFpAccum(unit, tables, sink);
+    ruleMoveArgRead(unit, sink);
     runSemanticRules(unit, out);
 
     for (int line : unit.badSuppressionLines)
