@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 namespace draid::ec {
 
@@ -39,6 +40,23 @@ class Buffer
      * overwrites in full before reading it.
      */
     static Buffer forOverwrite(std::size_t size);
+
+    Buffer(const Buffer &) = default;
+    Buffer &operator=(const Buffer &) = default;
+
+    /** A moved-from buffer is empty: it holds no storage and no bytes. */
+    Buffer(Buffer &&other) noexcept
+        : data_(std::move(other.data_)), size_(std::exchange(other.size_, 0))
+    {
+    }
+
+    Buffer &
+    operator=(Buffer &&other) noexcept
+    {
+        data_ = std::move(other.data_);
+        size_ = std::exchange(other.size_, 0);
+        return *this;
+    }
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "ec/buffer.h"
 
 using draid::ec::Buffer;
@@ -11,6 +13,22 @@ TEST(Buffer, DefaultIsEmpty)
     Buffer b;
     EXPECT_TRUE(b.empty());
     EXPECT_EQ(b.size(), 0u);
+}
+
+TEST(Buffer, MovedFromIsEmpty)
+{
+    Buffer a(16);
+    Buffer b(std::move(a));
+    EXPECT_EQ(b.size(), 16u);
+    EXPECT_TRUE(a.empty());
+    EXPECT_EQ(a.size(), 0u);
+    EXPECT_EQ(a.data(), nullptr);
+
+    Buffer c(8);
+    c = std::move(b);
+    EXPECT_EQ(c.size(), 16u);
+    EXPECT_TRUE(b.empty());
+    EXPECT_TRUE(b.contentEquals(Buffer()));
 }
 
 TEST(Buffer, AllocatesZeroInitialized)
