@@ -3,13 +3,26 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <memory>
 #include <utility>
 
 #include "ec/gf256.h"
 #include "ec/xor_kernel.h"
 
 namespace draid::core {
+
+namespace {
+
+/** Sub-command index of a rebuild's spare write; its op id is its slot. */
+constexpr std::uint8_t kSpareWriteSub = 0xfe;
+
+proto::Status
+statusOf(blockdev::IoStatus st)
+{
+    return st == blockdev::IoStatus::kOk ? proto::Status::kSuccess
+                                         : proto::Status::kFailed;
+}
+
+} // namespace
 
 DraidBdev::DraidBdev(cluster::Cluster &cluster, std::uint32_t index,
                      const DraidOptions &options)
@@ -39,26 +52,81 @@ DraidBdev::DraidBdev(cluster::Cluster &cluster, std::uint32_t index,
 void
 DraidBdev::onMessage(const net::Message &msg)
 {
-    switch (msg.capsule.opcode) {
+    const proto::Capsule &m = msg.capsule;
+    switch (m.opcode) {
       case proto::Opcode::kPartialWrite:
-        handlePartialWrite(msg);
+        ++counters_.partialWrites;
         break;
       case proto::Opcode::kParity:
-        handleParity(msg);
+        ++counters_.parityCmds;
         break;
       case proto::Opcode::kPeer:
-        handlePeer(msg);
         break;
       case proto::Opcode::kReconstruction:
-        handleReconstruction(msg);
+        ++counters_.reconstructions;
         break;
       case proto::Opcode::kCompletion:
-        handleSelfCompletion(msg);
-        break;
+        // Only a rebuild's spare write completes at a bdev.
+        assert(subOf(m.commandId) == kSpareWriteSub);
+        reply(static_cast<std::uint32_t>(opOf(m.commandId)), m.status);
+        return;
       default:
         NvmfTarget::onMessage(msg);
+        return;
+    }
+    const bool sge = !m.sgList.empty();
+    const std::uint32_t slot = commands_.acquire(Command{
+        .commandId = m.commandId, .offset = m.offset,
+        .chunkAddr = sge ? m.sgList[0].addr : 0, .trace = m.traceId,
+        .length = m.length, .chunkLen = sge ? m.sgList[0].length : 0,
+        .fwdOffset = m.fwdOffset, .fwdLength = m.fwdLength,
+        .from = msg.from, .nextDest = m.nextDest, .nextDest2 = m.nextDest2,
+        .dataIdx = m.dataIdx, .waitNum = m.waitNum, .opcode = m.opcode,
+        .subtype = m.subtype, .payload = msg.payload});
+    node_.cpu().execute(cluster_.config().serverCmdCost, m.traceId,
+                        "srv.cmd", [this, slot]() { parsed(slot); });
+}
+
+void
+DraidBdev::parsed(std::uint32_t slot)
+{
+    switch (commands_[slot].opcode) {
+      case proto::Opcode::kPartialWrite:
+        partialWriteParsed(slot);
+        break;
+      case proto::Opcode::kParity:
+        parityParsed(slot);
+        break;
+      case proto::Opcode::kPeer:
+        peerParsed(slot);
+        break;
+      default:
+        reconstructionParsed(slot);
         break;
     }
+}
+
+void
+DraidBdev::retire(std::uint32_t slot)
+{
+    commands_[slot] = Command{};
+    commands_.release(slot);
+}
+
+void
+DraidBdev::settle(std::uint32_t slot)
+{
+    if (--commands_[slot].legs == 0)
+        retire(slot);
+}
+
+void
+DraidBdev::reply(std::uint32_t slot, proto::Status status)
+{
+    Command &c = commands_[slot];
+    sendCompletion(c.from, c.commandId, status, std::exchange(c.payload, {}),
+                   c.trace);
+    retire(slot);
 }
 
 // ---------------------------------------------------------------------------
@@ -66,222 +134,165 @@ DraidBdev::onMessage(const net::Message &msg)
 // ---------------------------------------------------------------------------
 
 void
-DraidBdev::handlePartialWrite(const net::Message &msg)
+DraidBdev::partialWriteParsed(std::uint32_t slot)
 {
-    ++counters_.partialWrites;
-    const auto cmd = msg.capsule;
-    const auto from = msg.from;
-    auto payload = msg.payload;
-
-    node_.cpu().execute(cluster_.config().serverCmdCost, cmd.traceId,
-                        "srv.cmd", [this, cmd, from, payload]() {
-        assert(!cmd.sgList.empty());
-        const std::uint64_t chunk_addr = cmd.sgList[0].addr;
-        const std::uint32_t chunk_len = cmd.sgList[0].length;
-
-        // Collect the phase-1 I/Os: remote fetch + drive read(s). With the
-        // pipeline enabled (§5.3) they all launch at once; without it they
-        // run strictly one after another (conventional NVMe-oF ordering).
-        struct Phase1
-        {
-            int outstanding = 0;
-            std::size_t next = 0;
-            // draid-lint: cap(deferred sub-commands of one op; at most stripe width)
-            std::vector<std::function<void()>> serialQueue;
-            ec::Buffer newData;
-            ec::Buffer oldData;
-            ec::Buffer oldHead;
-            ec::Buffer oldTail;
-        };
-        auto ph = std::make_shared<Phase1>();
-        auto join = [this, ph, cmd, from]() {
-            if (--ph->outstanding == 0) {
-                ph->serialQueue.clear(); // break shared_ptr cycle
-                partialWritePhase2(cmd, from, std::move(ph->newData),
-                                   std::move(ph->oldData),
-                                   std::move(ph->oldHead),
-                                   std::move(ph->oldTail));
-            } else if (ph->next < ph->serialQueue.size()) {
-                ph->serialQueue[ph->next++]();
-            }
-        };
-
-        std::vector<std::function<void()>> starts;
-
-        if (cmd.length > 0) {
-            ++ph->outstanding;
-            ph->newData = payload;
-            starts.push_back([this, from, cmd, join]() {
-                cluster_.fabric().rdmaRead(node_.id(), from, cmd.length,
-                                           join, cmd.traceId);
-            });
-        }
-        switch (cmd.subtype) {
-          case proto::Subtype::kRmw:
-            // Old data under the write range.
-            ++ph->outstanding;
-            starts.push_back([this, cmd, ph, join]() {
-                node_.ssd().read(cmd.offset, cmd.length, cmd.traceId,
-                                 [ph, join](blockdev::IoStatus,
-                                            ec::Buffer data) {
-                    ph->oldData = std::move(data);
-                    join();
-                });
-            });
-            break;
-          case proto::Subtype::kRwWrite: {
-            // The chunk parts the write does not cover.
-            const std::uint32_t head_len =
-                static_cast<std::uint32_t>(cmd.offset - chunk_addr);
-            const std::uint32_t tail_len =
-                chunk_len - head_len - cmd.length;
-            if (head_len > 0) {
-                ++ph->outstanding;
-                starts.push_back([this, cmd, chunk_addr, head_len, ph,
-                                  join]() {
-                    node_.ssd().read(chunk_addr, head_len, cmd.traceId,
-                                     [ph, join](blockdev::IoStatus,
-                                                ec::Buffer data) {
-                        ph->oldHead = std::move(data);
-                        join();
-                    });
-                });
-            }
-            if (tail_len > 0) {
-                ++ph->outstanding;
-                const std::uint64_t tail_addr = cmd.offset + cmd.length;
-                starts.push_back([this, cmd, tail_addr, tail_len, ph,
-                                  join]() {
-                    node_.ssd().read(tail_addr, tail_len, cmd.traceId,
-                                     [ph, join](blockdev::IoStatus,
-                                                ec::Buffer data) {
-                        ph->oldTail = std::move(data);
-                        join();
-                    });
-                });
-            }
-            break;
-          }
-          case proto::Subtype::kRwRead:
-            // Forward segment read straight from the drive.
-            ++ph->outstanding;
-            starts.push_back([this, cmd, chunk_addr, ph, join]() {
-                node_.ssd().read(chunk_addr + cmd.fwdOffset, cmd.fwdLength,
-                                 cmd.traceId,
-                                 [ph, join](blockdev::IoStatus,
-                                            ec::Buffer data) {
-                    ph->oldData = std::move(data);
-                    join();
-                });
-            });
-            break;
-          default:
-            assert(false && "bad PartialWrite subtype");
-        }
-
-        assert(ph->outstanding > 0);
-        if (opts_.pipeline) {
-            // Launch everything at once: remote fetch overlaps drive reads.
-            for (auto &start : starts)
-                start();
-        } else {
-            // Serial: each I/O starts when the previous one completes
-            // (join() advances the queue until all are outstanding-done).
-            ph->serialQueue = std::move(starts);
-            ph->next = 1;
-            ph->serialQueue[0]();
-        }
-    });
-}
-
-void
-DraidBdev::partialWritePhase2(const proto::Capsule &cmd, sim::NodeId from,
-                              ec::Buffer new_data, ec::Buffer old_data,
-                              ec::Buffer old_head, ec::Buffer old_tail)
-{
-    const std::uint64_t chunk_addr = cmd.sgList[0].addr;
-    const std::uint32_t chunk_len = cmd.sgList[0].length;
-    const auto &cfg = cluster_.config();
-
-    // Derive the partial parity and the CPU cost of doing so.
-    ec::Buffer partial;
-    std::uint64_t xor_bytes = 0;
-    switch (cmd.subtype) {
+    // Phase 1 is a fixed list of reads: the remote fetch, then the old
+    // data under the write range (RMW), the chunk parts the write does not
+    // cover (RW write) or the forward segment (RW read).
+    Command &c = commands_[slot];
+    const auto add = [&c](std::uint64_t addr, std::uint32_t len,
+                          bool remote) {
+        c.reads[c.numReads++] =
+            Read{.addr = addr, .length = len, .remote = remote};
+    };
+    if (c.length > 0)
+        add(0, c.length, true);
+    switch (c.subtype) {
       case proto::Subtype::kRmw:
-        // The old data is a fresh drive read: held alone, it takes the
-        // delta in place.
-        if (old_data.unique()) {
-            ec::xorInto(old_data, new_data);
-            partial = std::move(old_data);
-        } else {
-            partial = ec::xorOf(old_data, new_data);
-        }
-        xor_bytes = partial.size();
+        add(c.offset, c.length, false);
         break;
       case proto::Subtype::kRwWrite: {
-        // Assemble the chunk's post-write content: head + new + tail.
-        partial = ec::Buffer(chunk_len);
-        const std::uint32_t head_len =
-            static_cast<std::uint32_t>(cmd.offset - chunk_addr);
-        if (!old_head.empty())
-            std::memcpy(partial.data(), old_head.data(), old_head.size());
-        std::memcpy(partial.data() + head_len, new_data.data(),
-                    new_data.size());
-        if (!old_tail.empty())
-            std::memcpy(partial.data() + head_len + new_data.size(),
-                        old_tail.data(), old_tail.size());
+        const auto head_len = static_cast<std::uint32_t>(c.offset - c.chunkAddr);
+        const std::uint32_t tail_len = c.chunkLen - head_len - c.length;
+        if (head_len > 0)
+            add(c.chunkAddr, head_len, false);
+        if (tail_len > 0)
+            add(c.offset + c.length, tail_len, false);
         break;
       }
       case proto::Subtype::kRwRead:
-        partial = std::move(old_data);
+        add(c.chunkAddr + c.fwdOffset, c.fwdLength, false);
+        break;
+      default:
+        assert(false && "bad PartialWrite subtype");
+    }
+    assert(c.numReads > 0);
+
+    // With the pipeline (§5.3) every read launches at once, so the remote
+    // fetch overlaps the drive reads; without it each starts when the
+    // previous one lands (conventional NVMe-oF ordering).
+    const std::uint8_t n = opts_.pipeline ? c.numReads : 1;
+    for (std::uint8_t i = 0; i < n; ++i)
+        phase1Issue(slot, i);
+}
+
+void
+DraidBdev::phase1Issue(std::uint32_t slot, std::uint8_t i)
+{
+    Command &c = commands_[slot];
+    const Read &r = c.reads[i];
+    if (!r.remote) {
+        node_.ssd().read(r.addr, r.length, c.trace,
+                         [this, slot, i](blockdev::IoStatus st,
+                                         ec::Buffer data) {
+            Read &landed = commands_[slot].reads[i];
+            landed.status = st;
+            landed.data = std::move(data);
+            phase1Landed(slot, i);
+        });
+        return;
+    }
+    const bool pulling = cluster_.fabric().rdmaRead(
+        node_.id(), c.from, r.length,
+        [this, slot, i]() { phase1Landed(slot, i); }, c.trace);
+    if (!pulling) {
+        // A node is down, so phase 2 never runs: free the slot once no
+        // read is in flight (serially, none follows the fetch).
+        c.dropped = true;
+        c.landed += opts_.pipeline ? 1 : c.numReads;
+        if (c.landed >= c.numReads)
+            retire(slot);
+    }
+}
+
+void
+DraidBdev::phase1Landed(std::uint32_t slot, std::uint8_t i)
+{
+    Command &c = commands_[slot];
+    if (++c.landed < c.numReads) {
+        if (!opts_.pipeline)
+            phase1Issue(slot, static_cast<std::uint8_t>(i + 1));
+        return;
+    }
+    if (c.dropped)
+        retire(slot);
+    else
+        partialWritePhase2(slot);
+}
+
+void
+DraidBdev::partialWritePhase2(std::uint32_t slot)
+{
+    Command &c = commands_[slot];
+    // The one drive read of an RMW or RW read comes last in the list.
+    Read &drive = c.reads[c.numReads - 1];
+
+    // Derive the partial parity and the CPU cost of doing so.
+    std::uint64_t xor_bytes = 0;
+    switch (c.subtype) {
+      case proto::Subtype::kRmw:
+        // The old data is a fresh drive read: held alone, it takes the
+        // delta in place.
+        if (drive.data.unique()) {
+            ec::xorInto(drive.data, c.payload);
+            c.partial = std::move(drive.data);
+        } else {
+            c.partial = ec::xorOf(drive.data, c.payload);
+        }
+        xor_bytes = c.partial.size();
+        break;
+      case proto::Subtype::kRwWrite:
+        // Assemble the chunk's post-write content: the new data and each
+        // drive read at its own place in the chunk.
+        c.partial = ec::Buffer(c.chunkLen);
+        std::memcpy(c.partial.data() + (c.offset - c.chunkAddr),
+                    c.payload.data(), c.payload.size());
+        for (std::uint8_t i = 0; i < c.numReads; ++i) {
+            const Read &r = c.reads[i];
+            if (!r.remote && !r.data.empty())
+                std::memcpy(c.partial.data() + (r.addr - c.chunkAddr),
+                            r.data.data(), r.data.size());
+        }
+        break;
+      case proto::Subtype::kRwRead:
+        c.partial = std::move(drive.data);
         break;
       default:
         assert(false);
     }
 
-    node_.cpu().executeBytes(xor_bytes, cfg.xorBw, sim::Ticks::zero(), cmd.traceId,
-                             "parity.xor", [this, cmd, from, new_data,
-                                            partial]() mutable {
-        const sim::NodeId relay =
-            opts_.p2pForwarding ? sim::kInvalidNode : from;
-        auto do_forward = [this, cmd, relay, partial]() {
-            forwardToParity(cmd, relay, partial);
-        };
-        auto do_write = [this, cmd, from, new_data]() {
-            if (cmd.length == 0)
-                return;
-            node_.ssd().write(cmd.offset, new_data, cmd.traceId,
-                              [this, cmd, from](blockdev::IoStatus st) {
-                sendCompletion(from, cmd.commandId,
-                               st == blockdev::IoStatus::kOk
-                                   ? proto::Status::kSuccess
-                                   : proto::Status::kFailed,
-                               {}, cmd.traceId);
-            });
-        };
+    node_.cpu().executeBytes(xor_bytes, cluster_.config().xorBw,
+                             sim::Ticks::zero(), c.trace, "parity.xor",
+                             [this, slot]() { partialWriteXored(slot); });
+}
 
-        if (opts_.pipeline) {
-            // §5.3: the drive write overlaps partial-parity forwarding.
-            do_forward();
-            do_write();
-        } else {
-            // Serial: persist first, then forward (pre-pipeline design).
-            if (cmd.length == 0) {
-                do_forward();
-                return;
-            }
-            node_.ssd().write(cmd.offset, new_data, cmd.traceId,
-                              [this, cmd, from,
-                               do_forward](blockdev::IoStatus st) {
-                do_forward();
-                sendCompletion(from, cmd.commandId,
-                               st == blockdev::IoStatus::kOk
-                                   ? proto::Status::kSuccess
-                                   : proto::Status::kFailed,
-                               {}, cmd.traceId);
-            });
+void
+DraidBdev::partialWriteXored(std::uint32_t slot)
+{
+    Command &c = commands_[slot];
+    if (opts_.pipeline || c.length == 0) {
+        // §5.3: the drive write overlaps partial-parity forwarding.
+        forwardToParity(slot);
+        if (c.length == 0) {
+            settle(slot);
+            return;
         }
-    });
+    }
+    // Without the pipeline, persist first, then forward.
+    node_.ssd().write(c.offset, std::exchange(c.payload, {}), c.trace,
+                      [this, slot](blockdev::IoStatus st) {
+                          partialWriteStored(slot, st);
+                      });
+}
+
+void
+DraidBdev::partialWriteStored(std::uint32_t slot, blockdev::IoStatus st)
+{
+    if (!opts_.pipeline)
+        forwardToParity(slot);
+    const Command &c = commands_[slot];
+    sendCompletion(c.from, c.commandId, statusOf(st), {}, c.trace);
+    settle(slot);
 }
 
 // ---------------------------------------------------------------------------
@@ -289,72 +300,54 @@ DraidBdev::partialWritePhase2(const proto::Capsule &cmd, sim::NodeId from,
 // ---------------------------------------------------------------------------
 
 void
-DraidBdev::handleParity(const net::Message &msg)
+DraidBdev::parityParsed(std::uint32_t slot)
 {
-    ++counters_.parityCmds;
-    const auto cmd = msg.capsule;
-    const auto from = msg.from;
-    auto payload = msg.payload;
+    Command &c = commands_[slot];
+    const std::uint64_t key = opOf(c.commandId);
+    auto &s = reduce_.obtain(key);
+    if (s.absorbed > 0)
+        ++counters_.lateParityCmds;
+    s.hostCmdSeen = true;
+    s.kind = SessionKind::kParity;
+    s.subtype = c.subtype;
+    s.baseOffset = c.fwdOffset;
+    s.length = c.fwdLength;
+    s.chunkDeviceAddr = c.offset - c.fwdOffset;
+    s.replyTo = c.from;
+    s.hostCmdId = c.commandId;
+    s.remaining += c.waitNum;
+    s.traceId = c.trace;
 
-    node_.cpu().execute(cluster_.config().serverCmdCost, cmd.traceId,
-                        "srv.cmd", [this, cmd, from, payload]() {
-        const std::uint64_t key = opOf(cmd.commandId);
-        auto &s = reduce_.obtain(key);
-        if (s.absorbed > 0)
-            ++counters_.lateParityCmds;
-        s.hostCmdSeen = true;
-        s.kind = SessionKind::kParity;
-        s.subtype = cmd.subtype;
-        s.baseOffset = cmd.fwdOffset;
-        s.length = cmd.fwdLength;
-        s.chunkDeviceAddr = cmd.offset - cmd.fwdOffset;
-        s.replyTo = from;
-        s.hostCmdId = cmd.commandId;
-        s.remaining += cmd.waitNum;
-        s.traceId = cmd.traceId;
+    if (c.subtype == proto::Subtype::kRmw) {
+        // Preload and fold in the old parity window.
+        s.preloadPending = true;
+        ++c.legs;
+        node_.ssd().read(c.offset, c.length, c.trace,
+                         [this, slot](blockdev::IoStatus, ec::Buffer data) {
+                             commands_[slot].partial = std::move(data);
+                             absorbContribution(slot, true);
+                         });
+    }
 
-        if (cmd.subtype == proto::Subtype::kRmw) {
-            // Preload and fold in the old parity window.
-            s.preloadPending = true;
-            node_.ssd().read(cmd.offset, cmd.length, cmd.traceId,
-                             [this, key, cmd](blockdev::IoStatus,
-                                              ec::Buffer data) {
-                const std::size_t bytes = data.size(); // before the move below
-                node_.cpu().executeBytes(
-                    bytes, cluster_.config().xorBw, sim::Ticks::zero(), cmd.traceId,
-                    "reduce.xor",
-                    [this, key, cmd, data = std::move(data)]() mutable {
-                        auto *sess = reduce_.find(key);
-                        if (!sess)
-                            return;
-                        ReduceEngine::absorbNoCount(*sess, cmd.fwdOffset,
-                                                    std::move(data));
-                        sess->preloadPending = false;
-                        maybeFinish(key);
-                    });
-            });
-        }
+    // Degraded reconstruct-write: the host contributes the failed chunk's
+    // new content itself (pulled like any other partial).
+    const bool hosted = !c.payload.empty();
+    if (hosted) {
+        ++c.legs;
+        if (!cluster_.fabric().rdmaRead(
+                node_.id(), c.from, c.payload.size(),
+                [this, slot]() { absorbContribution(slot, false); }, c.trace))
+            --c.legs;
+    }
 
-        if (!payload.empty()) {
-            // Degraded reconstruct-write: the host contributes the failed
-            // chunk's new content itself (pulled like any other partial).
-            cluster_.fabric().rdmaRead(node_.id(), from, payload.size(),
-                                       [this, key, cmd, payload]() {
-                absorbContribution(key, cmd.fwdOffset, payload, true,
-                                   cmd.traceId);
-            }, cmd.traceId);
-        }
-
-        // Barrier-mode ablation: reduction may only start once every
-        // expected Peer partial has arrived.
-        if (!opts_.nonBlockingReduce) {
-            s.barrierExpect = static_cast<int>(cmd.waitNum) -
-                              (payload.empty() ? 0 : 1);
-            tryBarrierFlush(key);
-        }
-
-        maybeFinish(key);
-    });
+    // Barrier-mode ablation: reduction may only start once every
+    // expected Peer partial has arrived.
+    if (!opts_.nonBlockingReduce) {
+        s.barrierExpect = static_cast<int>(c.waitNum) - (hosted ? 1 : 0);
+        tryBarrierFlush(key);
+    }
+    settle(slot);
+    maybeFinish(key);
 }
 
 void
@@ -363,64 +356,66 @@ DraidBdev::tryBarrierFlush(std::uint64_t key)
     auto *s = reduce_.find(key);
     if (!s || !s->hostCmdSeen || s->barrierExpect < 0)
         return;
-    auto it = stashed_.find(key);
-    const std::size_t have = it == stashed_.end() ? 0 : it->second.size();
-    if (static_cast<int>(have) < s->barrierExpect)
+    if (static_cast<int>(s->stashed.size()) < s->barrierExpect)
         return;
-    if (it != stashed_.end()) {
-        auto pending = std::move(it->second);
-        stashed_.erase(it);
-        for (auto &[off, buf] : pending)
-            absorbContribution(key, off, std::move(buf), true, s->traceId);
-    }
+    for (const std::uint32_t slot : std::exchange(s->stashed, {}))
+        absorbContribution(slot, false);
     if (s->barrierExpect == 0)
         maybeFinish(key);
 }
 
 void
-DraidBdev::handlePeer(const net::Message &msg)
+DraidBdev::peerParsed(std::uint32_t slot)
 {
-    const auto cmd = msg.capsule;
-    const auto from = msg.from;
-    auto payload = msg.payload;
-
-    node_.cpu().execute(cluster_.config().serverCmdCost, cmd.traceId,
-                        "srv.cmd", [this, cmd, from, payload]() {
-        const std::uint64_t key = opOf(cmd.commandId);
-        // Pull the announced partial from the peer.
-        cluster_.fabric().rdmaRead(node_.id(), from, cmd.fwdLength,
-                                   [this, key, cmd, payload]() {
-            if (!opts_.nonBlockingReduce) {
-                // Barrier ablation: hold every partial until the full set
-                // is present, then reduce serially.
-                stashed_[key].emplace_back(cmd.fwdOffset, payload);
-                tryBarrierFlush(key);
-                return;
-            }
-            absorbContribution(key, cmd.fwdOffset, payload, true,
-                               cmd.traceId);
-        }, cmd.traceId);
-    });
+    // Pull the announced partial from the peer.
+    const Command &c = commands_[slot];
+    if (!cluster_.fabric().rdmaRead(node_.id(), c.from, c.fwdLength,
+                                    [this, slot]() { peerPulled(slot); },
+                                    c.trace))
+        retire(slot);
 }
 
 void
-DraidBdev::absorbContribution(std::uint64_t key, std::uint32_t offset,
-                              ec::Buffer data, bool counted,
-                              std::uint64_t trace)
+DraidBdev::peerPulled(std::uint32_t slot)
 {
-    const std::size_t bytes = data.size(); // before the move below
-    node_.cpu().executeBytes(bytes, cluster_.config().xorBw, sim::Ticks::zero(), trace,
-                             "reduce.xor",
-                             [this, key, offset, data = std::move(data),
-                              counted]() mutable {
-        auto &s = reduce_.obtain(key);
-        if (counted)
-            ReduceEngine::absorb(s, offset, std::move(data));
-        else
-            ReduceEngine::absorbNoCount(s, offset, std::move(data));
-        ++counters_.peersAbsorbed;
-        maybeFinish(key);
-    });
+    if (!opts_.nonBlockingReduce) {
+        // Barrier ablation: hold every partial until the full set is
+        // present, then reduce serially.
+        const std::uint64_t key = opOf(commands_[slot].commandId);
+        reduce_.obtain(key).stashed.push_back(slot);
+        tryBarrierFlush(key);
+        return;
+    }
+    absorbContribution(slot, false);
+}
+
+void
+DraidBdev::absorbContribution(std::uint32_t slot, bool local)
+{
+    const Command &c = commands_[slot];
+    node_.cpu().executeBytes((local ? c.partial : c.payload).size(),
+                             cluster_.config().xorBw, sim::Ticks::zero(),
+                             c.trace, "reduce.xor", [this, slot, local]() {
+                                 contributionAbsorbed(slot, local);
+                             });
+}
+
+void
+DraidBdev::contributionAbsorbed(std::uint32_t slot, bool local)
+{
+    Command &c = commands_[slot];
+    const std::uint64_t key = opOf(c.commandId);
+    auto &s = reduce_.obtain(key);
+    if (local) {
+        ReduceEngine::absorbNoCount(s, c.fwdOffset, std::move(c.partial));
+        s.preloadPending = false;
+    } else {
+        ReduceEngine::absorb(s, c.fwdOffset, std::move(c.payload));
+    }
+    if (!local || s.kind == SessionKind::kReconstruct)
+        ++counters_.peersAbsorbed; // the old parity is no peer's
+    settle(slot);
+    maybeFinish(key);
 }
 
 void
@@ -431,42 +426,41 @@ DraidBdev::maybeFinish(std::uint64_t key)
         return;
 
     ++counters_.reductionsFinished;
-    ec::Buffer window = ReduceEngine::finalWindow(*s);
-    const auto reply_to = s->replyTo;
-    const auto cmd_id = s->hostCmdId;
     const auto addr = s->chunkDeviceAddr + s->baseOffset;
     const auto spare = s->spareDest;
     const auto kind = s->kind;
-    const auto trace = s->traceId;
+    const std::uint32_t slot = commands_.acquire(
+        Command{.commandId = s->hostCmdId, .trace = s->traceId,
+                .from = s->replyTo, .payload = ReduceEngine::finalWindow(*s)});
     reduce_.erase(key);
+    Command &c = commands_[slot];
 
     if (kind == SessionKind::kParity) {
-        node_.ssd().write(addr, window, trace,
-                          [this, reply_to, cmd_id,
-                           trace](blockdev::IoStatus st) {
-            sendCompletion(reply_to, cmd_id,
-                           st == blockdev::IoStatus::kOk
-                               ? proto::Status::kSuccess
-                               : proto::Status::kFailed,
-                           {}, trace);
-        });
+        node_.ssd().write(addr, std::exchange(c.payload, {}), c.trace,
+                          [this, slot](blockdev::IoStatus st) {
+                              reply(slot, statusOf(st));
+                          });
         return;
     }
 
     // Reconstruction: deliver the rebuilt segment.
     if (spare != sim::kInvalidNode) {
         // Rebuild: write straight to the spare, then report to the host.
-        writeToPeer(spare, addr, window,
-                    [this, reply_to, cmd_id, trace](proto::Status st) {
-                        sendCompletion(reply_to, cmd_id, st, {}, trace);
-                    }, trace);
+        // The spare write's completion names this slot.
+        proto::Capsule w;
+        w.opcode = proto::Opcode::kWrite;
+        w.commandId = makeCmdId(slot, kSpareWriteSub);
+        w.offset = addr;
+        w.length = static_cast<std::uint32_t>(c.payload.size());
+        w.traceId = c.trace;
+        cluster_.fabric().send(net::Message{node_.id(), spare, std::move(w),
+                                            std::exchange(c.payload, {})});
         return;
     }
-    cluster_.fabric().rdmaWrite(node_.id(), reply_to, window.size(),
-                                [this, reply_to, cmd_id, window, trace]() {
-        sendCompletion(reply_to, cmd_id, proto::Status::kSuccess, window,
-                       trace);
-    }, trace);
+    if (!cluster_.fabric().rdmaWrite(
+            node_.id(), c.from, c.payload.size(),
+            [this, slot]() { reply(slot, proto::Status::kSuccess); }, c.trace))
+        retire(slot);
 }
 
 // ---------------------------------------------------------------------------
@@ -474,113 +468,97 @@ DraidBdev::maybeFinish(std::uint64_t key)
 // ---------------------------------------------------------------------------
 
 void
-DraidBdev::handleReconstruction(const net::Message &msg)
+DraidBdev::reconstructionParsed(std::uint32_t slot)
 {
-    ++counters_.reconstructions;
-    const auto cmd = msg.capsule;
-    const auto from = msg.from;
+    // §6.1: one drive I/O covering the union (including any gap).
+    Command &c = commands_[slot];
+    const std::uint64_t recon_lo = c.chunkAddr + c.fwdOffset;
+    std::uint64_t lo = recon_lo, hi = recon_lo + c.fwdLength;
+    if (c.subtype == proto::Subtype::kAlsoRead && c.length > 0) {
+        lo = std::min(lo, c.offset);
+        hi = std::max(hi, c.offset + c.length);
+    }
+    c.reads[0] =
+        Read{.addr = lo, .length = static_cast<std::uint32_t>(hi - lo)};
+    node_.ssd().read(lo, c.reads[0].length, c.trace,
+                     [this, slot](blockdev::IoStatus st, ec::Buffer data) {
+                         reconstructionLoaded(slot, st, std::move(data));
+                     });
+}
 
-    node_.cpu().execute(cluster_.config().serverCmdCost, cmd.traceId,
-                        "srv.cmd", [this, cmd, from]() {
-        assert(!cmd.sgList.empty());
-        const std::uint64_t chunk_addr = cmd.sgList[0].addr;
-        const std::uint64_t recon_lo = chunk_addr + cmd.fwdOffset;
-        const std::uint64_t recon_hi = recon_lo + cmd.fwdLength;
-
-        // §6.1: one drive I/O covering the union (including any gap).
-        std::uint64_t lo = recon_lo, hi = recon_hi;
-        const bool also_read =
-            cmd.subtype == proto::Subtype::kAlsoRead && cmd.length > 0;
+void
+DraidBdev::reconstructionLoaded(std::uint32_t slot, blockdev::IoStatus st,
+                                ec::Buffer data)
+{
+    Command &c = commands_[slot];
+    const std::uint64_t lo = c.reads[0].addr;
+    const bool also_read =
+        c.subtype == proto::Subtype::kAlsoRead && c.length > 0;
+    if (st != blockdev::IoStatus::kOk) {
+        // Media error (e.g. a latent sector error on a survivor): this
+        // participant cannot contribute, so the stripe cannot be
+        // reconstructed. Fail the host's reducer sub-operation directly;
+        // any later completion from the actual reducer is dropped as a
+        // duplicate.
+        sendCompletion(c.from, makeCmdId(opOf(c.commandId), kReducerSub),
+                       proto::Status::kFailed, {}, c.trace);
         if (also_read) {
-            lo = std::min(lo, cmd.offset);
-            hi = std::max(hi, cmd.offset + cmd.length);
+            sendCompletion(c.from, c.commandId, proto::Status::kFailed, {},
+                           c.trace);
         }
+        retire(slot);
+        return;
+    }
+    c.partial = data.slice(
+        static_cast<std::size_t>(c.chunkAddr + c.fwdOffset - lo),
+        c.fwdLength);
+    if (c.subtype == proto::Subtype::kNoReadQ) {
+        // Q-parity rebuild: contribute g^idx * chunk.
+        applyQCoefficient(c.partial, c.dataIdx);
+    }
 
-        node_.ssd().read(lo, static_cast<std::uint32_t>(hi - lo),
-                         cmd.traceId,
-                         [this, cmd, from, lo, recon_lo,
-                          also_read](blockdev::IoStatus st, ec::Buffer data) {
-            if (st != blockdev::IoStatus::kOk) {
-                // Media error (e.g. a latent sector error on a survivor):
-                // this participant cannot contribute, so the stripe cannot
-                // be reconstructed. Fail the host's reducer sub-operation
-                // directly — completeSub() finishes the op on the first
-                // failed sub, and any later completion from the actual
-                // reducer is dropped as stale.
-                sendCompletion(from, makeCmdId(opOf(cmd.commandId),
-                                               kReducerSub),
-                               proto::Status::kFailed, {}, cmd.traceId);
-                if (also_read) {
-                    sendCompletion(from, cmd.commandId,
-                                   proto::Status::kFailed, {}, cmd.traceId);
-                }
-                return;
-            }
-            ec::Buffer recon = data.slice(
-                static_cast<std::size_t>(recon_lo - lo), cmd.fwdLength);
-            if (cmd.subtype == proto::Subtype::kNoReadQ) {
-                // Q-parity rebuild: contribute g^idx * chunk.
-                applyQCoefficient(recon, cmd.dataIdx);
-            }
+    if (c.waitNum > 0) {
+        // The reducer.
+        const std::uint64_t key = opOf(c.commandId);
+        auto &s = reduce_.obtain(key);
+        s.hostCmdSeen = true;
+        s.kind = SessionKind::kReconstruct;
+        s.baseOffset = c.fwdOffset;
+        s.length = c.fwdLength;
+        s.chunkDeviceAddr = c.chunkAddr;
+        s.replyTo = c.from;
+        s.hostCmdId = makeCmdId(key, kReducerSub);
+        s.remaining += c.waitNum;
+        s.traceId = c.trace;
+        if (c.nextDest != c.from)
+            s.spareDest = c.nextDest;
+        // Fold in our own chunk's contribution locally. The absorb runs
+        // through the CPU queue behind any peer partials already waiting
+        // there, so completion must be blocked on it: otherwise the last
+        // peer's absorb can drive `remaining` to zero and persist a
+        // reduction that is missing this very chunk.
+        s.preloadPending = true;
+        absorbContribution(slot, true);
+    } else {
+        // §6.1: prioritize the partial over the direct read path.
+        // A degraded write names Q as well (next-dest2).
+        forwardToParity(slot);
+    }
 
-            const bool is_reducer = cmd.waitNum > 0;
-            if (is_reducer) {
-                const std::uint64_t key = opOf(cmd.commandId);
-                auto &s = reduce_.obtain(key);
-                s.hostCmdSeen = true;
-                s.kind = SessionKind::kReconstruct;
-                s.baseOffset = cmd.fwdOffset;
-                s.length = cmd.fwdLength;
-                s.chunkDeviceAddr = cmd.sgList[0].addr;
-                s.replyTo = from;
-                s.hostCmdId = makeCmdId(key, kReducerSub);
-                s.remaining += cmd.waitNum;
-                s.traceId = cmd.traceId;
-                if (cmd.nextDest != from)
-                    s.spareDest = cmd.nextDest;
-                // Fold in our own chunk's contribution locally. The
-                // absorb runs through the CPU queue behind any peer
-                // partials already waiting there, so completion must be
-                // blocked on it: otherwise the last peer's absorb can
-                // drive `remaining` to zero and persist a reduction that
-                // is missing this very chunk.
-                s.preloadPending = true;
-                const std::size_t bytes = recon.size(); // before the move below
-                node_.cpu().executeBytes(
-                    bytes, cluster_.config().xorBw, sim::Ticks::zero(), cmd.traceId,
-                    "reduce.xor",
-                    [this, key, off = cmd.fwdOffset,
-                     recon = std::move(recon)]() mutable {
-                        auto *sess = reduce_.find(key);
-                        if (!sess)
-                            return;
-                        ReduceEngine::absorbNoCount(*sess, off,
-                                                    std::move(recon));
-                        ++counters_.peersAbsorbed;
-                        sess->preloadPending = false;
-                        maybeFinish(key);
-                    });
-            } else {
-                // §6.1: prioritize the partial over the direct read path.
-                // A degraded write names Q as well (next-dest2).
-                forwardToParity(cmd,
-                                opts_.p2pForwarding ? sim::kInvalidNode
-                                                    : from,
-                                recon);
-            }
-
-            if (also_read) {
-                ec::Buffer direct = data.slice(
-                    static_cast<std::size_t>(cmd.offset - lo), cmd.length);
-                cluster_.fabric().rdmaWrite(node_.id(), from, direct.size(),
-                                            [this, cmd, from, direct]() {
-                    sendCompletion(from, cmd.commandId,
-                                   proto::Status::kSuccess, direct,
-                                   cmd.traceId);
-                }, cmd.traceId);
-            }
-        });
-    });
+    if (also_read) {
+        // Push the requested data to the host from a reply slot.
+        const std::uint32_t r = commands_.acquire(Command{
+            .commandId = c.commandId, .trace = c.trace, .from = c.from,
+            .payload = data.slice(static_cast<std::size_t>(c.offset - lo),
+                                  c.length)});
+        const Command &d = commands_[r];
+        if (!cluster_.fabric().rdmaWrite(
+                node_.id(), d.from, d.payload.size(),
+                [this, r]() { reply(r, proto::Status::kSuccess); }, d.trace))
+            retire(r);
+    }
+    if (commands_[slot].waitNum == 0)
+        settle(slot); // the partial is on its way
 }
 
 // ---------------------------------------------------------------------------
@@ -588,45 +566,50 @@ DraidBdev::handleReconstruction(const net::Message &msg)
 // ---------------------------------------------------------------------------
 
 void
-DraidBdev::forwardPartial(std::uint64_t op_id, sim::NodeId dest,
-                          sim::NodeId relay, std::uint32_t fwd_offset,
-                          ec::Buffer partial, std::uint16_t data_idx,
-                          std::uint64_t trace)
+DraidBdev::forwardPartial(std::uint32_t slot, sim::NodeId dest,
+                          ec::Buffer partial)
 {
+    const Command &c = commands_[slot];
     proto::Capsule peer;
     peer.opcode = proto::Opcode::kPeer;
-    peer.commandId = makeCmdId(op_id, static_cast<std::uint8_t>(index_));
-    peer.fwdOffset = fwd_offset;
+    peer.commandId =
+        makeCmdId(opOf(c.commandId), static_cast<std::uint8_t>(index_));
+    peer.fwdOffset = c.fwdOffset;
     peer.fwdLength = static_cast<std::uint32_t>(partial.size());
     peer.nextDest = dest;
-    peer.dataIdx = data_idx;
-    peer.traceId = trace;
-    const sim::NodeId to = relay != sim::kInvalidNode ? relay : dest;
+    peer.dataIdx = c.dataIdx;
+    peer.traceId = c.trace;
+    const sim::NodeId to = opts_.p2pForwarding ? dest : c.from;
     cluster_.fabric().send(net::Message{node_.id(), to, std::move(peer),
                                         std::move(partial)});
 }
 
 void
-DraidBdev::forwardToParity(const proto::Capsule &cmd, sim::NodeId relay,
-                           const ec::Buffer &partial)
+DraidBdev::forwardToParity(std::uint32_t slot)
 {
-    if (cmd.nextDest != sim::kInvalidNode) {
-        forwardPartial(opOf(cmd.commandId), cmd.nextDest, relay,
-                       cmd.fwdOffset, partial, cmd.dataIdx, cmd.traceId);
+    Command &c = commands_[slot];
+    const bool to_q = c.nextDest2 != sim::kInvalidNode;
+    if (c.nextDest != sim::kInvalidNode) {
+        forwardPartial(slot, c.nextDest,
+                       to_q ? ec::Buffer(c.partial) : std::move(c.partial));
     }
-    if (cmd.nextDest2 != sim::kInvalidNode) {
+    if (to_q) {
         // Q-bound copy: apply g^idx at the sender so the reducer stays a
         // pure XOR machine (late-Parity safe).
-        ec::Buffer qcopy = partial;
-        applyQCoefficient(qcopy, cmd.dataIdx);
-        node_.cpu().executeBytes(
-            qcopy.size(), cluster_.config().gfBw, sim::Ticks::zero(),
-            cmd.traceId, "parity.gf", [this, cmd, relay, qcopy]() {
-                forwardPartial(opOf(cmd.commandId), cmd.nextDest2, relay,
-                               cmd.fwdOffset, qcopy, cmd.dataIdx,
-                               cmd.traceId);
-            });
+        applyQCoefficient(c.partial, c.dataIdx);
+        ++c.legs;
+        node_.cpu().executeBytes(c.partial.size(), cluster_.config().gfBw,
+                                 sim::Ticks::zero(), c.trace, "parity.gf",
+                                 [this, slot]() { forwardToQ(slot); });
     }
+}
+
+void
+DraidBdev::forwardToQ(std::uint32_t slot)
+{
+    Command &c = commands_[slot];
+    forwardPartial(slot, c.nextDest2, std::exchange(c.partial, {}));
+    settle(slot);
 }
 
 void
@@ -636,35 +619,6 @@ DraidBdev::applyQCoefficient(ec::Buffer &partial, std::uint16_t idx)
     ec::Buffer out = ec::Buffer::forOverwrite(partial.size());
     gf.mulBlock(gf.pow2(idx), partial.data(), out.data(), out.size());
     partial = std::move(out);
-}
-
-void
-DraidBdev::handleSelfCompletion(const net::Message &msg)
-{
-    auto it = selfPending_.find(msg.capsule.commandId);
-    if (it == selfPending_.end())
-        return; // stale or not ours
-    auto done = std::move(it->second);
-    selfPending_.erase(it);
-    done(msg.capsule.status);
-}
-
-void
-DraidBdev::writeToPeer(sim::NodeId dest, std::uint64_t offset,
-                       ec::Buffer data,
-                       std::function<void(proto::Status)> done,
-                       std::uint64_t trace)
-{
-    const std::uint64_t id = makeCmdId(selfNext_++, 0xfe);
-    proto::Capsule c;
-    c.opcode = proto::Opcode::kWrite;
-    c.commandId = id;
-    c.offset = offset;
-    c.length = static_cast<std::uint32_t>(data.size());
-    c.traceId = trace;
-    selfPending_[id] = std::move(done);
-    cluster_.fabric().send(net::Message{node_.id(), dest, std::move(c),
-                                        std::move(data)});
 }
 
 } // namespace draid::core

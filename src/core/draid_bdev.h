@@ -18,19 +18,23 @@
  * A bdev is unaware of being part of a RAID: every command carries all the
  * information it needs (forward ranges, destinations, wait counts, Q
  * coefficients).
+ *
+ * Each command being served, each reduction's reply and each rebuild's
+ * spare write keeps its state in one sim::SlotPool the bdev owns, and
+ * every stage is a member function whose continuation captures only
+ * (this, slot) (DESIGN.md §4.1).
  */
 
 #ifndef DRAID_CORE_DRAID_BDEV_H
 #define DRAID_CORE_DRAID_BDEV_H
 
+#include <array>
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
-#include <vector>
 
 #include "blockdev/nvmf_target.h"
 #include "core/draid.h"
 #include "core/reduce_engine.h"
+#include "sim/slot_pool.h"
 
 namespace draid::core {
 
@@ -58,45 +62,112 @@ class DraidBdev : public blockdev::NvmfTarget
     ReduceEngine &reduceEngine() { return reduce_; }
 
   private:
+    /** A drive read, or the remote fetch of new data, and its result. */
+    struct Read
+    {
+        std::uint64_t addr = 0;
+        std::uint32_t length = 0;
+        bool remote = false; ///< the fetch: its bytes are the payload
+        blockdev::IoStatus status = blockdev::IoStatus::kOk;
+        ec::Buffer data{};
+    };
+
+    /**
+     * One command, reply or spare write in flight: the capsule fields its
+     * stages read, with sgList[0] copied out as the chunk's address and
+     * length, never a whole Capsule. Stage chains that run side by side
+     * each hold a leg; the slot is freed after the last.
+     */
+    struct Command
+    {
+        std::uint64_t commandId = 0;
+        std::uint64_t offset = 0;
+        std::uint64_t chunkAddr = 0;
+        std::uint64_t trace = 0;
+        std::uint32_t length = 0;
+        std::uint32_t chunkLen = 0;
+        std::uint32_t fwdOffset = 0;
+        std::uint32_t fwdLength = 0;
+        sim::NodeId from = sim::kInvalidNode; ///< also: whom a reply goes to
+        sim::NodeId nextDest = sim::kInvalidNode;
+        sim::NodeId nextDest2 = sim::kInvalidNode;
+        std::uint16_t dataIdx = 0;
+        std::uint16_t waitNum = 0;
+        proto::Opcode opcode = proto::Opcode::kCompletion;
+        proto::Subtype subtype = proto::Subtype::kNone;
+        std::uint8_t legs = 1;
+        ec::Buffer payload{}; ///< as received; a reply's data
+        ec::Buffer partial{}; ///< the partial result, Q copy or preload
+        /**
+         * A PartialWrite's phase 1: the remote fetch, then the old data
+         * or the old head and tail; a Reconstruction's one drive read.
+         */
+        std::array<Read, 3> reads{};
+        std::uint8_t numReads = 0;
+        std::uint8_t landed = 0;
+        bool dropped = false; ///< the fetch was lost to a node going down
+    };
+
+    /** Free @p slot, emptied. */
+    void retire(std::uint32_t slot);
+
+    /** One leg of @p slot ended; retire it after the last. */
+    void settle(std::uint32_t slot);
+
+    /** Complete @p slot's command with @p status and its payload; retire. */
+    void reply(std::uint32_t slot, proto::Status status);
+
+    /** The srv.cmd charge is paid: run the command's first stage. */
+    void parsed(std::uint32_t slot);
+
     // --- PartialWrite (Algorithm 1 + §5.3 pipeline) ---
-    void handlePartialWrite(const net::Message &msg);
-    void partialWritePhase2(const proto::Capsule &cmd, sim::NodeId from,
-                            ec::Buffer new_data, ec::Buffer old_data,
-                            ec::Buffer old_head, ec::Buffer old_tail);
+    void partialWriteParsed(std::uint32_t slot);
+    void phase1Issue(std::uint32_t slot, std::uint8_t i);
+    void phase1Landed(std::uint32_t slot, std::uint8_t i);
+    void partialWritePhase2(std::uint32_t slot);
+    void partialWriteXored(std::uint32_t slot);
+    void partialWriteStored(std::uint32_t slot, blockdev::IoStatus st);
 
     // --- Parity / Peer (Algorithm 2) ---
-    void handleParity(const net::Message &msg);
-    void handlePeer(const net::Message &msg);
-    void absorbContribution(std::uint64_t key, std::uint32_t offset,
-                            ec::Buffer data, bool counted,
-                            std::uint64_t trace = 0);
+    void parityParsed(std::uint32_t slot);
+    void peerParsed(std::uint32_t slot);
+    void peerPulled(std::uint32_t slot);
+
+    /**
+     * Fold a contribution into @p slot's session (CPU-charged): a peer's
+     * or the host's payload, counted against wait-num, or a @p local one
+     * (the old parity, or the reducer's own chunk) that completion waits
+     * for (preloadPending).
+     */
+    void absorbContribution(std::uint32_t slot, bool local);
+    void contributionAbsorbed(std::uint32_t slot, bool local);
     void maybeFinish(std::uint64_t key);
 
     /** Barrier-mode ablation: reduce once the full partial set arrived. */
     void tryBarrierFlush(std::uint64_t key);
 
     // --- Reconstruction (§6.1) ---
-    void handleReconstruction(const net::Message &msg);
+    void reconstructionParsed(std::uint32_t slot);
+    void reconstructionLoaded(std::uint32_t slot, blockdev::IoStatus st,
+                              ec::Buffer data);
 
     // --- shared helpers ---
     /**
-     * Announce a partial result to @p dest. When peer-to-peer forwarding
-     * is disabled, @p relay (the host) carries it instead: the capsule's
-     * next-dest still names the true destination and the host re-announces
-     * it, spending its own NIC bandwidth both ways.
+     * Announce @p partial, a result of @p slot's command, to @p dest.
+     * Without peer-to-peer forwarding the host that sent the command
+     * relays it, spending its own NIC bandwidth both ways.
      */
-    void forwardPartial(std::uint64_t op_id, sim::NodeId dest,
-                        sim::NodeId relay, std::uint32_t fwd_offset,
-                        ec::Buffer partial, std::uint16_t data_idx,
-                        std::uint64_t trace = 0);
+    void forwardPartial(std::uint32_t slot, sim::NodeId dest,
+                        ec::Buffer partial);
 
     /**
-     * Send @p partial to the parity bdevs @p cmd names: as is to its
-     * next-dest (P, or the reducer), and premultiplied by g^dataIdx,
-     * charged as parity.gf, to its next-dest2 (RAID-6 Q) when set.
+     * Send @p slot's partial to the parity bdevs its command names: as is
+     * to its next-dest (P, or the reducer), and premultiplied by
+     * g^dataIdx, charged as parity.gf, to its next-dest2 (RAID-6 Q) when
+     * set, on a leg of its own.
      */
-    void forwardToParity(const proto::Capsule &cmd, sim::NodeId relay,
-                         const ec::Buffer &partial);
+    void forwardToParity(std::uint32_t slot);
+    void forwardToQ(std::uint32_t slot);
 
     /**
      * Apply the Q coefficient g^idx to a partial result (CPU-charged).
@@ -105,32 +176,10 @@ class DraidBdev : public blockdev::NvmfTarget
      */
     void applyQCoefficient(ec::Buffer &partial, std::uint16_t idx);
 
-    /** Completion routing for commands this bdev itself issued. */
-    void handleSelfCompletion(const net::Message &msg);
-
-    /** Issue a standard write to another node (rebuild spare writes). */
-    void writeToPeer(sim::NodeId dest, std::uint64_t offset, ec::Buffer data,
-                     std::function<void(proto::Status)> done,
-                     std::uint64_t trace = 0);
-
     DraidOptions opts_;
     ReduceEngine reduce_;
     BdevCounters counters_;
-
-    /** Pending self-initiated commands, keyed by command id. */
-    std::unordered_map<std::uint64_t,
-                       // draid-lint: cap(in-flight self-commands; host queue depth)
-                       std::function<void(proto::Status)>> selfPending_;
-    std::uint64_t selfNext_ = 1;
-
-    /**
-     * Barrier-mode stash (nonBlockingReduce == false): contributions that
-     * arrived before the host command, absorbed once it shows up.
-     */
-    std::unordered_map<std::uint64_t,
-                       std::vector<std::pair<std::uint32_t, ec::Buffer>>>
-        // draid-lint: cap(one stash per in-flight write op; host queue depth)
-        stashed_;
+    sim::SlotPool<Command> commands_;
 };
 
 } // namespace draid::core

@@ -96,6 +96,13 @@ struct ReduceSession
      * stashed before reduction starts; -1 until the host command arrives.
      */
     int barrierExpect = -1;
+
+    /**
+     * Barrier-mode ablation: the DraidBdev command slots of Peer partials
+     * pulled before the full set arrived; they are absorbed together.
+     */
+    // draid-lint: cap(one slot per expected partial; at most stripe width)
+    std::vector<std::uint32_t> stashed;
 };
 
 /** Lifetime-aggregate reduce statistics (telemetry probes). */
