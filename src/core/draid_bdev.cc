@@ -82,7 +82,7 @@ DraidBdev::onMessage(const net::Message &msg)
         .fwdOffset = m.fwdOffset, .fwdLength = m.fwdLength,
         .from = msg.from, .nextDest = m.nextDest, .nextDest2 = m.nextDest2,
         .dataIdx = m.dataIdx, .waitNum = m.waitNum, .opcode = m.opcode,
-        .subtype = m.subtype, .payload = msg.payload});
+        .subtype = m.subtype, .status = m.status, .payload = msg.payload});
     node_.cpu().execute(cluster_.config().serverCmdCost, m.traceId,
                         "srv.cmd", [this, slot]() { parsed(slot); });
 }
@@ -90,20 +90,15 @@ DraidBdev::onMessage(const net::Message &msg)
 void
 DraidBdev::parsed(std::uint32_t slot)
 {
-    switch (commands_[slot].opcode) {
-      case proto::Opcode::kPartialWrite:
+    const proto::Opcode op = commands_[slot].opcode;
+    if (op == proto::Opcode::kPartialWrite)
         partialWriteParsed(slot);
-        break;
-      case proto::Opcode::kParity:
+    else if (op == proto::Opcode::kParity)
         parityParsed(slot);
-        break;
-      case proto::Opcode::kPeer:
+    else if (op == proto::Opcode::kPeer)
         peerParsed(slot);
-        break;
-      default:
+    else
         reconstructionParsed(slot);
-        break;
-    }
 }
 
 void
@@ -129,39 +124,36 @@ DraidBdev::reply(std::uint32_t slot, proto::Status status)
     retire(slot);
 }
 
-// ---------------------------------------------------------------------------
-// PartialWrite (Algorithm 1 + §5.3 pipeline)
-// ---------------------------------------------------------------------------
+// --- PartialWrite (Algorithm 1 + §5.3 pipeline) ---
 
 void
 DraidBdev::partialWriteParsed(std::uint32_t slot)
 {
-    // Phase 1 is a fixed list of reads: the remote fetch, then the old
-    // data under the write range (RMW), the chunk parts the write does not
-    // cover (RW write) or the forward segment (RW read).
+    // Phase 1 is a fixed list of reads: the remote fetch, then the old data
+    // (RMW), the chunk parts the write leaves (RW write) or the forward
+    // segment (RW read).
     Command &c = commands_[slot];
     const auto add = [&c](std::uint64_t addr, std::uint32_t len,
-                          bool remote) {
-        c.reads[c.numReads++] =
-            Read{.addr = addr, .length = len, .remote = remote};
+                          bool remote = false) {
+        c.reads[c.numReads++] = Read{addr, len, remote};
     };
     if (c.length > 0)
         add(0, c.length, true);
     switch (c.subtype) {
       case proto::Subtype::kRmw:
-        add(c.offset, c.length, false);
+        add(c.offset, c.length);
         break;
       case proto::Subtype::kRwWrite: {
         const auto head_len = static_cast<std::uint32_t>(c.offset - c.chunkAddr);
         const std::uint32_t tail_len = c.chunkLen - head_len - c.length;
         if (head_len > 0)
-            add(c.chunkAddr, head_len, false);
+            add(c.chunkAddr, head_len);
         if (tail_len > 0)
-            add(c.offset + c.length, tail_len, false);
+            add(c.offset + c.length, tail_len);
         break;
       }
       case proto::Subtype::kRwRead:
-        add(c.chunkAddr + c.fwdOffset, c.fwdLength, false);
+        add(c.chunkAddr + c.fwdOffset, c.fwdLength);
         break;
       default:
         assert(false && "bad PartialWrite subtype");
@@ -185,23 +177,20 @@ DraidBdev::phase1Issue(std::uint32_t slot, std::uint8_t i)
         node_.ssd().read(r.addr, r.length, c.trace,
                          [this, slot, i](blockdev::IoStatus st,
                                          ec::Buffer data) {
-            Read &landed = commands_[slot].reads[i];
-            landed.status = st;
-            landed.data = std::move(data);
+            Command &d = commands_[slot];
+            if (st != blockdev::IoStatus::kOk)
+                d.status = proto::Status::kFailed;
+            d.reads[i].data = std::move(data);
             phase1Landed(slot, i);
         });
         return;
     }
-    const bool pulling = cluster_.fabric().rdmaRead(
-        node_.id(), c.from, r.length,
-        [this, slot, i]() { phase1Landed(slot, i); }, c.trace);
-    if (!pulling) {
-        // A node is down, so phase 2 never runs: free the slot once no
-        // read is in flight (serially, none follows the fetch).
-        c.dropped = true;
-        c.landed += opts_.pipeline ? 1 : c.numReads;
-        if (c.landed >= c.numReads)
-            retire(slot);
+    if (!cluster_.fabric().rdmaRead(
+            node_.id(), c.from, r.length,
+            [this, slot, i]() { phase1Landed(slot, i); }, c.trace)) {
+        // A node is down: the new data is lost like an unreadable sector.
+        c.status = proto::Status::kFailed;
+        phase1Landed(slot, i);
     }
 }
 
@@ -209,21 +198,27 @@ void
 DraidBdev::phase1Landed(std::uint32_t slot, std::uint8_t i)
 {
     Command &c = commands_[slot];
-    if (++c.landed < c.numReads) {
-        if (!opts_.pipeline)
-            phase1Issue(slot, static_cast<std::uint8_t>(i + 1));
-        return;
-    }
-    if (c.dropped)
-        retire(slot);
-    else
+    if (++c.landed == c.numReads)
         partialWritePhase2(slot);
+    else if (!opts_.pipeline)
+        phase1Issue(slot, static_cast<std::uint8_t>(i + 1));
 }
 
 void
 DraidBdev::partialWritePhase2(std::uint32_t slot)
 {
     Command &c = commands_[slot];
+    if (c.status != proto::Status::kSuccess) {
+        // The media-error rule: a phase-1 read failed, so no partial can
+        // be derived; the new data is not written and the command fails.
+        forwardToParity(slot, c.status);
+        if (c.length > 0) {
+            sendCompletion(c.from, c.commandId, proto::Status::kFailed, {},
+                           c.trace);
+        }
+        retire(slot);
+        return;
+    }
     // The one drive read of an RMW or RW read comes last in the list.
     Read &drive = c.reads[c.numReads - 1];
 
@@ -295,9 +290,7 @@ DraidBdev::partialWriteStored(std::uint32_t slot, blockdev::IoStatus st)
     settle(slot);
 }
 
-// ---------------------------------------------------------------------------
-// Parity / Peer reduce (Algorithm 2)
-// ---------------------------------------------------------------------------
+// --- Parity / Peer reduce (Algorithm 2) ---
 
 void
 DraidBdev::parityParsed(std::uint32_t slot)
@@ -309,7 +302,6 @@ DraidBdev::parityParsed(std::uint32_t slot)
         ++counters_.lateParityCmds;
     s.hostCmdSeen = true;
     s.kind = SessionKind::kParity;
-    s.subtype = c.subtype;
     s.baseOffset = c.fwdOffset;
     s.length = c.fwdLength;
     s.chunkDeviceAddr = c.offset - c.fwdOffset;
@@ -323,7 +315,8 @@ DraidBdev::parityParsed(std::uint32_t slot)
         s.preloadPending = true;
         ++c.legs;
         node_.ssd().read(c.offset, c.length, c.trace,
-                         [this, slot](blockdev::IoStatus, ec::Buffer data) {
+                         [this, slot](blockdev::IoStatus st, ec::Buffer data) {
+                             commands_[slot].status = statusOf(st);
                              commands_[slot].partial = std::move(data);
                              absorbContribution(slot, true);
                          });
@@ -354,9 +347,8 @@ void
 DraidBdev::tryBarrierFlush(std::uint64_t key)
 {
     auto *s = reduce_.find(key);
-    if (!s || !s->hostCmdSeen || s->barrierExpect < 0)
-        return;
-    if (static_cast<int>(s->stashed.size()) < s->barrierExpect)
+    if (!s || !s->hostCmdSeen || s->barrierExpect < 0 ||
+        static_cast<int>(s->stashed.size()) < s->barrierExpect)
         return;
     for (const std::uint32_t slot : std::exchange(s->stashed, {}))
         absorbContribution(slot, false);
@@ -406,6 +398,8 @@ DraidBdev::contributionAbsorbed(std::uint32_t slot, bool local)
     Command &c = commands_[slot];
     const std::uint64_t key = opOf(c.commandId);
     auto &s = reduce_.obtain(key);
+    if (c.status != proto::Status::kSuccess)
+        s.failed = true;
     if (local) {
         ReduceEngine::absorbNoCount(s, c.fwdOffset, std::move(c.partial));
         s.preloadPending = false;
@@ -429,11 +423,17 @@ DraidBdev::maybeFinish(std::uint64_t key)
     const auto addr = s->chunkDeviceAddr + s->baseOffset;
     const auto spare = s->spareDest;
     const auto kind = s->kind;
-    const std::uint32_t slot = commands_.acquire(
-        Command{.commandId = s->hostCmdId, .trace = s->traceId,
-                .from = s->replyTo, .payload = ReduceEngine::finalWindow(*s)});
+    const bool failed = s->failed;
+    const std::uint32_t slot = commands_.acquire(Command{
+        .commandId = s->hostCmdId, .trace = s->traceId, .from = s->replyTo,
+        .payload = failed ? ec::Buffer() : ReduceEngine::finalWindow(*s)});
     reduce_.erase(key);
     Command &c = commands_[slot];
+
+    if (failed) { // a contribution is missing: persist and deliver nothing
+        reply(slot, proto::Status::kFailed);
+        return;
+    }
 
     if (kind == SessionKind::kParity) {
         node_.ssd().write(addr, std::exchange(c.payload, {}), c.trace,
@@ -463,9 +463,7 @@ DraidBdev::maybeFinish(std::uint64_t key)
         retire(slot);
 }
 
-// ---------------------------------------------------------------------------
-// Reconstruction (§6.1)
-// ---------------------------------------------------------------------------
+// --- Reconstruction (§6.1) ---
 
 void
 DraidBdev::reconstructionParsed(std::uint32_t slot)
@@ -478,9 +476,8 @@ DraidBdev::reconstructionParsed(std::uint32_t slot)
         lo = std::min(lo, c.offset);
         hi = std::max(hi, c.offset + c.length);
     }
-    c.reads[0] =
-        Read{.addr = lo, .length = static_cast<std::uint32_t>(hi - lo)};
-    node_.ssd().read(lo, c.reads[0].length, c.trace,
+    c.reads[0].addr = lo;
+    node_.ssd().read(lo, static_cast<std::uint32_t>(hi - lo), c.trace,
                      [this, slot](blockdev::IoStatus st, ec::Buffer data) {
                          reconstructionLoaded(slot, st, std::move(data));
                      });
@@ -491,35 +488,24 @@ DraidBdev::reconstructionLoaded(std::uint32_t slot, blockdev::IoStatus st,
                                 ec::Buffer data)
 {
     Command &c = commands_[slot];
+    const std::uint64_t key = opOf(c.commandId);
     const std::uint64_t lo = c.reads[0].addr;
+    const bool ok = st == blockdev::IoStatus::kOk;
+    const bool reducer = c.waitNum > 0;
     const bool also_read =
         c.subtype == proto::Subtype::kAlsoRead && c.length > 0;
-    if (st != blockdev::IoStatus::kOk) {
-        // Media error (e.g. a latent sector error on a survivor): this
-        // participant cannot contribute, so the stripe cannot be
-        // reconstructed. Fail the host's reducer sub-operation directly;
-        // any later completion from the actual reducer is dropped as a
-        // duplicate.
-        sendCompletion(c.from, makeCmdId(opOf(c.commandId), kReducerSub),
-                       proto::Status::kFailed, {}, c.trace);
-        if (also_read) {
-            sendCompletion(c.from, c.commandId, proto::Status::kFailed, {},
-                           c.trace);
-        }
-        retire(slot);
-        return;
-    }
-    c.partial = data.slice(
-        static_cast<std::size_t>(c.chunkAddr + c.fwdOffset - lo),
-        c.fwdLength);
-    if (c.subtype == proto::Subtype::kNoReadQ) {
-        // Q-parity rebuild: contribute g^idx * chunk.
-        applyQCoefficient(c.partial, c.dataIdx);
+    if (ok) {
+        c.partial = data.slice(
+            static_cast<std::size_t>(c.chunkAddr + c.fwdOffset - lo),
+            c.fwdLength);
+        if (c.subtype == proto::Subtype::kNoReadQ) // Q rebuild: g^idx * chunk
+            applyQCoefficient(c.partial, c.dataIdx);
     }
 
-    if (c.waitNum > 0) {
-        // The reducer.
-        const std::uint64_t key = opOf(c.commandId);
+    // A media error (e.g. a latent sector error on a survivor) leaves
+    // this participant nothing to contribute: the media-error rule fails
+    // the reducer's session, which still counts every partial down.
+    if (reducer) {
         auto &s = reduce_.obtain(key);
         s.hostCmdSeen = true;
         s.kind = SessionKind::kReconstruct;
@@ -532,20 +518,29 @@ DraidBdev::reconstructionLoaded(std::uint32_t slot, blockdev::IoStatus st,
         s.traceId = c.trace;
         if (c.nextDest != c.from)
             s.spareDest = c.nextDest;
+        if (!ok)
+            s.failed = true;
         // Fold in our own chunk's contribution locally. The absorb runs
         // through the CPU queue behind any peer partials already waiting
         // there, so completion must be blocked on it: otherwise the last
         // peer's absorb can drive `remaining` to zero and persist a
         // reduction that is missing this very chunk.
-        s.preloadPending = true;
-        absorbContribution(slot, true);
-    } else {
+        if (ok) {
+            s.preloadPending = true;
+            absorbContribution(slot, true);
+        }
+    } else if (ok) {
         // §6.1: prioritize the partial over the direct read path.
         // A degraded write names Q as well (next-dest2).
         forwardToParity(slot);
+    } else {
+        forwardToParity(slot, proto::Status::kFailed);
     }
 
-    if (also_read) {
+    if (also_read && !ok) {
+        sendCompletion(c.from, c.commandId, proto::Status::kFailed, {},
+                       c.trace);
+    } else if (also_read) {
         // Push the requested data to the host from a reply slot.
         const std::uint32_t r = commands_.acquire(Command{
             .commandId = c.commandId, .trace = c.trace, .from = c.from,
@@ -557,17 +552,17 @@ DraidBdev::reconstructionLoaded(std::uint32_t slot, blockdev::IoStatus st,
                 [this, r]() { reply(r, proto::Status::kSuccess); }, d.trace))
             retire(r);
     }
-    if (commands_[slot].waitNum == 0)
-        settle(slot); // the partial is on its way
+    if (!(reducer && ok))
+        settle(slot); // no local absorb holds the slot
+    if (reducer && !ok)
+        maybeFinish(key);
 }
 
-// ---------------------------------------------------------------------------
-// Shared helpers
-// ---------------------------------------------------------------------------
+// --- Shared helpers ---
 
 void
 DraidBdev::forwardPartial(std::uint32_t slot, sim::NodeId dest,
-                          ec::Buffer partial)
+                          ec::Buffer partial, proto::Status status)
 {
     const Command &c = commands_[slot];
     proto::Capsule peer;
@@ -579,21 +574,24 @@ DraidBdev::forwardPartial(std::uint32_t slot, sim::NodeId dest,
     peer.nextDest = dest;
     peer.dataIdx = c.dataIdx;
     peer.traceId = c.trace;
+    peer.status = status;
     const sim::NodeId to = opts_.p2pForwarding ? dest : c.from;
     cluster_.fabric().send(net::Message{node_.id(), to, std::move(peer),
                                         std::move(partial)});
 }
 
 void
-DraidBdev::forwardToParity(std::uint32_t slot)
+DraidBdev::forwardToParity(std::uint32_t slot, proto::Status status)
 {
     Command &c = commands_[slot];
     const bool to_q = c.nextDest2 != sim::kInvalidNode;
-    if (c.nextDest != sim::kInvalidNode) {
+    if (c.nextDest != sim::kInvalidNode)
         forwardPartial(slot, c.nextDest,
-                       to_q ? ec::Buffer(c.partial) : std::move(c.partial));
-    }
-    if (to_q) {
+                       to_q ? ec::Buffer(c.partial) : std::move(c.partial),
+                       status);
+    if (to_q && status != proto::Status::kSuccess) {
+        forwardPartial(slot, c.nextDest2, {}, status);
+    } else if (to_q) {
         // Q-bound copy: apply g^idx at the sender so the reducer stays a
         // pure XOR machine (late-Parity safe).
         applyQCoefficient(c.partial, c.dataIdx);
@@ -608,7 +606,8 @@ void
 DraidBdev::forwardToQ(std::uint32_t slot)
 {
     Command &c = commands_[slot];
-    forwardPartial(slot, c.nextDest2, std::exchange(c.partial, {}));
+    forwardPartial(slot, c.nextDest2, std::exchange(c.partial, {}),
+                   proto::Status::kSuccess);
     settle(slot);
 }
 

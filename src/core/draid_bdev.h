@@ -62,13 +62,12 @@ class DraidBdev : public blockdev::NvmfTarget
     ReduceEngine &reduceEngine() { return reduce_; }
 
   private:
-    /** A drive read, or the remote fetch of new data, and its result. */
+    /** A drive read, or the remote fetch of new data, and its bytes. */
     struct Read
     {
         std::uint64_t addr = 0;
         std::uint32_t length = 0;
         bool remote = false; ///< the fetch: its bytes are the payload
-        blockdev::IoStatus status = blockdev::IoStatus::kOk;
         ec::Buffer data{};
     };
 
@@ -95,17 +94,15 @@ class DraidBdev : public blockdev::NvmfTarget
         std::uint16_t waitNum = 0;
         proto::Opcode opcode = proto::Opcode::kCompletion;
         proto::Subtype subtype = proto::Subtype::kNone;
+        /** A Peer's status; kFailed once a local drive read failed. */
+        proto::Status status = proto::Status::kSuccess;
         std::uint8_t legs = 1;
         ec::Buffer payload{}; ///< as received; a reply's data
         ec::Buffer partial{}; ///< the partial result, Q copy or preload
-        /**
-         * A PartialWrite's phase 1: the remote fetch, then the old data
-         * or the old head and tail; a Reconstruction's one drive read.
-         */
+        /** A PartialWrite's phase 1; a Reconstruction's one drive read. */
         std::array<Read, 3> reads{};
         std::uint8_t numReads = 0;
         std::uint8_t landed = 0;
-        bool dropped = false; ///< the fetch was lost to a node going down
     };
 
     /** Free @p slot, emptied. */
@@ -134,10 +131,9 @@ class DraidBdev : public blockdev::NvmfTarget
     void peerPulled(std::uint32_t slot);
 
     /**
-     * Fold a contribution into @p slot's session (CPU-charged): a peer's
-     * or the host's payload, counted against wait-num, or a @p local one
-     * (the old parity, or the reducer's own chunk) that completion waits
-     * for (preloadPending).
+     * Fold a contribution into @p slot's session (CPU-charged): the
+     * payload, counted against wait-num, or a @p local partial (the old
+     * parity, the reducer's own chunk) that completion waits for.
      */
     void absorbContribution(std::uint32_t slot, bool local);
     void contributionAbsorbed(std::uint32_t slot, bool local);
@@ -158,21 +154,22 @@ class DraidBdev : public blockdev::NvmfTarget
      * relays it, spending its own NIC bandwidth both ways.
      */
     void forwardPartial(std::uint32_t slot, sim::NodeId dest,
-                        ec::Buffer partial);
+                        ec::Buffer partial, proto::Status status);
 
     /**
      * Send @p slot's partial to the parity bdevs its command names: as is
      * to its next-dest (P, or the reducer), and premultiplied by
      * g^dataIdx, charged as parity.gf, to its next-dest2 (RAID-6 Q) when
-     * set, on a leg of its own.
+     * set, on a leg of its own. A failed @p status sends each of them a
+     * failed partial with no payload instead (DESIGN.md §4.1).
      */
-    void forwardToParity(std::uint32_t slot);
+    void forwardToParity(std::uint32_t slot,
+                         proto::Status status = proto::Status::kSuccess);
     void forwardToQ(std::uint32_t slot);
 
     /**
-     * Apply the Q coefficient g^idx to a partial result (CPU-charged).
-     * @p partial is rebound to a new buffer; the bytes it shared with other
-     * handles are left as they were.
+     * Apply the Q coefficient g^idx to @p partial, rebinding it to a new
+     * buffer; the bytes it shared with other handles are left as they were.
      */
     void applyQCoefficient(ec::Buffer &partial, std::uint16_t idx);
 

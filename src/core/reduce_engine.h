@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "ec/buffer.h"
-#include "proto/opcodes.h"
 #include "sim/types.h"
 
 namespace draid::core {
@@ -45,7 +44,6 @@ enum class SessionKind
 struct ReduceSession
 {
     SessionKind kind = SessionKind::kParity;
-    proto::Subtype subtype = proto::Subtype::kNone;
 
     /** Host command seen yet? (it may arrive after peers, §5.2). */
     bool hostCmdSeen = false;
@@ -55,6 +53,13 @@ struct ReduceSession
 
     /** Old-parity preload (RMW) still in flight? */
     bool preloadPending = false;
+
+    /**
+     * A contribution is missing: a participant's drive read or the
+     * old-parity preload failed. The session still counts its
+     * contributions down, then persists nothing and fails its command.
+     */
+    bool failed = false;
 
     /**
      * Accumulator over in-chunk offsets [accBegin, accEnd): the smallest

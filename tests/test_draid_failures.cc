@@ -285,6 +285,85 @@ TEST(DraidFailures, FailedReadHandsBackZeros)
     }
 }
 
+namespace {
+
+/** No bdev of @p rig is left holding a reduce session. */
+::testing::AssertionResult
+noSessionsLeft(DraidRig &rig)
+{
+    for (std::uint32_t i = 0; i < rig.system->numBdevs(); ++i) {
+        const std::size_t n = rig.system->bdev(i).reduceEngine().activeSessions();
+        if (n != 0)
+            return ::testing::AssertionFailure()
+                   << "bdev " << i << " holds " << n << " session(s)";
+    }
+    return ::testing::AssertionSuccess();
+}
+
+} // namespace
+
+TEST(DraidFailures, LatentSectorErrorUnderRmwOldDataFailsNoDevice)
+{
+    // The RMW's old-data read hits a latent sector error. The data bdev
+    // skips its drive write and fails its sub-command, and P (and Q) get a
+    // failed partial, so they persist nothing: the stripe stays
+    // consistent. A read error names no suspect, so the write uses up its
+    // retries and fails without failing the healthy drive over, as on the
+    // baselines.
+    for (const RaidLevel level : {RaidLevel::kRaid5, RaidLevel::kRaid6}) {
+        SCOPED_TRACE(level == RaidLevel::kRaid5 ? "RAID-5" : "RAID-6");
+        DraidOptions o = opts();
+        o.level = level;
+        DraidRig rig(6, o);
+        const auto &g = rig.host().geometry();
+        ec::Buffer pre(g.stripeDataSize());
+        pre.fillPattern(17);
+        ASSERT_TRUE(writeSync(rig.sim(), rig.host(), 0, pre));
+
+        rig.cluster->target(g.dataDevice(0, 0))
+            .ssd()
+            .plantLatentSectorError(g.deviceAddress(0, 0), 4096);
+        ec::Buffer data(8192);
+        data.fillPattern(18);
+        const auto rmw_before = rig.host().counters().rmwWrites;
+        EXPECT_FALSE(writeSync(rig.sim(), rig.host(), 0, data));
+        EXPECT_GT(rig.host().counters().rmwWrites, rmw_before);
+        EXPECT_FALSE(rig.host().isDegraded());
+        EXPECT_EQ(rig.host().counters().failovers, 0u);
+        EXPECT_TRUE(scrubStripe(*rig.cluster, g, 0));
+        EXPECT_TRUE(noSessionsLeft(rig));
+    }
+}
+
+TEST(DraidFailures, LatentSectorErrorUnderRmwOldParityIsRewritten)
+{
+    // The RMW's old-parity preload hits a latent sector error: P persists
+    // nothing and fails its sub-command, and the full-stripe retry
+    // rewrites the parity, which clears the bad sector.
+    for (const RaidLevel level : {RaidLevel::kRaid5, RaidLevel::kRaid6}) {
+        SCOPED_TRACE(level == RaidLevel::kRaid5 ? "RAID-5" : "RAID-6");
+        DraidOptions o = opts();
+        o.level = level;
+        DraidRig rig(6, o);
+        const auto &g = rig.host().geometry();
+        ec::Buffer pre(g.stripeDataSize());
+        pre.fillPattern(19);
+        ASSERT_TRUE(writeSync(rig.sim(), rig.host(), 0, pre));
+
+        auto &ssd = rig.cluster->target(g.parityDevice(0)).ssd();
+        ssd.plantLatentSectorError(g.deviceAddress(0, 0), 4096);
+        ec::Buffer data(8192);
+        data.fillPattern(20);
+        EXPECT_TRUE(writeSync(rig.sim(), rig.host(), 0, data));
+        EXPECT_GE(rig.host().counters().retries, 1u);
+        EXPECT_FALSE(rig.host().isDegraded());
+        EXPECT_EQ(ssd.latentSectorErrors(), 0u);
+        EXPECT_TRUE(scrubStripe(*rig.cluster, g, 0));
+        EXPECT_TRUE(noSessionsLeft(rig));
+        EXPECT_TRUE(readSync(rig.sim(), rig.host(), 0, 8192).contentEquals(data));
+    }
+}
+
 TEST(DraidFailures, DeadlinesDisarmOnSuccess)
 {
     DraidRig rig(6, opts());
