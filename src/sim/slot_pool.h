@@ -13,7 +13,9 @@
  *  - nvme::Ssd: each command in the media channel or media latency;
  *  - blockdev::NvmfTarget: each Read/Write being served;
  *  - blockdev::NvmfInitiator: each command until its callback has run,
- *    and each batch of commands until its one callback has run.
+ *    and each batch of commands until its one callback has run;
+ *  - core::DraidBdev: each dRAID command being served, each reduction's
+ *    reply and each rebuild's spare write.
  * Storage grows to the peak number of live slots and is reused from then
  * on; references into it are invalidated by a later acquire(), indices
  * are not.
