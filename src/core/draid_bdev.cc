@@ -237,16 +237,23 @@ DraidBdev::partialWritePhase2(std::uint32_t slot)
         xor_bytes = c.partial.size();
         break;
       case proto::Subtype::kRwWrite:
-        // Assemble the chunk's post-write content: the new data and each
-        // drive read at its own place in the chunk.
-        c.partial = ec::Buffer(c.chunkLen);
+        // The chunk's post-write content: new data covering the whole
+        // chunk is the partial itself; otherwise the head, the new data
+        // and the tail tile the chunk, each at its own place.
+        if (c.length == c.chunkLen) {
+            c.partial = c.payload;
+            break;
+        }
+        c.partial = ec::Buffer::forOverwrite(c.chunkLen);
         std::memcpy(c.partial.data() + (c.offset - c.chunkAddr),
                     c.payload.data(), c.payload.size());
         for (std::uint8_t i = 0; i < c.numReads; ++i) {
             const Read &r = c.reads[i];
-            if (!r.remote && !r.data.empty())
-                std::memcpy(c.partial.data() + (r.addr - c.chunkAddr),
-                            r.data.data(), r.data.size());
+            if (r.remote)
+                continue;
+            assert(r.data.size() == r.length);
+            std::memcpy(c.partial.data() + (r.addr - c.chunkAddr),
+                        r.data.data(), r.data.size());
         }
         break;
       case proto::Subtype::kRwRead:
@@ -400,11 +407,18 @@ DraidBdev::contributionAbsorbed(std::uint32_t slot, bool local)
     auto &s = reduce_.obtain(key);
     if (c.status != proto::Status::kSuccess)
         s.failed = true;
+    // A raw Q-bound partial, or a Q rebuild's own chunk, is folded in
+    // multiplied by g^data-idx.
+    const bool raw_q = c.subtype == proto::Subtype::kRawQ ||
+                       c.subtype == proto::Subtype::kNoReadQ;
+    const std::uint8_t coef =
+        raw_q ? ec::Gf256::instance().pow2(c.dataIdx) : std::uint8_t{1};
     if (local) {
-        ReduceEngine::absorbNoCount(s, c.fwdOffset, std::move(c.partial));
+        ReduceEngine::absorbNoCount(s, c.fwdOffset, std::move(c.partial),
+                                    coef);
         s.preloadPending = false;
     } else {
-        ReduceEngine::absorb(s, c.fwdOffset, std::move(c.payload));
+        ReduceEngine::absorb(s, c.fwdOffset, std::move(c.payload), coef);
     }
     if (!local || s.kind == SessionKind::kReconstruct)
         ++counters_.peersAbsorbed; // the old parity is no peer's
@@ -498,8 +512,6 @@ DraidBdev::reconstructionLoaded(std::uint32_t slot, blockdev::IoStatus st,
         c.partial = data.slice(
             static_cast<std::size_t>(c.chunkAddr + c.fwdOffset - lo),
             c.fwdLength);
-        if (c.subtype == proto::Subtype::kNoReadQ) // Q rebuild: g^idx * chunk
-            applyQCoefficient(c.partial, c.dataIdx);
     }
 
     // A media error (e.g. a latent sector error on a survivor) leaves
@@ -528,6 +540,12 @@ DraidBdev::reconstructionLoaded(std::uint32_t slot, blockdev::IoStatus st,
         if (ok) {
             s.preloadPending = true;
             absorbContribution(slot, true);
+        }
+        // Barrier-mode ablation: every peer's partial is stashed until
+        // the full set arrived.
+        if (!opts_.nonBlockingReduce) {
+            s.barrierExpect = c.waitNum;
+            tryBarrierFlush(key);
         }
     } else if (ok) {
         // §6.1: prioritize the partial over the direct read path.
@@ -562,13 +580,15 @@ DraidBdev::reconstructionLoaded(std::uint32_t slot, blockdev::IoStatus st,
 
 void
 DraidBdev::forwardPartial(std::uint32_t slot, sim::NodeId dest,
-                          ec::Buffer partial, proto::Status status)
+                          ec::Buffer partial, proto::Status status,
+                          bool raw_q)
 {
     const Command &c = commands_[slot];
     proto::Capsule peer;
     peer.opcode = proto::Opcode::kPeer;
     peer.commandId =
         makeCmdId(opOf(c.commandId), static_cast<std::uint8_t>(index_));
+    peer.subtype = raw_q ? proto::Subtype::kRawQ : proto::Subtype::kNone;
     peer.fwdOffset = c.fwdOffset;
     peer.fwdLength = static_cast<std::uint32_t>(partial.size());
     peer.nextDest = dest;
@@ -585,16 +605,18 @@ DraidBdev::forwardToParity(std::uint32_t slot, proto::Status status)
 {
     Command &c = commands_[slot];
     const bool to_q = c.nextDest2 != sim::kInvalidNode;
+    // A Q rebuild's reducer sums g^idx * chunk: the partial travels raw.
+    const bool raw_q = c.subtype == proto::Subtype::kNoReadQ;
     if (c.nextDest != sim::kInvalidNode)
         forwardPartial(slot, c.nextDest,
-                       to_q ? ec::Buffer(c.partial) : std::move(c.partial),
-                       status);
+                       to_q ? c.partial : std::move(c.partial), status,
+                       raw_q);
     if (to_q && status != proto::Status::kSuccess) {
-        forwardPartial(slot, c.nextDest2, {}, status);
+        forwardPartial(slot, c.nextDest2, {}, status, true);
     } else if (to_q) {
-        // Q-bound copy: apply g^idx at the sender so the reducer stays a
-        // pure XOR machine (late-Parity safe).
-        applyQCoefficient(c.partial, c.dataIdx);
+        // The Q-bound partial shares P's bytes and travels raw: the sender
+        // pays the g^idx multiply as parity.gf, and Q's reducer runs it
+        // inside its fold (DESIGN.md §4.1).
         ++c.legs;
         node_.cpu().executeBytes(c.partial.size(), cluster_.config().gfBw,
                                  sim::Ticks::zero(), c.trace, "parity.gf",
@@ -607,17 +629,8 @@ DraidBdev::forwardToQ(std::uint32_t slot)
 {
     Command &c = commands_[slot];
     forwardPartial(slot, c.nextDest2, std::exchange(c.partial, {}),
-                   proto::Status::kSuccess);
+                   proto::Status::kSuccess, true);
     settle(slot);
-}
-
-void
-DraidBdev::applyQCoefficient(ec::Buffer &partial, std::uint16_t idx)
-{
-    const auto &gf = ec::Gf256::instance();
-    ec::Buffer out = ec::Buffer::forOverwrite(partial.size());
-    gf.mulBlock(gf.pow2(idx), partial.data(), out.data(), out.size());
-    partial = std::move(out);
 }
 
 } // namespace draid::core

@@ -98,7 +98,7 @@ class DraidBdev : public blockdev::NvmfTarget
         proto::Status status = proto::Status::kSuccess;
         std::uint8_t legs = 1;
         ec::Buffer payload{}; ///< as received; a reply's data
-        ec::Buffer partial{}; ///< the partial result, Q copy or preload
+        ec::Buffer partial{}; ///< the partial result or preload
         /** A PartialWrite's phase 1; a Reconstruction's one drive read. */
         std::array<Read, 3> reads{};
         std::uint8_t numReads = 0;
@@ -149,29 +149,26 @@ class DraidBdev : public blockdev::NvmfTarget
 
     // --- shared helpers ---
     /**
-     * Announce @p partial, a result of @p slot's command, to @p dest.
+     * Announce @p partial, a result of @p slot's command, to @p dest;
+     * @p raw_q marks it for the reducer to multiply by g^dataIdx.
      * Without peer-to-peer forwarding the host that sent the command
      * relays it, spending its own NIC bandwidth both ways.
      */
     void forwardPartial(std::uint32_t slot, sim::NodeId dest,
-                        ec::Buffer partial, proto::Status status);
+                        ec::Buffer partial, proto::Status status,
+                        bool raw_q);
 
     /**
-     * Send @p slot's partial to the parity bdevs its command names: as is
-     * to its next-dest (P, or the reducer), and premultiplied by
-     * g^dataIdx, charged as parity.gf, to its next-dest2 (RAID-6 Q) when
-     * set, on a leg of its own. A failed @p status sends each of them a
-     * failed partial with no payload instead (DESIGN.md §4.1).
+     * Send @p slot's partial to the parity bdevs its command names: to
+     * its next-dest (P, or the reducer), and to its next-dest2 (RAID-6 Q)
+     * when set, on a leg of its own after a parity.gf charge. Both get the
+     * same bytes; the Q-bound one is marked raw. A failed @p status sends
+     * each of them a failed partial with no payload instead (DESIGN.md
+     * §4.1).
      */
     void forwardToParity(std::uint32_t slot,
                          proto::Status status = proto::Status::kSuccess);
     void forwardToQ(std::uint32_t slot);
-
-    /**
-     * Apply the Q coefficient g^idx to @p partial, rebinding it to a new
-     * buffer; the bytes it shared with other handles are left as they were.
-     */
-    void applyQCoefficient(ec::Buffer &partial, std::uint16_t idx);
 
     DraidOptions opts_;
     ReduceEngine reduce_;

@@ -1009,8 +1009,8 @@ DraidHost::reconstructChunk(std::uint64_t stripe, std::uint32_t spare_target,
     const raid::ChunkRole role = geom_.roleOf(stripe, *failed_);
     const std::uint32_t chunk = geom_.chunkSize();
     const auto participants = geom_.rebuildSources(stripe, *failed_);
-    // A lost parity matches no data extent; a lost Q (sum g^i D_i) takes
-    // its contributions premultiplied.
+    // A lost parity matches no data extent; a lost Q (sum g^i D_i) has
+    // its reducer multiply each contribution by g^i.
     const std::uint32_t fidx = role == raid::ChunkRole::kData
                                    ? geom_.dataIndexOf(stripe, *failed_)
                                    : geom_.dataChunks();

@@ -11,9 +11,11 @@
  *
  * The non-blocking multi-stage property lives here: a session is created
  * by whichever arrives first (host Parity/Reconstruction command or a
- * Peer partial), partials are reduced immediately on arrival, and only
- * the final persist/reply step waits for the host command (which carries
- * wait-num).
+ * Peer partial), partials are accepted on arrival, and only the final
+ * persist/reply step waits for the host command (which carries wait-num).
+ * The session holds each contribution's handle and finalWindow() folds
+ * them all in one multi-source pass, so the result is written once
+ * instead of once per contribution.
  *
  * The engine is pure bookkeeping plus buffer math: all I/O, CPU charging,
  * and networking is sequenced by DraidBdev, which makes the reduce logic
@@ -29,6 +31,7 @@
 #include <vector>
 
 #include "ec/buffer.h"
+#include "sim/small_vec.h"
 #include "sim/types.h"
 
 namespace draid::core {
@@ -38,6 +41,18 @@ enum class SessionKind
 {
     kParity,      ///< partial-stripe write: persist the reduced parity
     kReconstruct, ///< degraded read: return the reconstructed segment
+};
+
+/** One contribution a session holds until it finishes. */
+struct Contribution
+{
+    ec::Buffer data;
+    std::uint32_t offset = 0; ///< in-chunk offset of data[0]
+    /**
+     * GF(2^8) coefficient the fold multiplies the bytes by: 1 for a plain
+     * XOR term, g^data-idx for a raw Q-bound partial.
+     */
+    std::uint8_t coef = 1;
 };
 
 /** One in-flight reduce operation on a bdev. */
@@ -62,12 +77,11 @@ struct ReduceSession
     bool failed = false;
 
     /**
-     * Accumulator over in-chunk offsets [accBegin, accEnd): the smallest
-     * range covering every contribution absorbed so far.
+     * The contributions absorbed so far, unfolded. Two stay inline: an
+     * RMW holds the old-parity preload and, for a one-chunk write, one
+     * delta.
      */
-    ec::Buffer acc;
-    std::uint32_t accBegin = 0;
-    std::uint32_t accEnd = 0;
+    sim::SmallVec<Contribution, 2> held;
 
     /** Final window (from the host command): in-chunk offset + length. */
     std::uint32_t baseOffset = 0;
@@ -90,7 +104,7 @@ struct ReduceSession
     /** Contributions absorbed (stats/tests). */
     std::uint32_t absorbed = 0;
 
-    /** Bytes folded into the accumulator (stats). */
+    /** Bytes of the contributions absorbed (stats). */
     std::uint64_t bytesAbsorbed = 0;
 
     /** Telemetry trace id of the owning host operation (0 = untraced). */
@@ -137,18 +151,18 @@ class ReduceEngine
     const ReduceStats &stats() const { return stats_; }
 
     /**
-     * XOR @p data into the session accumulator at in-chunk offset
-     * @p offset, growing the accumulator as needed, and decrement the
-     * outstanding count. The first contribution becomes the accumulator
-     * when @p data holds its storage alone (move it in); otherwise it is
-     * copied, so a caller's handle never sees the reduction.
+     * Hold @p data, at in-chunk offset @p offset and multiplied by
+     * @p coef, until finalWindow() folds it; decrement the outstanding
+     * count. Nothing is XORed here. Move a buffer in when the session may
+     * take it as the fold's destination; a handle the caller keeps never
+     * sees the reduction.
      */
     static void absorb(ReduceSession &s, std::uint32_t offset,
-                       ec::Buffer data);
+                       ec::Buffer data, std::uint8_t coef = 1);
 
     /** absorb() without touching the outstanding count (RMW preload). */
     static void absorbNoCount(ReduceSession &s, std::uint32_t offset,
-                              ec::Buffer data);
+                              ec::Buffer data, std::uint8_t coef = 1);
 
     /**
      * Ready to persist/reply: host command processed, no outstanding
@@ -157,11 +171,14 @@ class ReduceEngine
     static bool readyToFinish(const ReduceSession &s);
 
     /**
-     * The final bytes [baseOffset, baseOffset+length) of the window; bytes
-     * no contribution covered read as zero. When the window is exactly the
-     * accumulator's range this is the accumulator itself, not a copy.
+     * Fold the held contributions into the final bytes [baseOffset,
+     * baseOffset+length) of the window, in one pass over all of them;
+     * bytes no contribution covers read as zero. The fold writes in place
+     * into a plain contribution that covers exactly the window and is
+     * unique() now, which then is the result; otherwise into a fresh
+     * buffer. The session holds no contribution afterwards.
      */
-    static ec::Buffer finalWindow(const ReduceSession &s);
+    static ec::Buffer finalWindow(ReduceSession &s);
 
   private:
     // draid-lint: cap(concurrent rebuild sessions; at most one per failed device)

@@ -27,7 +27,15 @@ void xorInto(std::uint8_t *dst, const std::uint8_t *src, std::size_t len);
 void xorBlocks(std::uint8_t *dst, const std::uint8_t *a,
                const std::uint8_t *b, std::size_t len);
 
-/** Name of the body xorInto and xorBlocks run: "sse2" or "portable". */
+/**
+ * dst[i] = srcs[0][i] ^ ... ^ srcs[k-1][i] for i in [0, len), in one pass
+ * over all k sources. dst may equal srcs[0]: that is the in-place form
+ * dst ^= srcs[1] ^ ... ^ srcs[k-1]. @pre k >= 1
+ */
+void xorMany(std::uint8_t *dst, const std::uint8_t *const *srcs,
+             std::size_t k, std::size_t len);
+
+/** Name of the body the XOR kernels run: "sse2" or "portable". */
 const char *xorKernelName();
 
 /**
@@ -41,14 +49,16 @@ Buffer xorOf(const Buffer &a, const Buffer &b);
 namespace detail {
 
 /**
- * One XOR body (internal to src/ec and its tests): dst = a ^ b, where dst
- * may equal a; xorInto is the dst == a form.
+ * One XOR body (internal to src/ec and its tests): blocks is dst = a ^ b,
+ * where dst may equal a (xorInto is the dst == a form); many is xorMany.
  */
 struct XorKernels
 {
     const char *name;
     void (*blocks)(std::uint8_t *dst, const std::uint8_t *a,
                    const std::uint8_t *b, std::size_t len);
+    void (*many)(std::uint8_t *dst, const std::uint8_t *const *srcs,
+                 std::size_t k, std::size_t len);
 };
 
 /** The portable scalar body; runs on every CPU. */

@@ -31,6 +31,7 @@ toString(Subtype st)
       case Subtype::kAlsoRead: return "AlsoRead";
       case Subtype::kDegraded: return "Degraded";
       case Subtype::kNoReadQ: return "NoReadQ";
+      case Subtype::kRawQ: return "RawQ";
     }
     return "Unknown";
 }

@@ -40,9 +40,12 @@ enum class Subtype : std::uint8_t
     // Degraded-write participation: chunk must be reconstructed before
     // the stripe's parity can be updated.
     kDegraded = 6,
-    // Q-parity rebuild: contribute the chunk premultiplied by g^data-idx
-    // (RAID-6 "other command data" path, §4).
+    // Q-parity rebuild: contribute the chunk, which the reducer multiplies
+    // by g^data-idx (RAID-6 "other command data" path, §4).
     kNoReadQ = 7,
+    // Peer: a Q-bound partial sent raw; the reducer multiplies it by
+    // g^data-idx inside its fold.
+    kRawQ = 8,
 };
 
 /** Final status of a command (§5.4: success / failed / timed out). */

@@ -46,7 +46,7 @@ struct Mode
 const Mode kModes[] = {
     {"small-read", "4 KB RAID-5 read", 3.0, 6,
      draid::raid::RaidLevel::kRaid5, 4096, 1.0, 64, 4000, 20000},
-    {"partial-write", "128 KB RAID-6 partial write", 32.0, 8,
+    {"partial-write", "128 KB RAID-6 partial write", 30.0, 8,
      draid::raid::RaidLevel::kRaid6, 128 * 1024, 0.0, 32, 1000, 4000},
 };
 

@@ -71,7 +71,7 @@ TEST(Capsule, EverySubtypeRoundTrips)
     for (Subtype st : {Subtype::kNone, Subtype::kRmw, Subtype::kRwWrite,
                        Subtype::kRwRead, Subtype::kNoRead,
                        Subtype::kAlsoRead, Subtype::kDegraded,
-                       Subtype::kNoReadQ}) {
+                       Subtype::kNoReadQ, Subtype::kRawQ}) {
         Capsule c;
         c.subtype = st;
         const auto wire = c.encode();

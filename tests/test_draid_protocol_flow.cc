@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "draid_test_util.h"
 #include "workload/fio.h"
 
@@ -94,6 +96,31 @@ TEST(DraidProtocol, BarrierAblationStillCorrect)
     ec::Buffer got = readSync(rig.sim(), rig.host(), 12345, 100 * 1024);
     EXPECT_TRUE(got.contentEquals(data));
     EXPECT_TRUE(scrubStripe(*rig.cluster, rig.host().geometry(), 0));
+}
+
+TEST(DraidProtocol, BarrierAblationDegradedReadReduces)
+{
+    // A Reconstruction reducer in barrier mode waits for its peers'
+    // stashed partials, then reduces them: the read returns the lost
+    // bytes and leaves no session behind.
+    auto o = opts();
+    o.nonBlockingReduce = false;
+    DraidRig rig(6, o);
+    const auto &g = rig.host().geometry();
+    ec::Buffer data(g.stripeDataSize());
+    data.fillPattern(13);
+    ASSERT_TRUE(writeSync(rig.sim(), rig.host(), 0, data));
+
+    rig.host().markFailed(0);
+    const std::uint64_t off =
+        static_cast<std::uint64_t>(g.dataIndexOf(0, 0)) * g.chunkSize();
+    auto [st, got] = readStatusSync(rig.sim(), rig.host(), off, 4096);
+    ASSERT_EQ(st, blockdev::IoStatus::kOk);
+    ASSERT_EQ(got.size(), 4096u);
+    EXPECT_EQ(std::memcmp(got.data(), data.data() + off, 4096), 0);
+    for (std::uint32_t i = 0; i < rig.cluster->numTargets(); ++i)
+        EXPECT_EQ(rig.system->bdev(i).reduceEngine().activeSessions(), 0u)
+            << "bdev " << i;
 }
 
 TEST(DraidProtocol, NoPipelineAblationStillCorrect)

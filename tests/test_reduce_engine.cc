@@ -1,17 +1,26 @@
-// Reduce engine: session bookkeeping, late-Parity tolerance, accumulator
-// math.
+// Reduce engine: session bookkeeping, late-Parity tolerance, the one-pass
+// fold of held contributions.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/reduce_engine.h"
+#include "ec/gf256.h"
 #include "ec/xor_kernel.h"
+#include "sim/rng.h"
 
 using namespace draid::core;
 using draid::ec::Buffer;
 
 namespace {
 
-/** Reduced bytes at in-chunk offsets [offset, offset+len), via finalWindow. */
+/**
+ * Reduced bytes at in-chunk offsets [offset, offset+len), via finalWindow
+ * on a copy of @p s: the copy shares every handle, so the fold writes into
+ * none of them and @p s can take further contributions.
+ */
 Buffer
 windowOf(ReduceSession s, std::uint32_t offset, std::uint32_t len)
 {
@@ -49,7 +58,6 @@ TEST(ReduceEngine, AbsorbXorsAtOffset)
     Buffer a(100);
     a.fill(0x0f);
     ReduceEngine::absorbNoCount(s, 50, a);
-    EXPECT_GE(s.accEnd, 150u);
     Buffer w = windowOf(s, 0, 150);
     for (int i = 0; i < 50; ++i)
         EXPECT_EQ(w[i], 0); // no contribution covers these bytes
@@ -79,16 +87,16 @@ TEST(ReduceEngine, AccumulatorGrowsPreservingContent)
 
 TEST(ReduceEngine, AccumulatorGrowsDownward)
 {
+    // A contribution that starts below the first one extends the result
+    // downward; bytes outside both read as zero.
     ReduceSession s;
     Buffer hi(10);
     hi.fill(0xbb);
     ReduceEngine::absorbNoCount(s, 100, hi);
-    EXPECT_EQ(s.accBegin, 100u);
+    EXPECT_EQ(windowOf(s, 95, 1)[0], 0);
     Buffer lo(20);
     lo.fill(0xaa);
     ReduceEngine::absorbNoCount(s, 95, lo); // overlaps, starts below
-    EXPECT_EQ(s.accBegin, 95u);
-    EXPECT_EQ(s.accEnd, 115u);
     Buffer w = windowOf(s, 90, 30);
     for (int i = 0; i < 30; ++i) {
         const int off = 90 + i;
@@ -103,46 +111,66 @@ TEST(ReduceEngine, AccumulatorGrowsDownward)
 
 TEST(ReduceEngine, FirstAbsorbDoesNotAliasCallerBuffer)
 {
+    // The caller keeps its handle to the first contribution, so the fold
+    // must not write into it: the result is a buffer of its own.
     ReduceSession s;
     Buffer a(32);
     a.fill(0x5a);
     ReduceEngine::absorbNoCount(s, 8, a);
-    s.acc[0] ^= 0xff;
-    for (std::size_t i = 0; i < a.size(); ++i)
+    Buffer b(32);
+    b.fill(0x0f);
+    ReduceEngine::absorbNoCount(s, 8, std::move(b));
+    s.baseOffset = 8;
+    s.length = 32;
+    const Buffer w = ReduceEngine::finalWindow(s);
+    EXPECT_NE(w.data(), a.data());
+    for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i], 0x5a);
+        EXPECT_EQ(w[i], 0x55);
+    }
 }
 
 TEST(ReduceEngine, FirstAbsorbAdoptsMovedSoleOwner)
 {
+    // A contribution moved in is held alone: the fold runs in place in its
+    // storage, which becomes the result without a copy.
     ReduceSession s;
     Buffer a(32);
     a.fill(0x5a);
     const std::uint8_t *storage = a.data();
     ReduceEngine::absorbNoCount(s, 8, std::move(a));
-    EXPECT_EQ(s.acc.data(), storage);
     Buffer b(32);
     b.fill(0x0f);
     ReduceEngine::absorbNoCount(s, 8, b);
-    EXPECT_EQ(s.acc.data(), storage);
-    for (std::size_t i = 0; i < s.acc.size(); ++i)
-        EXPECT_EQ(s.acc[i], 0x55);
+    s.baseOffset = 8;
+    s.length = 32;
+    const Buffer w = ReduceEngine::finalWindow(s);
+    EXPECT_EQ(w.data(), storage);
+    EXPECT_TRUE(w.unique());
+    for (std::size_t i = 0; i < w.size(); ++i) {
+        EXPECT_EQ(w[i], 0x55);
+        EXPECT_EQ(b[i], 0x0f);
+    }
 }
 
 TEST(ReduceEngine, ExactlyCoveredWindowIsTheAccumulator)
 {
+    // When the caller keeps only the second contribution, the first (held
+    // alone, covering exactly the window) is the result, not a copy.
     ReduceSession s;
     Buffer a(64), b(64);
     a.fillPattern(1);
     b.fillPattern(2);
-    ReduceEngine::absorbNoCount(s, 32, a);
+    const Buffer want = draid::ec::xorOf(a, b);
+    const std::uint8_t *storage = a.data();
     ReduceEngine::absorbNoCount(s, 32, b);
+    ReduceEngine::absorbNoCount(s, 32, std::move(a));
     s.baseOffset = 32;
     s.length = 64;
     Buffer w = ReduceEngine::finalWindow(s);
-    EXPECT_EQ(w.data(), s.acc.data());
-    ASSERT_EQ(w.size(), 64u);
-    for (std::size_t i = 0; i < 64; ++i)
-        EXPECT_EQ(w[i], a[i] ^ b[i]);
+    EXPECT_EQ(w.data(), storage);
+    EXPECT_TRUE(w.contentEquals(want));
+    EXPECT_TRUE(s.held.empty());
 }
 
 TEST(ReduceEngine, CountedAbsorbDecrementsRemaining)
@@ -227,4 +255,60 @@ TEST(ReduceEngine, OrderIndependentReduction)
     ReduceEngine::absorbNoCount(rev, 0, p2);
     EXPECT_TRUE(ReduceEngine::finalWindow(fwd).contentEquals(
         ReduceEngine::finalWindow(rev)));
+}
+
+TEST(ReduceEngine, FoldMatchesEagerReference)
+{
+    // Random ranges, plain and coefficient-marked contributions in random
+    // arrival order, some handles kept by the caller: the one-pass fold
+    // equals XORing each (multiplied) contribution in as it arrives, and a
+    // kept handle's bytes never change.
+    const auto &gf = draid::ec::Gf256::instance();
+    draid::sim::Rng rng(28);
+    for (int round = 0; round < 400; ++round) {
+        ReduceSession s;
+        s.baseOffset = static_cast<std::uint32_t>(rng.nextBounded(64));
+        s.length = static_cast<std::uint32_t>(rng.nextBounded(700));
+        std::vector<std::uint8_t> ref(s.length, 0);
+        std::vector<Buffer> kept, keptBytes;
+        // Every fourth round all contributions share the window's range,
+        // so the plain ones outnumber one xorMany group.
+        const bool aligned = round % 4 == 0;
+        const int n = static_cast<int>(rng.nextBounded(40));
+        for (int i = 0; i < n; ++i) {
+            std::uint32_t offset = s.baseOffset;
+            std::uint32_t size = s.length;
+            if (!aligned && rng.nextBool(0.5)) {
+                offset = static_cast<std::uint32_t>(rng.nextBounded(800));
+                size = 1 + static_cast<std::uint32_t>(rng.nextBounded(600));
+            }
+            const auto coef =
+                rng.nextBool(0.6)
+                    ? std::uint8_t{1}
+                    : static_cast<std::uint8_t>(1 + rng.nextBounded(255));
+            Buffer b(size);
+            b.fillPattern(rng.next());
+            for (std::uint32_t j = 0; j < size; ++j) {
+                const std::uint32_t at = offset + j;
+                if (at >= s.baseOffset && at < s.baseOffset + s.length)
+                    ref[at - s.baseOffset] ^= gf.mul(coef, b[j]);
+            }
+            if (rng.nextBool(0.5)) {
+                kept.push_back(b);
+                keptBytes.push_back(b.clone());
+                ReduceEngine::absorb(s, offset, b, coef);
+            } else {
+                ReduceEngine::absorb(s, offset, std::move(b), coef);
+            }
+        }
+        const Buffer w = ReduceEngine::finalWindow(s);
+        ASSERT_EQ(w.size(), s.length) << "round " << round;
+        EXPECT_TRUE(std::equal(ref.begin(), ref.end(), w.data()))
+            << "round " << round;
+        EXPECT_EQ(s.absorbed, static_cast<std::uint32_t>(n));
+        EXPECT_TRUE(s.held.empty());
+        for (std::size_t k = 0; k < kept.size(); ++k)
+            EXPECT_TRUE(kept[k].contentEquals(keptBytes[k]))
+                << "round " << round << " kept " << k;
+    }
 }

@@ -139,6 +139,65 @@ INSTANTIATE_TEST_SUITE_P(Bodies, XorKernelBody, ::testing::Bool(),
                                                : std::string("selected");
                          });
 
+TEST(Xor, ManySourcesMatchPortableBody)
+{
+    // k = 1..8 sources of 0..1000 bytes at their own misalignments; the
+    // selected body must equal the portable one (itself checked against a
+    // byte-wise reference), also with dst aliasing the first source, and
+    // leave every byte outside [dst, dst + len) and every source alone.
+    constexpr std::size_t kGuard = 64;
+    constexpr std::size_t kMaxLen = 1000;
+    constexpr std::size_t kMaxK = 8;
+    const XorKernels &portable = draid::ec::detail::portableXorKernels();
+    const XorKernels &selected = draid::ec::detail::selectedXorKernels();
+    const std::size_t size = kMaxLen + 2 * kGuard + 16;
+    std::vector<std::vector<std::uint8_t>> src(kMaxK,
+                                               std::vector<std::uint8_t>(size));
+    std::vector<std::uint8_t> got(size), want(size), ref(size);
+    int mismatches = 0;
+    for (std::size_t k = 1; k <= kMaxK; ++k) {
+        for (std::size_t len = 0; len <= kMaxLen; ++len) {
+            const std::size_t dst_off = (len + k) % 16;
+            const std::uint8_t *srcs[kMaxK];
+            for (std::size_t s = 0; s < k; ++s) {
+                for (std::size_t i = 0; i < size; ++i)
+                    src[s][i] = byteOf(i, static_cast<unsigned>(s + len));
+                srcs[s] = src[s].data() + kGuard + (s * 5 + len) % 16;
+            }
+            for (std::size_t i = 0; i < size; ++i)
+                got[i] = want[i] = ref[i] = byteOf(i, 99);
+            const std::size_t at = kGuard + dst_off;
+            for (std::size_t i = 0; i < len; ++i) {
+                std::uint8_t x = 0;
+                for (std::size_t s = 0; s < k; ++s)
+                    x ^= srcs[s][i];
+                ref[at + i] = x;
+            }
+            portable.many(want.data() + at, srcs, k, len);
+            selected.many(got.data() + at, srcs, k, len);
+            mismatches += want != ref;
+            mismatches += got != want;
+
+            // The in-place form: dst is the first source.
+            std::vector<std::uint8_t> first = src[0];
+            const std::size_t first_off = srcs[0] - src[0].data();
+            srcs[0] = first.data() + first_off;
+            selected.many(first.data() + first_off, srcs, k, len);
+            for (std::size_t i = 0; i < size; ++i) {
+                const bool in = i >= first_off && i < first_off + len;
+                mismatches += first[i] !=
+                              (in ? ref[at + i - first_off] : src[0][i]);
+            }
+            for (std::size_t s = 1; s < k; ++s) {
+                for (std::size_t i = 0; i < size; ++i)
+                    mismatches +=
+                        src[s][i] != byteOf(i, static_cast<unsigned>(s + len));
+            }
+            ASSERT_EQ(mismatches, 0) << "k=" << k << " len=" << len;
+        }
+    }
+}
+
 TEST(Xor, PublicKernelsNameTheSelectedBody)
 {
     EXPECT_STREQ(xorKernelName(),
