@@ -5,6 +5,8 @@
 #include <cstring>
 #include <utility>
 
+#include "ec/xor_kernel.h"
+
 namespace draid::blockdev {
 
 namespace {
@@ -14,6 +16,24 @@ bool
 uniform(const std::uint8_t *p, std::size_t n)
 {
     return std::memcmp(p, p + 1, n - 1) == 0;
+}
+
+/**
+ * Write @p n output bytes at @p dst that read as @p value: the value
+ * itself, or @p op ^ value when an operand is given.
+ */
+void
+fillRun(std::uint8_t *dst, const std::uint8_t *op, std::uint8_t value,
+        std::size_t n)
+{
+    if (!op) {
+        std::memset(dst, value, n);
+    } else if (value == 0) {
+        std::memcpy(dst, op, n);
+    } else {
+        for (std::size_t i = 0; i < n; ++i)
+            dst[i] = static_cast<std::uint8_t>(op[i] ^ value);
+    }
 }
 
 } // namespace
@@ -44,39 +64,65 @@ MemoryBdev::residentBytes() const
 }
 
 ec::Buffer
-MemoryBdev::readSync(std::uint64_t offset, std::uint32_t length) const
+MemoryBdev::readSync(std::uint64_t offset, std::uint32_t length,
+                     const ec::Buffer &operand) const
 {
     assert(offset + length <= capacity_);
+    assert(operand.empty() || operand.size() == length);
     ec::Buffer out = ec::Buffer::forOverwrite(length);
     std::uint8_t *dst = out.data();
-    std::uint64_t pos = offset;
+    const std::uint8_t *op = operand.empty() ? nullptr : operand.data();
+    // Output bytes [run, done) all read as run_fill and are not written
+    // yet: a run grows across slots and extents until a materialized page
+    // or another value ends it, and is then written in one call.
+    std::size_t run = 0;
+    std::size_t done = 0;
+    std::uint8_t run_fill = 0;
+    const auto endRun = [&]() {
+        if (done > run)
+            fillRun(dst + run, op ? op + run : nullptr, run_fill, done - run);
+        run = done;
+    };
+    const auto uniformBytes = [&](std::uint8_t value, std::uint64_t n) {
+        if (value != run_fill) {
+            endRun();
+            run_fill = value;
+        }
+        done += n;
+    };
     const std::uint64_t end = offset + length;
-    while (pos < end) {
+    while (done < length) {
         const std::uint64_t extent_end =
-            std::min(end, (pos / kExtentSize + 1) * kExtentSize);
-        auto it = extents_.find(pos / kExtentSize);
+            std::min(end, ((offset + done) / kExtentSize + 1) * kExtentSize);
+        auto it = extents_.find((offset + done) / kExtentSize);
         if (it == extents_.end()) {
             // Fresh-drive semantics: an untouched extent reads as zeros.
-            std::memset(dst, 0, extent_end - pos);
-            dst += extent_end - pos;
-            pos = extent_end;
+            uniformBytes(0, extent_end - offset - done);
             continue;
         }
-        while (pos < extent_end) {
+        for (std::uint64_t pos = offset + done; pos < extent_end;
+             pos = offset + done) {
             const Slot &slot = it->second[(pos % kExtentSize) / kSlotSize];
             const std::uint32_t in_slot =
                 static_cast<std::uint32_t>(pos % kSlotSize);
             const std::uint32_t take = static_cast<std::uint32_t>(
                 std::min<std::uint64_t>(extent_end - pos,
                                         kSlotSize - in_slot));
-            if (slot.bytes)
-                std::memcpy(dst, slot.bytes.get() + in_slot, take);
+            if (!slot.bytes) {
+                uniformBytes(slot.fill, take);
+                continue;
+            }
+            endRun();
+            const std::uint8_t *page = slot.bytes.get() + in_slot;
+            if (op)
+                ec::xorBlocks(dst + done, op + done, page, take);
             else
-                std::memset(dst, slot.fill, take);
-            dst += take;
-            pos += take;
+                std::memcpy(dst + done, page, take);
+            done += take;
+            run = done;
         }
     }
+    endRun();
     return out;
 }
 

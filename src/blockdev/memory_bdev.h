@@ -12,7 +12,8 @@
  * page it reads as 4 KB of its fill byte. A whole-slot write whose bytes
  * are all equal just sets the fill byte, so constant-filled payloads cost
  * one 16-byte slot per 4 KB. Any other write materializes the page. Every
- * read returns exactly the bytes last written (DESIGN.md §4.2).
+ * read returns exactly the bytes last written (DESIGN.md §4.2), filling
+ * each run of bytes that read as one value with one memset.
  */
 
 #ifndef DRAID_BLOCKDEV_MEMORY_BDEV_H
@@ -42,8 +43,14 @@ class MemoryBdev : public BlockDevice
     void write(std::uint64_t offset, ec::Buffer data,
                WriteCallback cb) override;
 
-    /** Synchronous accessors used by tests and the timing wrapper. */
-    ec::Buffer readSync(std::uint64_t offset, std::uint32_t length) const;
+    /**
+     * Synchronous accessors used by tests and the timing wrapper.
+     * readSync returns a new buffer holding the stored bytes, or, given a
+     * non-empty @p operand of @p length bytes, stored ^ operand, made in
+     * the same pass; the operand is left unchanged.
+     */
+    ec::Buffer readSync(std::uint64_t offset, std::uint32_t length,
+                        const ec::Buffer &operand = {}) const;
     void writeSync(std::uint64_t offset, const ec::Buffer &data);
 
     /**

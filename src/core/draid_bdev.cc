@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "ec/gf256.h"
-#include "ec/xor_kernel.h"
 
 namespace draid::core {
 
@@ -174,6 +173,9 @@ DraidBdev::phase1Issue(std::uint32_t slot, std::uint8_t i)
     Command &c = commands_[slot];
     const Read &r = c.reads[i];
     if (!r.remote) {
+        // An RMW's old-data read carries the new data as its operand, so
+        // the drive returns the delta old ^ new in the same pass.
+        const bool rmw = c.subtype == proto::Subtype::kRmw;
         node_.ssd().read(r.addr, r.length, c.trace,
                          [this, slot, i](blockdev::IoStatus st,
                                          ec::Buffer data) {
@@ -182,7 +184,7 @@ DraidBdev::phase1Issue(std::uint32_t slot, std::uint8_t i)
                 d.status = proto::Status::kFailed;
             d.reads[i].data = std::move(data);
             phase1Landed(slot, i);
-        });
+        }, rmw ? c.payload : ec::Buffer());
         return;
     }
     if (!cluster_.fabric().rdmaRead(
@@ -226,14 +228,9 @@ DraidBdev::partialWritePhase2(std::uint32_t slot)
     std::uint64_t xor_bytes = 0;
     switch (c.subtype) {
       case proto::Subtype::kRmw:
-        // The old data is a fresh drive read: held alone, it takes the
-        // delta in place.
-        if (drive.data.unique()) {
-            ec::xorInto(drive.data, c.payload);
-            c.partial = std::move(drive.data);
-        } else {
-            c.partial = ec::xorOf(drive.data, c.payload);
-        }
+        // The drive read returned the delta old ^ new; its XOR is charged
+        // here, where the partial is derived.
+        c.partial = std::move(drive.data);
         xor_bytes = c.partial.size();
         break;
       case proto::Subtype::kRwWrite:

@@ -62,7 +62,10 @@ class DraidBdev : public blockdev::NvmfTarget
     ReduceEngine &reduceEngine() { return reduce_; }
 
   private:
-    /** A drive read, or the remote fetch of new data, and its bytes. */
+    /**
+     * A drive read, or the remote fetch of new data, and its bytes; an
+     * RMW's old-data read lands as the delta old ^ new.
+     */
     struct Read
     {
         std::uint64_t addr = 0;

@@ -42,12 +42,13 @@ Ssd::read(std::uint64_t offset, std::uint32_t length,
 
 void
 Ssd::read(std::uint64_t offset, std::uint32_t length, std::uint64_t trace,
-          blockdev::ReadCallback cb)
+          blockdev::ReadCallback cb, ec::Buffer operand)
 {
+    assert(operand.empty() || operand.size() == length);
     bytesRead_ += length;
     const sim::Ticks start = std::max(sim_.now(), channel_.busyUntil());
-    const std::uint32_t slot =
-        commands_.acquire(Command{offset, length, {}, std::move(cb), {}});
+    const std::uint32_t slot = commands_.acquire(
+        Command{offset, length, std::move(operand), std::move(cb), {}});
     // The trace rides into the channel pipe for contention attribution
     // (the channel tap is silent, so no duplicate span appears).
     channel_.transfer(scaled(length, config_.readBw / degrade_), trace,
@@ -72,6 +73,7 @@ Ssd::readDone(std::uint32_t slot)
     Command &c = commands_[slot];
     const std::uint64_t offset = c.offset;
     const std::uint32_t length = c.length;
+    const ec::Buffer operand = std::exchange(c.data, {});
     const blockdev::ReadCallback cb = std::exchange(c.readCb, nullptr);
     commands_.release(slot);
     ++reads_;
@@ -86,7 +88,7 @@ Ssd::readDone(std::uint32_t slot)
         cb(blockdev::IoStatus::kError, ec::Buffer());
         return;
     }
-    cb(blockdev::IoStatus::kOk, store_.readSync(offset, length));
+    cb(blockdev::IoStatus::kOk, store_.readSync(offset, length, operand));
 }
 
 void

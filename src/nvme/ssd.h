@@ -59,9 +59,15 @@ class Ssd : public blockdev::BlockDevice
      * an "ssd.read"/"ssd.write" span when a probe is attached, tracing is
      * enabled, and @p trace is nonzero. Timing is identical to the
      * untraced calls.
+     *
+     * A read given a non-empty @p operand of @p length bytes completes
+     * with stored ^ operand instead of the stored bytes, made in the same
+     * pass over the store (the RMW data delta, old ^ new). Its timing and
+     * byte counts are those of the plain read.
      */
     void read(std::uint64_t offset, std::uint32_t length,
-              std::uint64_t trace, blockdev::ReadCallback cb);
+              std::uint64_t trace, blockdev::ReadCallback cb,
+              ec::Buffer operand = {});
     void write(std::uint64_t offset, ec::Buffer data, std::uint64_t trace,
                blockdev::WriteCallback cb);
 
@@ -121,7 +127,7 @@ class Ssd : public blockdev::BlockDevice
     {
         std::uint64_t offset = 0;
         std::uint32_t length = 0;
-        ec::Buffer data; ///< write payload, until it is stored
+        ec::Buffer data; ///< write payload, until stored; read operand
         blockdev::ReadCallback readCb;
         blockdev::WriteCallback writeCb;
     };

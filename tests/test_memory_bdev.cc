@@ -220,10 +220,22 @@ TEST(MemoryBdev, MatchesFlatReferenceUnderRandomWrites)
                  e <= (off + len - 1) / kExtent; ++e)
                 touched.insert(e);
         } else {
-            Buffer got = dev.readSync(off, static_cast<std::uint32_t>(len));
+            const auto n = static_cast<std::uint32_t>(len);
+            Buffer got = dev.readSync(off, n);
             ASSERT_EQ(std::memcmp(got.data(), ref.data() + off, len), 0)
                 << "step " << step << " read [" << off << ", +" << len
                 << ")";
+            // The same read with an operand returns ref ^ operand and
+            // leaves the operand as it was.
+            const Buffer operand = patterned(len, rng.next());
+            const Buffer kept = operand.clone();
+            Buffer delta = dev.readSync(off, n, operand);
+            for (std::uint64_t i = 0; i < len; ++i) {
+                ASSERT_EQ(delta[i], ref[off + i] ^ operand[i])
+                    << "step " << step << " operand read [" << off << ", +"
+                    << len << ") byte " << i;
+            }
+            ASSERT_TRUE(operand.contentEquals(kept)) << "step " << step;
         }
     }
     Buffer all = dev.readSync(0, kCapacity);
@@ -231,4 +243,99 @@ TEST(MemoryBdev, MatchesFlatReferenceUnderRandomWrites)
     EXPECT_EQ(dev.pagesAllocated(), touched.size());
     // At most every page materialized, plus a small directory.
     EXPECT_LE(dev.residentBytes(), kCapacity + kCapacity / kSlot * 32 + 4096);
+}
+
+namespace {
+
+/**
+ * Check that [off, off + len) of @p dev reads as @p want, both plainly
+ * and as want ^ operand with a patterned operand, which it leaves as it
+ * was.
+ */
+void
+expectReads(const MemoryBdev &dev, std::uint64_t off,
+            const std::vector<std::uint8_t> &want)
+{
+    const auto len = static_cast<std::uint32_t>(want.size());
+    Buffer got = dev.readSync(off, len);
+    ASSERT_EQ(std::memcmp(got.data(), want.data(), len), 0);
+    const Buffer operand = patterned(len, off + len);
+    const Buffer kept = operand.clone();
+    Buffer delta = dev.readSync(off, len, operand);
+    for (std::uint32_t i = 0; i < len; ++i)
+        ASSERT_EQ(delta[i], want[i] ^ operand[i]) << "byte " << i;
+    EXPECT_TRUE(operand.contentEquals(kept));
+}
+
+} // namespace
+
+// A run of one value crosses the end of a touched extent into an absent
+// one, which reads as zeros.
+TEST(MemoryBdev, RunCrossesIntoAbsentExtent)
+{
+    MemoryBdev dev(1 << 20);
+    dev.writeSync(kExtent - 2 * kSlot, filled(2 * kSlot, 0));
+    dev.writeSync(kExtent - 3 * kSlot, filled(kSlot, 0x5a));
+    std::vector<std::uint8_t> want(kSlot + 2 * kSlot + kExtent + 100, 0);
+    std::fill_n(want.begin(), kSlot, 0x5a);
+    expectReads(dev, kExtent - 3 * kSlot, want);
+    // Starting inside the zero run, the read is all zeros.
+    expectReads(dev, kExtent - kSlot - 7,
+                std::vector<std::uint8_t>(kSlot + kExtent, 0));
+}
+
+// A materialized page between two uniform slots of the same fill ends
+// the run: the bytes after it are filled, not left to the page's copy.
+TEST(MemoryBdev, PageBetweenEqualFillsEndsTheRun)
+{
+    MemoryBdev dev(1 << 20);
+    const Buffer page = patterned(kSlot, 21);
+    dev.writeSync(0, filled(3 * kSlot, 0x66));
+    dev.writeSync(kSlot, page);
+    std::vector<std::uint8_t> want(3 * kSlot, 0x66);
+    std::memcpy(want.data() + kSlot, page.data(), kSlot);
+    expectReads(dev, 0, want);
+    expectReads(dev, 100, std::vector<std::uint8_t>(want.begin() + 100,
+                                                    want.end() - 100));
+}
+
+// The fill changes mid-extent, and again back to an earlier value: each
+// change ends one run and starts the next.
+TEST(MemoryBdev, FillChangesMidExtent)
+{
+    MemoryBdev dev(1 << 20);
+    const std::uint8_t fills[] = {0x11, 0x11, 0x22, 0x00, 0x11, 0x22};
+    std::vector<std::uint8_t> want;
+    for (std::size_t i = 0; i < std::size(fills); ++i) {
+        dev.writeSync(i * kSlot, filled(kSlot, fills[i]));
+        want.insert(want.end(), kSlot, fills[i]);
+    }
+    want.insert(want.end(), kExtent - want.size(), 0); // never written
+    expectReads(dev, 0, want);
+}
+
+// Reads that start and end inside one slot, uniform or materialized, and
+// reads that start inside one slot and end inside the next.
+TEST(MemoryBdev, ReadsStartAndEndInsideASlot)
+{
+    MemoryBdev dev(1 << 20);
+    const Buffer page = patterned(kSlot, 33);
+    dev.writeSync(0, filled(kSlot, 0x77));
+    dev.writeSync(kSlot, page);
+    dev.writeSync(2 * kSlot, filled(kSlot, 0x77));
+    std::vector<std::uint8_t> image(3 * kSlot, 0x77);
+    std::memcpy(image.data() + kSlot, page.data(), kSlot);
+    const std::pair<std::uint64_t, std::uint64_t> ranges[] = {
+        {10, 20},                     // inside a uniform slot
+        {kSlot + 5, kSlot + 4000},    // inside a page
+        {kSlot - 9, kSlot + 9},       // uniform into a page
+        {2 * kSlot - 9, 2 * kSlot + 9}, // a page into a uniform slot
+        {300, 2 * kSlot + 300},       // across a whole page
+    };
+    for (const auto &[lo, hi] : ranges) {
+        SCOPED_TRACE(lo);
+        expectReads(dev, lo,
+                    std::vector<std::uint8_t>(image.begin() + lo,
+                                              image.begin() + hi));
+    }
 }
